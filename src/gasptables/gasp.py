@@ -66,6 +66,12 @@ class GaspParams:
         return cls(K=K, L=L, T=T, r=min(kk, T))
 
 
+def standard_beta(K: int, L: int, T: int) -> tuple[int, ...]:
+    """The GASP beta vector: beta_p = (0, K, ..., K(L-1)), beta_s = (KL, ..., KL+T-1)."""
+    kl = K * L
+    return tuple(range(0, kl, K)) + tuple(range(kl, kl + T))
+
+
 def construct(params: GaspParams) -> DegreeTable:
     """Build the GASP_r degree table for the given parameters."""
     K, L, T, r = params.K, params.L, params.T, params.r
@@ -78,14 +84,15 @@ def construct(params: GaspParams) -> DegreeTable:
             if len(alpha_s) == T:
                 break
         m += 1
+    beta = standard_beta(K, L, T)
     return DegreeTable(
         K=K,
         L=L,
         T=T,
         alpha_p=tuple(range(K)),
         alpha_s=tuple(alpha_s),
-        beta_p=tuple(K * j for j in range(L)),
-        beta_s=tuple(kl + t for t in range(T)),
+        beta_p=beta[:L],
+        beta_s=beta[L:],
     )
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .degree_table import DomainError
+from .gasp import standard_beta
 
 Coeffs = tuple[tuple[str, int], ...]
 
@@ -83,10 +84,6 @@ class IlpModel:
         raise KeyError(name)
 
 
-def _beta_vector(K: int, L: int, T: int) -> tuple[int, ...]:
-    return tuple(K * j for j in range(L)) + tuple(K * L + t for t in range(T))
-
-
 def build_ilp_fixed(K: int, L: int, T: int, tight_link: bool = False) -> IlpModel:
     """ILP for the best alpha suffix under the standard prefix and beta.
 
@@ -102,7 +99,7 @@ def build_ilp_fixed(K: int, L: int, T: int, tight_link: bool = False) -> IlpMode
     if L > K:
         raise DomainError(f"need L <= K, got K={K}, L={L}")
     kl = K * L
-    beta = _beta_vector(K, L, T)
+    beta = standard_beta(K, L, T)
     v_lo, v_hi = kl, T * (kl + T) + K - 1
     e_lo, e_hi = kl, (T + 1) * (kl + T) + K - 2
     f_hi = kl + K + T - 2

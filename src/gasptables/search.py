@@ -13,9 +13,12 @@ Three strategies at three price points:
                         parameters where nothing else is, not guaranteed
                         optimal.
 
-The census inner loop packs each side's value set into a big integer with a
-fixed-width field per exponent, so one multiplication yields the multiplicity
-of every entry sum at once.
+Both heavy kernels work on integers used as bitsets.  The census is a join
+on differences: D3 fails exactly when the nonzero differences A_p - A and
+B - B_p share a value, so the beta sides are indexed by difference and by
+gcd, and each alpha side reads its valid partners off as one mask.  Greedy
+keeps the entries in use as one integer and scores a candidate row by a
+shifted AND.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Optional, Union
 from .bounds import entry_upper_bounds
 from .degree_table import DegreeTable, DomainError
 from .equivalence import canonical
+from .gasp import standard_beta
 
 EntryBound = Union[int, tuple[int, int]]
 
@@ -61,8 +65,7 @@ def _dedupe_canonical(optima) -> tuple[DegreeTable, ...]:
 def _side_candidates(p_len: int, s_len: int, bound: int):
     """All sorted-block sides with distinct entries in [0, bound] and 0 present.
 
-    Yields (prefix, suffix, gcd, packed) where packed is the field-packed
-    indicator integer used by the census multiplication.
+    Yields (prefix, suffix, gcd, values), values being the sorted entry set.
     """
     n = p_len + s_len
     if bound < n - 1:
@@ -97,48 +100,46 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     else:
         bound_a, bound_b = entry_bound
 
-    # Field width: multiplicities never exceed the cell count.
-    shift = ((K + T) * (L + T)).bit_length()
-    mask = (1 << shift) - 1
+    alphas = list(_side_candidates(K, T, bound_a))
+    betas = list(_side_candidates(L, T, bound_b))
 
-    def pack(values):
-        p = 0
-        for v in values:
-            p |= 1 << (shift * v)
-        return p
+    # Bitsets over beta indices, keyed by each nonzero difference in
+    # B - B_p and by the gcd of the entries.
+    by_diff: dict[int, int] = {}
+    by_gcd: dict[int, int] = {}
+    value_masks = []
+    for j, (pre, _, g, vals) in enumerate(betas):
+        bit = 1 << j
+        for d in {v - y for y in pre for v in vals if v != y}:
+            by_diff[d] = by_diff.get(d, 0) | bit
+        by_gcd[g] = by_gcd.get(g, 0) | bit
+        value_masks.append(sum(1 << v for v in vals))
+    coprime: dict[int, int] = {}
 
-    alphas = [
-        (pre, suf, g, pack(vals))
-        for pre, suf, g, vals in _side_candidates(K, T, bound_a)
-    ]
-    betas = [
-        (pre, suf, g, pack(vals))
-        for pre, suf, g, vals in _side_candidates(L, T, bound_b)
-    ]
-
-    gcd = math.gcd
     best_n: Optional[int] = None
     optima: list[DegreeTable] = []
     valid = 0
-    n_fields = bound_a + bound_b + 1
-    for a_pre, a_suf, ga, pa in alphas:
-        for b_pre, b_suf, gb, pb in betas:
-            if gcd(ga, gb) != 1:
-                continue
-            prod = pa * pb
-            ok = True
-            for x in a_pre:
-                if not ok:
-                    break
-                for y in b_pre:
-                    if (prod >> (shift * (x + y))) & mask != 1:
-                        ok = False
-                        break
-            if not ok:
-                continue
+    for a_pre, a_suf, ga, a_vals in alphas:
+        if ga not in coprime:
+            coprime[ga] = sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
+        # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
+        # i.e. iff (A_p - A)\{0} and (B - B_p)\{0} share a difference.
+        clash = 0
+        for d in {x - v for x in a_pre for v in a_vals if v != x}:
+            clash |= by_diff.get(d, 0)
+        ok = coprime[ga] & ~clash
+        while ok:
+            low = ok & -ok
+            ok ^= low
+            j = low.bit_length() - 1
             valid += 1
-            n = sum(1 for e in range(n_fields) if (prod >> (shift * e)) & mask)
+            mask = value_masks[j]
+            cover = 0
+            for a in a_vals:
+                cover |= mask << a
+            n = cover.bit_count()
             if best_n is None or n <= best_n:
+                b_pre, b_suf = betas[j][:2]
                 table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
                                     beta_p=b_pre, beta_s=b_suf)
                 if best_n is None or n < best_n:
@@ -155,13 +156,9 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     )
 
 
-def _fixed_beta(K: int, L: int, T: int) -> tuple[int, ...]:
-    return tuple(K * j for j in range(L)) + tuple(K * L + t for t in range(T))
-
-
 def fixed_prefix_table(K: int, L: int, T: int, alpha_s) -> DegreeTable:
     """Table with the standard prefixes and beta, and the given alpha suffix."""
-    beta = _fixed_beta(K, L, T)
+    beta = standard_beta(K, L, T)
     return DegreeTable(
         K=K, L=L, T=T,
         alpha_p=tuple(range(K)), alpha_s=tuple(alpha_s),
@@ -181,7 +178,7 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
     if L > K:
         raise DomainError(f"need L <= K, got K={K}, L={L}")
     kl = K * L
-    beta = _fixed_beta(K, L, T)
+    beta = standard_beta(K, L, T)
     beta_mask = 0
     for b in beta:
         beta_mask |= 1 << b
@@ -250,46 +247,31 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
            beam_width: Optional[int] = None) -> GreedyResult:
     """Best-first suffix search: grow alpha_s by the row overlapping most.
 
-    For each unused candidate value i the bitmask S[i] records which columns
-    of row i would collide with the table built so far; rows with maximal
-    overlap add the fewest new entries, and all argmax candidates are
-    branched on (in increasing order), depth first.  A branch is cut when
-    even one new entry per remaining row cannot beat the incumbent.
-    beam_width, if set, caps how many argmax candidates are expanded per
-    node; budget caps total node expansions and flags the result when hit.
+    The table built so far is one integer, cover, with bit e set for every
+    entry e in use; candidate row i overlaps it in
+    popcount((cover >> i) & beta_mask) columns.  Rows with maximal overlap
+    add the fewest new entries, and all argmax candidates are branched on
+    (in increasing order), depth first.  A branch is cut when even one new
+    entry per remaining row cannot beat the incumbent.  beam_width, if set,
+    caps how many argmax candidates are expanded per node; budget caps total
+    node expansions and flags the result when hit.
     """
     if L > K:
         raise DomainError(f"need L <= K, got K={K}, L={L}")
     kl = K * L
-    beta = _fixed_beta(K, L, T)
-    beta_set = set(beta)
+    beta_mask = sum(1 << b for b in standard_beta(K, L, T))
     width = L + T
     v_lo, v_hi = kl, T * (kl + T) + K - 1
-    size_v = v_hi - v_lo + 1
-    top = kl + K + T - 2  # largest sum the prefix rows produce
-
-    # overlap_mask[d] = columns c with beta[c] + d in beta (keyed by offset d)
-    overlap: dict[int, int] = {}
-    for c, bc in enumerate(beta):
-        for bv in beta_set:
-            d = bv - bc
-            overlap[d] = overlap.get(d, 0) | (1 << c)
-
-    init = [0] * size_v
-    for idx in range(size_v):
-        i = v_lo + idx
-        m = 0
-        for c, bc in enumerate(beta):
-            if i + bc <= top:
-                m |= 1 << c
-        init[idx] = m
+    top = kl + K + T - 2  # the prefix rows use every entry in [0, top]
 
     best_n: Optional[int] = None
     best_suffix: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
+    chosen: list[int] = []
+    used: set[int] = set()
 
-    def rec(s: list[int], chosen: list[int], used: set[int], size: int):
+    def rec(cover: int, size: int):
         nonlocal best_n, best_suffix, nodes, exhausted
         if exhausted:
             return
@@ -304,32 +286,26 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
                 best_n = size
                 best_suffix = tuple(sorted(chosen))
             return
-        best_overlap = -1
-        cands: list[int] = []
-        for idx in range(size_v):
-            i = v_lo + idx
-            if i in used:
-                continue
-            o = s[idx].bit_count()
-            if o > best_overlap:
-                best_overlap, cands = o, [i]
-            elif o == best_overlap:
-                cands.append(i)
-        if beam_width is not None:
-            cands = cands[:beam_width]
-        for r in cands:
-            child = list(s)
-            for idx in range(size_v):
-                m = overlap.get(v_lo + idx - r)
-                if m:
-                    child[idx] |= m
+        # Rows above cover's top bit overlap nothing, so only the window
+        # below it is scanned.  The maximum is at least 1: each of the K+T-1
+        # rows in [KL, top] meets cover in column beta = 0, and at most T-1
+        # of them are used.
+        best, cands = 1, []
+        for i in range(v_lo, min(v_hi + 1, cover.bit_length())):
+            o = ((cover >> i) & beta_mask).bit_count()
+            if o >= best and i not in used:
+                if o > best:
+                    best, cands = o, [i]
+                else:
+                    cands.append(i)
+        for r in cands[:beam_width]:
             used.add(r)
             chosen.append(r)
-            rec(child, chosen, used, size + width - s[r - v_lo].bit_count())
+            rec(cover | (beta_mask << r), size + width - best)
             chosen.pop()
             used.remove(r)
 
-    rec(init, [], set(), kl + K + T - 1)
+    rec((1 << (top + 1)) - 1, top + 1)
     if best_n is None:
         raise DomainError("greedy found no complete suffix (budget too small)")
     return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)

@@ -1,0 +1,167 @@
+"""Reference kernels for the census and greedy searches.
+
+These are the original, slower implementations of `search.exhaustive` and
+`search.greedy`.  They compute D3 and the entry count by another route (a
+packed big-integer multiplication; per-node lists of column masks), so the
+differential tests in test_search.py compare the bitset kernels against them
+result for result, including the optima order and greedy's node count.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from gasptables.bounds import entry_upper_bounds
+from gasptables.degree_table import DegreeTable, DomainError
+from gasptables.gasp import standard_beta
+from gasptables.search import GreedyResult, SearchResult, _dedupe_canonical, _side_candidates
+
+
+def exhaustive_packed(K: int, L: int, T: int, entry_bound=None) -> SearchResult:
+    """Census by multiplication: each side's value set is packed into a big
+    integer with a fixed-width field per exponent, so one product yields the
+    multiplicity of every entry sum at once."""
+    if entry_bound is None:
+        eb = entry_upper_bounds(K, L, T)
+        if eb is None:
+            raise DomainError(
+                "no proven entry bound for these parameters; pass entry_bound= to override"
+            )
+        bound_a, bound_b = eb
+    elif isinstance(entry_bound, int):
+        bound_a = bound_b = entry_bound
+    else:
+        bound_a, bound_b = entry_bound
+
+    # Field width: multiplicities never exceed the cell count.
+    shift = ((K + T) * (L + T)).bit_length()
+    mask = (1 << shift) - 1
+
+    def pack(values):
+        p = 0
+        for v in values:
+            p |= 1 << (shift * v)
+        return p
+
+    alphas = [(pre, suf, g, pack(vals)) for pre, suf, g, vals in _side_candidates(K, T, bound_a)]
+    betas = [(pre, suf, g, pack(vals)) for pre, suf, g, vals in _side_candidates(L, T, bound_b)]
+
+    gcd = math.gcd
+    best_n: Optional[int] = None
+    optima: list[DegreeTable] = []
+    valid = 0
+    n_fields = bound_a + bound_b + 1
+    for a_pre, a_suf, ga, pa in alphas:
+        for b_pre, b_suf, gb, pb in betas:
+            if gcd(ga, gb) != 1:
+                continue
+            prod = pa * pb
+            ok = True
+            for x in a_pre:
+                if not ok:
+                    break
+                for y in b_pre:
+                    if (prod >> (shift * (x + y))) & mask != 1:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            valid += 1
+            n = sum(1 for e in range(n_fields) if (prod >> (shift * e)) & mask)
+            if best_n is None or n <= best_n:
+                table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
+                                    beta_p=b_pre, beta_s=b_suf)
+                if best_n is None or n < best_n:
+                    best_n, optima = n, [table]
+                else:
+                    optima.append(table)
+    if best_n is None:
+        raise DomainError(f"no valid table found within bounds ({bound_a}, {bound_b})")
+    return SearchResult(
+        K=K, L=L, T=T, best_n=best_n,
+        optima=tuple(optima), canonical_optima=_dedupe_canonical(optima),
+        tables_examined=len(alphas) * len(betas), valid_tables=valid,
+        entry_bound=(bound_a, bound_b), side_candidates=(len(alphas), len(betas)),
+    )
+
+
+def greedy_lists(K: int, L: int, T: int, budget: Optional[int] = None,
+                 beam_width: Optional[int] = None) -> GreedyResult:
+    """Greedy with one column mask per candidate value, copied at every node:
+    S[i] records which columns of row i collide with the table so far."""
+    if L > K:
+        raise DomainError(f"need L <= K, got K={K}, L={L}")
+    kl = K * L
+    beta = standard_beta(K, L, T)
+    beta_set = set(beta)
+    width = L + T
+    v_lo, v_hi = kl, T * (kl + T) + K - 1
+    size_v = v_hi - v_lo + 1
+    top = kl + K + T - 2  # largest sum the prefix rows produce
+
+    # overlap_mask[d] = columns c with beta[c] + d in beta (keyed by offset d)
+    overlap: dict[int, int] = {}
+    for c, bc in enumerate(beta):
+        for bv in beta_set:
+            d = bv - bc
+            overlap[d] = overlap.get(d, 0) | (1 << c)
+
+    init = [0] * size_v
+    for idx in range(size_v):
+        i = v_lo + idx
+        m = 0
+        for c, bc in enumerate(beta):
+            if i + bc <= top:
+                m |= 1 << c
+        init[idx] = m
+
+    best_n: Optional[int] = None
+    best_suffix: tuple[int, ...] = ()
+    nodes = 0
+    exhausted = False
+
+    def rec(s: list[int], chosen: list[int], used: set[int], size: int):
+        nonlocal best_n, best_suffix, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if budget is not None and nodes > budget:
+            exhausted = True
+            return
+        if best_n is not None and size + (T - len(chosen)) > best_n:
+            return
+        if len(chosen) == T:
+            if best_n is None or size < best_n:
+                best_n = size
+                best_suffix = tuple(sorted(chosen))
+            return
+        best_overlap = -1
+        cands: list[int] = []
+        for idx in range(size_v):
+            i = v_lo + idx
+            if i in used:
+                continue
+            o = s[idx].bit_count()
+            if o > best_overlap:
+                best_overlap, cands = o, [i]
+            elif o == best_overlap:
+                cands.append(i)
+        if beam_width is not None:
+            cands = cands[:beam_width]
+        for r in cands:
+            child = list(s)
+            for idx in range(size_v):
+                m = overlap.get(v_lo + idx - r)
+                if m:
+                    child[idx] |= m
+            used.add(r)
+            chosen.append(r)
+            rec(child, chosen, used, size + width - s[r - v_lo].bit_count())
+            chosen.pop()
+            used.remove(r)
+
+    rec(init, [], set(), kl + K + T - 1)
+    if best_n is None:
+        raise DomainError("greedy found no complete suffix (budget too small)")
+    return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)

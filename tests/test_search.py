@@ -1,8 +1,13 @@
 """Exhaustive census, fixed-prefix search, and the greedy heuristic."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasptables import (
+    DegreeTable,
     DomainError,
     GaspParams,
     construct,
@@ -11,9 +16,37 @@ from gasptables import (
     exhaustive_fixed_prefix,
     fixed_prefix_table,
     greedy,
+    is_normal,
+    lower_bounds,
     optimal_r,
     validate,
 )
+from search_oracles import exhaustive_packed, greedy_lists
+
+
+def _brute_census(K, L, T, bound):
+    """(valid count, best N, optima blocks) by validate() over every side pair."""
+
+    def sides(p_len):
+        for values in combinations(range(bound + 1), p_len + T):
+            if values[0] == 0:
+                for suffix in combinations(values, T):
+                    yield tuple(v for v in values if v not in suffix), suffix
+
+    valid, best, optima = 0, None, set()
+    for a_pre, a_suf in sides(K):
+        for b_pre, b_suf in sides(L):
+            t = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
+                            beta_p=b_pre, beta_s=b_suf)
+            if not (is_normal(t) and validate(t).ok):
+                continue
+            valid += 1
+            n = count_distinct(t)
+            if best is None or n < best:
+                best, optima = n, set()
+            if n == best:
+                optima.add((a_pre, a_suf, b_pre, b_suf))
+    return valid, best, optima
 
 
 class TestExhaustive:
@@ -67,6 +100,42 @@ class TestExhaustive:
             ((0, 2), suffix, (0, 1), suffix),
         }
         assert len(res.canonical_optima) == 2
+
+    @pytest.mark.parametrize("K,L,T,valid,best,above_bound,sides", [
+        (2, 2, 6, 4512, 19, 1, (9240, 9240)),
+        (3, 1, 6, 58, 17, 0, (3780, 196)),
+    ])
+    def test_census_beyond_the_paper(self, K, L, T, valid, best, above_bound, sides):
+        # Ground truth past the paper's (2,2,5): the best table is GASP's
+        # N(r*) in both cases, one above the lower bound at (2,2,6) and on
+        # it at (3,1,6).
+        res = exhaustive(K, L, T)
+        assert (res.valid_tables, res.best_n, res.side_candidates) == (valid, best, sides)
+        assert res.best_n == optimal_r(K, L, T)[1]
+        assert res.best_n - lower_bounds(K, L, T).best == above_bound
+        for t in res.optima:
+            assert validate(t).ok and count_distinct(t) == best
+
+    @pytest.mark.parametrize("K,L,T,bound", [
+        (1, 1, 2, None), (2, 1, 3, None), (3, 1, 5, None), (2, 2, 4, 7),
+        (1, 1, 1, 3), (2, 1, 1, 5), (2, 2, 2, 6), (2, 2, 1, (6, 5)), (2, 1, 2, (3, 5)),
+    ])
+    def test_matches_packed_oracle(self, K, L, T, bound):
+        assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 5))
+    def test_matches_brute_validate(self, K, L, T, bound):
+        valid, best, optima = _brute_census(K, L, T, bound)
+        if not valid:
+            with pytest.raises(DomainError, match="no valid table"):
+                exhaustive(K, L, T, entry_bound=bound)
+            return
+        res = exhaustive(K, L, T, entry_bound=bound)
+        assert res.valid_tables == valid
+        assert res.best_n == best
+        assert {(t.alpha_p, t.alpha_s, t.beta_p, t.beta_s) for t in res.optima} == optima
+        assert len(res.optima) == len(optima)
 
 
 class TestFixedPrefix:
@@ -139,6 +208,33 @@ class TestGreedy:
     def test_rejects_l_above_k(self):
         with pytest.raises(DomainError, match="need L <= K"):
             greedy(1, 2, 1)
+
+    @pytest.mark.parametrize("K,L,T,kw", [
+        *(((n, n, n, {}) for n in range(1, 11))),
+        (5, 3, 4, {}),
+        (8, 8, 8, {"budget": 100}),
+        (10, 10, 10, {"budget": 1000}),
+        (4, 4, 4, {"beam_width": 1}),
+        (9, 9, 9, {"beam_width": 2}),
+        (10, 10, 10, {"beam_width": 3, "budget": 200}),
+    ])
+    def test_matches_list_oracle(self, K, L, T, kw):
+        # Same suffix, count and node count: tie order, pruning, budget and
+        # beam behave exactly as in the per-node list kernel.
+        assert greedy(K, L, T, **kw) == greedy_lists(K, L, T, **kw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
+           st.one_of(st.none(), st.integers(3, 60)), st.one_of(st.none(), st.integers(1, 3)))
+    def test_matches_list_oracle_on_any_shape(self, K, L, T, budget, beam_width):
+        L = min(K, L)
+        try:
+            want = greedy_lists(K, L, T, budget=budget, beam_width=beam_width)
+        except DomainError:
+            with pytest.raises(DomainError, match="budget too small"):
+                greedy(K, L, T, budget=budget, beam_width=beam_width)
+            return
+        assert greedy(K, L, T, budget=budget, beam_width=beam_width) == want
 
 
 class TestFixedPrefixTable:
