@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .bounds import MatrixDims, entry_upper_bounds, full_report
 from .costmodel import CostExponents, asymptotic_compare, concrete_costs
 from .degree_table import DegreeTable, DomainError
-from .equivalence import canonical, normal, squeeze
+from .equivalence import canonical, normal, squeeze, transpose
 from .gasp import GaspParams, construct, n_of_r, optimal_r, reduction_statistic, score_closed_form
 from .ilp import build_blp, build_ilp_fixed, emit_lp_text
 from .search import exhaustive, exhaustive_fixed_prefix, fixed_prefix_table, greedy
@@ -340,7 +340,10 @@ def _handle_sdmm(args) -> None:
         missing = [n for n in ("K", "L", "T", "r") if getattr(args, n) is None]
         if missing:
             raise DomainError(f"need --table or all of --K --L --T --r (missing {missing})")
-        table = construct(GaspParams(args.K, args.L, args.T, args.r))
+        p = GaspParams(args.K, args.L, args.T, args.r)
+        # GaspParams puts the larger of K, L first; swap the table back so A
+        # is still cut into K row blocks and B into L column blocks.
+        table = transpose(construct(p)) if p.transposed else construct(p)
     seed = args.seed
     rng = random.Random(f"data:{seed}")
     a_mat = tuple(tuple(rng.randrange(1 << 16) for _ in range(b)) for _ in range(a))
@@ -425,14 +428,6 @@ def _handle_stats(args) -> None:
     _emit(args, payload, pretty=f"{mean} = {float(mean):.6f}")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("GASPTABLES_SEED", "")
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -504,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--r", type=int, default=None)
     pr.add_argument("--dims", required=True, help="a,b,c matrix dimensions")
     pr.add_argument("--q", type=int, default=2, help="minimum field size")
-    pr.add_argument("--seed", type=int, default=_default_seed())
+    # argparse runs a string default through type= only when --seed is
+    # absent, so a malformed GASPTABLES_SEED is a usage error (exit 2).
+    pr.add_argument("--seed", type=int, default=os.environ.get("GASPTABLES_SEED") or "0")
     pr.add_argument("--table", default=None, help="table JSON file overriding --K/--L/--T/--r")
     pr.add_argument("--dump-shares", default=None, metavar="DIR", help="write per-server share files")
     pr.add_argument("--security", choices=("auto", "all", "sampled"), default="auto")

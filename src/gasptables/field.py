@@ -1,8 +1,9 @@
 """Prime fields and exact linear algebra, no floating point anywhere.
 
 Matrices are tuples of tuples of ints already reduced mod q.  Everything the
-protocol needs is here: multiplication, addition, scalar combinations,
-Gaussian elimination for solving and for invertibility testing.  Inverses go
+protocol needs is here: `mat_combine` (a weighted sum of matrices, which is
+what encoding a share is), `mat_mul`, and one forward elimination behind both
+`is_invertible` and `solve`.  Arithmetic is inline ``% q``; inverses go
 through Fermat (x^(q-2)), which is plenty at the field sizes involved.
 """
 
@@ -58,20 +59,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise DomainError(f"{self.q} is not prime")
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.q
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.q
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.q
-
-    def inv(self, x: int) -> int:
-        if x % self.q == 0:
-            raise DomainError("inverse of zero")
-        return pow(x, self.q - 2, self.q)
-
     def pow(self, x: int, e: int) -> int:
         # Exponents live mod q-1 on nonzero elements; reducing keeps the
         # computation cheap for the occasional huge exponent.
@@ -83,20 +70,16 @@ class PrimeField:
         return tuple(tuple(rng.randrange(self.q) for _ in range(cols)) for _ in range(rows))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def mat_shape(m: Matrix) -> tuple[int, int]:
-    return len(m), len(m[0]) if m else 0
-
-
-def mat_add(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple((x + y) % field.q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(field: PrimeField, s: int, a: Matrix) -> Matrix:
-    return tuple(tuple(s * x % field.q for x in row) for row in a)
+def mat_combine(field: PrimeField, weights: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
+    """sum(w * m for w, m in zip(weights, mats)), reduced once per entry."""
+    q = field.q
+    out = []
+    for rows in zip(*mats):
+        acc = [0] * len(rows[0])
+        for w, row in zip(weights, rows):
+            acc = [a + w * v for a, v in zip(acc, row)]
+        out.append(tuple(a % q for a in acc))
+    return tuple(out)
 
 
 def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
@@ -108,10 +91,28 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _eliminate(q: int, rows: list[list[int]], n: int) -> bool:
+    """Reduce the first n columns of ``rows`` in place to upper-triangular form,
+    pivots unnormalised; False at the first column with no pivot (singular)."""
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] % q), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        inv = pow(prow[col], q - 2, q)
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] * inv % q
+                rows[r] = [(v - f * p) % q for v, p in zip(rows[r], prow)]
+    return True
+
+
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve m X = rhs over the field; None if m is singular.
 
-    Standard row reduction with modular pivoting; exact by construction.
+    Forward elimination on the augmented rows, then back-substitution that
+    normalises each pivot row once; exact by construction.
     """
     q = field.q
     n = len(m)
@@ -119,34 +120,18 @@ def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
         raise DomainError("solve needs a square matrix")
     if len(rhs) != n:
         raise DomainError("rhs row count mismatch")
-    w = len(rhs[0]) if rhs else 0
     aug = [list(mr) + list(rr) for mr, rr in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % q), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
+    if not _eliminate(q, aug, n):
+        return None
+    for col in range(n - 1, -1, -1):
         inv = pow(aug[col][col], q - 2, q)
-        aug[col] = [v * inv % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], aug[col])]
+        prow = aug[col] = [v * inv % q for v in aug[col]]
+        for r in range(col):
+            f = aug[r][col]
+            if f:
+                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], prow)]
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def is_invertible(field: PrimeField, m: Matrix) -> bool:
-    q = field.q
-    n = len(m)
-    a = [list(row) for row in m]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % q), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], q - 2, q)
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv % q
-                a[r] = [(v - f * p) % q for v, p in zip(a[r], a[col])]
-    return True
+    return _eliminate(field.q, [list(row) for row in m], len(m))

@@ -21,22 +21,14 @@ from itertools import combinations
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, require_valid, sumset
-from .field import (
-    Matrix,
-    PrimeField,
-    is_invertible,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    next_prime,
-    solve,
-    zero_matrix,
-)
+from .field import Matrix, PrimeField, is_invertible, mat_combine, mat_mul, next_prime, solve
 
 DEFAULT_SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 SAMPLED_SUBSET_COUNT = 10_000
+# mode="all" refuses to enumerate more subsets than this.
+MAX_EXHAUSTIVE_SUBSETS = 10**7
 
 
 @dataclass(frozen=True)
@@ -117,12 +109,29 @@ def _degrees(table: DegreeTable) -> list[int]:
     return sorted(sumset(table.alpha, table.beta))
 
 
-def _suffix_rows(field: PrimeField, points, exps) -> list[list[int]]:
-    return [[field.pow(x, e) for e in exps] for x in points]
+def _powers(field: PrimeField, points, exps) -> Matrix:
+    """x^e with one row per point x and one column per exponent e."""
+    return tuple(tuple(field.pow(x, e) for e in exps) for x in points)
 
 
-def _subset_ok(field: PrimeField, rows, subset) -> bool:
-    return is_invertible(field, tuple(tuple(rows[i]) for i in subset))
+def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random):
+    """Every t-subset of range(n) if there are at most ``limit``, else
+    ``samples`` sorted random draws, all made before the caller checks any."""
+    if math.comb(n, t) <= limit:
+        return combinations(range(n), t)
+    return [tuple(sorted(rng.sample(range(n), t))) for _ in range(samples)]
+
+
+def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
+    """Yield (subset, side) for each side, alpha first, whose T x T mask block is singular."""
+    sides = (
+        ("alpha", _powers(field, points, table.alpha_s)),
+        ("beta", _powers(field, points, table.beta_s)),
+    )
+    for s in subsets:
+        for side, rows in sides:
+            if not is_invertible(field, tuple(rows[i] for i in s)):
+                yield s, side
 
 
 def choose_field_and_points(
@@ -143,30 +152,16 @@ def choose_field_and_points(
     require_valid(table)
     degrees = _degrees(table)
     n = len(degrees)
-    m_big = degrees[-1]
-    q = next_prime(max(base_q, m_big + 2, n + 1))
+    q = next_prime(max(base_q, degrees[-1] + 2, n + 1))
     fld = PrimeField(q)
-    t = table.T
     rng = random.Random(f"points:{seed}")
     for _ in range(max_retries):
         pts = tuple(sorted(rng.sample(range(1, q), n)))
-        v = tuple(tuple(fld.pow(x, d) for d in degrees) for x in pts)
-        if not is_invertible(fld, v):
+        if not is_invertible(fld, _powers(fld, pts, degrees)):
             continue
-        if t:
-            rows_a = _suffix_rows(fld, pts, table.alpha_s)
-            rows_b = _suffix_rows(fld, pts, table.beta_s)
-            total = math.comb(n, t)
-            if total <= selection_samples:
-                subsets = list(combinations(range(n), t))
-            else:
-                subsets = [tuple(sorted(rng.sample(range(n), t))) for _ in range(selection_samples)]
-            if not all(
-                _subset_ok(fld, rows_a, s) and _subset_ok(fld, rows_b, s)
-                for s in subsets
-            ):
-                continue
-        return fld, pts
+        subsets = _subsets(n, table.T, selection_samples, selection_samples, rng)
+        if next(_leaks(fld, pts, table, subsets), None) is None:
+            return fld, pts
     raise DomainError(
         f"no usable evaluation points after {max_retries} attempts over GF({q});"
         " retry with a larger base_q"
@@ -178,16 +173,12 @@ def encode(inst: SdmmInstance) -> tuple[tuple[Matrix, Matrix], ...]:
     fld = inst.field
     tab = inst.table
     a_blocks, b_blocks = partition(inst.a_mat, inst.b_mat, tab.K, tab.L)
-    shares = []
-    for x in inst.points:
-        f_sh = zero_matrix(*_shape_of(a_blocks[0], "A block"))
-        for blk, e in zip(a_blocks + inst.r_masks, tab.alpha):
-            f_sh = mat_add(fld, f_sh, mat_scale(fld, fld.pow(x, e), blk))
-        g_sh = zero_matrix(*_shape_of(b_blocks[0], "B block"))
-        for blk, e in zip(b_blocks + inst.s_masks, tab.beta):
-            g_sh = mat_add(fld, g_sh, mat_scale(fld, fld.pow(x, e), blk))
-        shares.append((f_sh, g_sh))
-    return tuple(shares)
+    f_mats, g_mats = a_blocks + inst.r_masks, b_blocks + inst.s_masks
+    return tuple(
+        (mat_combine(fld, [fld.pow(x, e) for e in tab.alpha], f_mats),
+         mat_combine(fld, [fld.pow(x, e) for e in tab.beta], g_mats))
+        for x in inst.points
+    )
 
 
 def server_compute(inst: SdmmInstance) -> tuple[Matrix, ...]:
@@ -215,28 +206,21 @@ def build_instance(
     fld, pts = choose_field_and_points(
         table, base_q=base_q, seed=seed, selection_samples=selection_samples
     )
-    a, b = _shape_of(a_mat, "A")
-    b2, c = _shape_of(b_mat, "B")
     a_red = tuple(tuple(v % fld.q for v in row) for row in a_mat)
     b_red = tuple(tuple(v % fld.q for v in row) for row in b_mat)
     partition(a_red, b_red, table.K, table.L)
+    a, b, c = len(a_red), len(b_red), len(b_red[0])
     mrng = random.Random(f"masks:{seed if mask_seed is None else mask_seed}")
     ra, cl = a // table.K, c // table.L
     if zero_masks:
-        r_masks = tuple(zero_matrix(ra, b) for _ in range(table.T))
-        s_masks = tuple(zero_matrix(b, cl) for _ in range(table.T))
+        r_masks = (((0,) * b,) * ra,) * table.T
+        s_masks = (((0,) * cl,) * b,) * table.T
     else:
         r_masks = tuple(fld.random_matrix(mrng, ra, b) for _ in range(table.T))
         s_masks = tuple(fld.random_matrix(mrng, b, cl) for _ in range(table.T))
     inst = SdmmInstance(
-        field=fld,
-        dims=(a, b, c),
-        table=table,
-        a_mat=a_red,
-        b_mat=b_red,
-        r_masks=r_masks,
-        s_masks=s_masks,
-        points=pts,
+        field=fld, dims=(a, b, c), table=table, a_mat=a_red, b_mat=b_red,
+        r_masks=r_masks, s_masks=s_masks, points=pts,
     )
     inst = replace(inst, shares=encode(inst))
     return replace(inst, responses=server_compute(inst))
@@ -246,27 +230,22 @@ def decode(inst: SdmmInstance) -> DecodeResult:
     """Interpolate the response polynomial and read off the product blocks."""
     if inst.responses is None:
         raise DomainError("instance has no responses yet")
-    fld = inst.field
     tab = inst.table
     degrees = _degrees(tab)
-    n = len(degrees)
-    if len(inst.points) != n:
-        raise DomainError(f"expected {n} evaluation points, got {len(inst.points)}")
-    v = tuple(tuple(fld.pow(x, d) for d in degrees) for x in inst.points)
+    if len(inst.points) != len(degrees):
+        raise DomainError(f"expected {len(degrees)} evaluation points, got {len(inst.points)}")
     rhs = tuple(tuple(val for row in resp for val in row) for resp in inst.responses)
-    coeffs = solve(fld, v, rhs)
+    coeffs = solve(inst.field, _powers(inst.field, inst.points, degrees), rhs)
     if coeffs is None:
         raise DomainError("decode matrix is singular; pick different evaluation points")
     a, _, c = inst.dims
     ra, cl = a // tab.K, c // tab.L
     index_of = {d: i for i, d in enumerate(degrees)}
-    blocks: dict[tuple[int, int], Matrix] = {}
-    for k in range(tab.K):
-        for l in range(tab.L):
-            flat = coeffs[index_of[tab.alpha_p[k] + tab.beta_p[l]]]
-            blocks[(k, l)] = tuple(
-                tuple(flat[i * cl:(i + 1) * cl]) for i in range(ra)
-            )
+    blocks = {
+        (k, l): tuple(coeffs[index_of[ak + bl]][i * cl:(i + 1) * cl] for i in range(ra))
+        for k, ak in enumerate(tab.alpha_p)
+        for l, bl in enumerate(tab.beta_p)
+    }
     product = tuple(
         tuple(val for l in range(tab.L) for val in blocks[(k, l)][i])
         for k in range(tab.K)
@@ -289,37 +268,25 @@ def security_check(
     """Verify the T x T mask submatrices are invertible for server subsets.
 
     Every subset is tried when there are at most 100000 of them (or when
-    ``mode="all"`` forces it); otherwise ``sample_size`` random subsets are
-    drawn.  A failure names the offending subset and which side leaked.
+    ``mode="all"`` forces it, up to MAX_EXHAUSTIVE_SUBSETS); otherwise
+    ``sample_size`` random subsets are drawn.  A failure names the offending
+    subset and which side leaked.
     """
-    if mode not in ("auto", "all", "sampled"):
+    # The most subsets each mode enumerates; above that it samples instead.
+    limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}
+    if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
-    fld = inst.field
-    tab = inst.table
     n = inst.n_servers
-    t = tab.T
+    t = inst.table.T
     total = math.comb(n, t)
-    if t == 0:
-        return SecurityReport(total_subsets=total, checked=0, exhaustive=True)
-    rows_a = _suffix_rows(fld, inst.points, tab.alpha_s)
-    rows_b = _suffix_rows(fld, inst.points, tab.beta_s)
-    exhaustive = mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT)
-    if exhaustive:
-        subsets = combinations(range(n), t)
-        checked = total
-    else:
-        rng = random.Random(f"security:{seed}")
-        subsets = (tuple(sorted(rng.sample(range(n), t))) for _ in range(sample_size))
-        checked = sample_size
-    failures = []
-    for s in subsets:
-        if not _subset_ok(fld, rows_a, s):
-            failures.append((s, "alpha"))
-        if not _subset_ok(fld, rows_b, s):
-            failures.append((s, "beta"))
+    if mode == "all" and total > MAX_EXHAUSTIVE_SUBSETS:
+        raise DomainError(f"an exhaustive audit would check C({n},{t}) = {total} subsets,"
+                          f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
+    exhaustive = total <= limits[mode]
+    subsets = _subsets(n, t, limits[mode], sample_size, random.Random(f"security:{seed}"))
     return SecurityReport(
         total_subsets=total,
-        checked=checked,
+        checked=total if exhaustive else sample_size,
         exhaustive=exhaustive,
-        failures=tuple(failures),
+        failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)),
     )

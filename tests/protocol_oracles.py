@@ -1,0 +1,196 @@
+"""Reference kernels for the protocol layer.
+
+These are the original implementations of the field eliminations, the
+scale-and-add encoding fold, point selection and the security audit, each
+with its own copy of the loop that `field.py` and `sdmm.py` now share.  The
+differential tests in test_protocol_oracles.py compare the shared kernels
+against them result for result: the same solutions, the same points (so the
+same RNG draws) and the same audit reports.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from itertools import combinations
+from typing import Optional
+
+from gasptables.degree_table import DegreeTable, DomainError, require_valid, sumset
+from gasptables.field import Matrix, PrimeField, next_prime
+from gasptables.sdmm import (
+    DEFAULT_SELECTION_SAMPLES,
+    EXHAUSTIVE_SUBSET_LIMIT,
+    MAX_POINT_RETRIES,
+    SAMPLED_SUBSET_COUNT,
+    SdmmInstance,
+    SecurityReport,
+)
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return tuple((0,) * cols for _ in range(rows))
+
+
+def mat_add(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple((x + y) % field.q for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(field: PrimeField, s: int, a: Matrix) -> Matrix:
+    return tuple(tuple(s * x % field.q for x in row) for row in a)
+
+
+def scale_and_add(field: PrimeField, weights, mats, rows: int, cols: int) -> Matrix:
+    """The fold `encode` ran once per share: start from zero, add w * M."""
+    acc = zero_matrix(rows, cols)
+    for blk, w in zip(mats, weights):
+        acc = mat_add(field, acc, mat_scale(field, w, blk))
+    return acc
+
+
+def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
+    """Solve m X = rhs over the field; None if m is singular.
+
+    Standard row reduction with modular pivoting; exact by construction.
+    """
+    q = field.q
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DomainError("solve needs a square matrix")
+    if len(rhs) != n:
+        raise DomainError("rhs row count mismatch")
+    w = len(rhs[0]) if rhs else 0
+    aug = [list(mr) + list(rr) for mr, rr in zip(m, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] % q), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], q - 2, q)
+        aug[col] = [v * inv % q for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def is_invertible(field: PrimeField, m: Matrix) -> bool:
+    q = field.q
+    n = len(m)
+    a = [list(row) for row in m]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % q), None)
+        if piv is None:
+            return False
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], q - 2, q)
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv % q
+                a[r] = [(v - f * p) % q for v, p in zip(a[r], a[col])]
+    return True
+
+
+def _degrees(table: DegreeTable) -> list[int]:
+    return sorted(sumset(table.alpha, table.beta))
+
+
+def _suffix_rows(field: PrimeField, points, exps) -> list[list[int]]:
+    return [[field.pow(x, e) for e in exps] for x in points]
+
+
+def _subset_ok(field: PrimeField, rows, subset) -> bool:
+    return is_invertible(field, tuple(tuple(rows[i]) for i in subset))
+
+
+def choose_field_and_points(
+    table: DegreeTable,
+    base_q: int = 2,
+    seed: int = 0,
+    selection_samples: int = DEFAULT_SELECTION_SAMPLES,
+    max_retries: int = MAX_POINT_RETRIES,
+) -> tuple[PrimeField, tuple[int, ...]]:
+    """Pick a prime field and N distinct nonzero evaluation points.
+
+    q is the smallest prime at least max(base_q, M + 2, N + 1) where M is the
+    largest table entry, so exponent arithmetic mod q - 1 cannot merge two
+    distinct degrees.  Candidate point sets are rejection-sampled until the
+    decode matrix and a batch of randomly selected T x T security submatrices
+    are all invertible.
+    """
+    require_valid(table)
+    degrees = _degrees(table)
+    n = len(degrees)
+    m_big = degrees[-1]
+    q = next_prime(max(base_q, m_big + 2, n + 1))
+    fld = PrimeField(q)
+    t = table.T
+    rng = random.Random(f"points:{seed}")
+    for _ in range(max_retries):
+        pts = tuple(sorted(rng.sample(range(1, q), n)))
+        v = tuple(tuple(fld.pow(x, d) for d in degrees) for x in pts)
+        if not is_invertible(fld, v):
+            continue
+        if t:
+            rows_a = _suffix_rows(fld, pts, table.alpha_s)
+            rows_b = _suffix_rows(fld, pts, table.beta_s)
+            total = math.comb(n, t)
+            if total <= selection_samples:
+                subsets = list(combinations(range(n), t))
+            else:
+                subsets = [tuple(sorted(rng.sample(range(n), t))) for _ in range(selection_samples)]
+            if not all(
+                _subset_ok(fld, rows_a, s) and _subset_ok(fld, rows_b, s)
+                for s in subsets
+            ):
+                continue
+        return fld, pts
+    raise DomainError(
+        f"no usable evaluation points after {max_retries} attempts over GF({q});"
+        " retry with a larger base_q"
+    )
+
+
+def security_check(
+    inst: SdmmInstance,
+    mode: str = "auto",
+    sample_size: int = SAMPLED_SUBSET_COUNT,
+    seed: int = 0,
+) -> SecurityReport:
+    """Verify the T x T mask submatrices are invertible for server subsets.
+
+    Every subset is tried when there are at most 100000 of them (or when
+    ``mode="all"`` forces it); otherwise ``sample_size`` random subsets are
+    drawn.  A failure names the offending subset and which side leaked.
+    """
+    if mode not in ("auto", "all", "sampled"):
+        raise DomainError(f"unknown mode {mode!r}")
+    fld = inst.field
+    tab = inst.table
+    n = inst.n_servers
+    t = tab.T
+    total = math.comb(n, t)
+    if t == 0:
+        return SecurityReport(total_subsets=total, checked=0, exhaustive=True)
+    rows_a = _suffix_rows(fld, inst.points, tab.alpha_s)
+    rows_b = _suffix_rows(fld, inst.points, tab.beta_s)
+    exhaustive = mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT)
+    if exhaustive:
+        subsets = combinations(range(n), t)
+        checked = total
+    else:
+        rng = random.Random(f"security:{seed}")
+        subsets = (tuple(sorted(rng.sample(range(n), t))) for _ in range(sample_size))
+        checked = sample_size
+    failures = []
+    for s in subsets:
+        if not _subset_ok(fld, rows_a, s):
+            failures.append((s, "alpha"))
+        if not _subset_ok(fld, rows_b, s):
+            failures.append((s, "beta"))
+    return SecurityReport(
+        total_subsets=total,
+        checked=checked,
+        exhaustive=exhaustive,
+        failures=tuple(failures),
+    )

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from gasptables import build_blp, build_ilp_fixed, parse_lp_text
-from gasptables.cli import PlotSeries, _default_seed, build_parser, cmd_dispatch, figure1a_series
+from gasptables import GaspParams, build_blp, build_ilp_fixed, n_of_r, parse_lp_text
+from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series
 
 MESSY = {
     "K": 3, "L": 2, "T": 1,
@@ -268,6 +268,24 @@ class TestSdmmCommand:
         assert code == 1
         assert "need --table or all of --K --L --T --r" in err
 
+    @pytest.mark.parametrize("dims", ["2,4,8", "4,4,4"])
+    @pytest.mark.parametrize("T,r", [(1, 1), (3, 2)])
+    def test_more_column_blocks_than_row_blocks(self, capsys, dims, T, r):
+        # GaspParams stores K=4, L=2 with transposed set; the run must still
+        # cut A into K=2 row blocks and B into L=4 column blocks.
+        code, out, err = dispatch(
+            capsys, "sdmm", "run", "--dims", dims,
+            "--K", "2", "--L", "4", "--T", str(T), "--r", str(r), "--format", "json",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        a, b, c = map(int, dims.split(","))
+        assert (doc["table"]["K"], doc["table"]["L"]) == (2, 4)
+        assert doc["n_servers"] == n_of_r(GaspParams(2, 4, T, r))
+        assert doc["share_shape_f"] == [a // 2, b]
+        assert doc["response_shape"] == [a // 2, c // 4]
+        assert doc["decode_matches_plain"] is True
+
     def test_indivisible_dims_fail_cleanly(self, capsys):
         code, _, err = dispatch(
             capsys, "sdmm", "run", "--dims", "3,2,2", "--K", "2", "--L", "1", "--T", "1", "--r", "1"
@@ -388,12 +406,19 @@ class TestDispatch:
 
     def test_seed_env_variable(self, monkeypatch):
         monkeypatch.setenv("GASPTABLES_SEED", "7")
-        assert _default_seed() == 7
         args = build_parser().parse_args(
             ["sdmm", "run", "--dims", "1,1,1", "--K", "1", "--L", "1", "--T", "1", "--r", "1"]
         )
         assert args.seed == 7
 
-    def test_unparseable_seed_falls_back_to_zero(self, monkeypatch):
+    def test_unparseable_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("GASPTABLES_SEED", "junk")
-        assert _default_seed() == 0
+        code, _, err = dispatch(
+            capsys, "sdmm", "run", "--dims", "1,1,1", "--K", "1", "--L", "1", "--T", "1", "--r", "1"
+        )
+        assert code == 2
+        assert "invalid int value: 'junk'" in err
+        # An explicit --seed overrides the environment, so it is never parsed.
+        assert build_parser().parse_args(
+            ["sdmm", "run", "--dims", "1,1,1", "--seed", "3"]
+        ).seed == 3

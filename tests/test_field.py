@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import protocol_oracles as oracle
 from gasptables import DomainError, PrimeField, is_prime, next_prime
-from gasptables.field import is_invertible, mat_add, mat_mul, mat_scale, solve, zero_matrix
+from gasptables.field import is_invertible, mat_combine, mat_mul, solve
 
 
 def test_is_prime_small():
@@ -31,25 +34,6 @@ class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(DomainError, match="not prime"):
             PrimeField(10)
-
-    def test_basic_ops(self):
-        f = PrimeField(7)
-        assert f.add(5, 4) == 2
-        assert f.sub(2, 5) == 4
-        assert f.mul(3, 5) == 1
-        assert f.inv(3) == 5
-
-    def test_inverse_of_zero(self):
-        f = PrimeField(7)
-        with pytest.raises(DomainError, match="inverse of zero"):
-            f.inv(0)
-        with pytest.raises(DomainError):
-            f.inv(14)
-
-    def test_inv_against_all_elements(self):
-        f = PrimeField(23)
-        for x in range(1, 23):
-            assert f.mul(x, f.inv(x)) == 1
 
     def test_pow_exponent_reduction(self):
         # x**(q-1) = 1 for nonzero x, so exponents act mod q-1
@@ -79,19 +63,18 @@ class TestPrimeField:
 class TestMatrixOps:
     F = PrimeField(13)
 
-    def test_add_scale(self):
+    def test_combine(self):
         a = ((1, 2), (3, 4))
         b = ((12, 12), (1, 1))
-        assert mat_add(self.F, a, b) == ((0, 1), (4, 5))
-        assert mat_scale(self.F, 2, a) == ((2, 4), (6, 8))
+        assert mat_combine(self.F, (1, 1), (a, b)) == ((0, 1), (4, 5))
+        assert mat_combine(self.F, (2,), (a,)) == ((2, 4), (6, 8))
+        assert mat_combine(self.F, (3, 5), (a, b)) == ((11, 1), (1, 4))
+        assert mat_combine(self.F, (0, 13), (a, b)) == ((0, 0), (0, 0))
 
     def test_mul(self):
         a = ((1, 2), (3, 4))
         b = ((5, 6), (7, 8))
         assert mat_mul(self.F, a, b) == ((19 % 13, 22 % 13), (43 % 13, 50 % 13))
-
-    def test_zero_matrix(self):
-        assert zero_matrix(2, 3) == ((0, 0, 0), (0, 0, 0))
 
 
 class TestSolve:
@@ -113,6 +96,14 @@ class TestSolve:
     def test_singular_returns_none(self):
         m = ((1, 2), (2, 4))
         assert solve(self.F, m, ((1,), (1,))) is None
+
+    def test_one_by_one_is_the_fermat_inverse(self):
+        f = PrimeField(23)
+        for x in range(1, 23):
+            (inv,), = solve(f, ((x,),), ((1,),))
+            assert x * inv % 23 == 1
+        assert solve(self.F, ((0,),), ((1,),)) is None
+        assert solve(self.F, ((14,),), ((1,),)) is None
 
     def test_pivoting_handles_leading_zero(self):
         m = ((0, 1), (1, 0))
@@ -163,3 +154,47 @@ class TestIsInvertible:
         for _ in range(100):
             m = f.random_matrix(rng, 3, 3)
             assert is_invertible(f, m) == (solve(f, m, eye) is not None)
+
+
+@st.composite
+def square_systems(draw):
+    """(q, m, rhs) with m square, n <= 6, entries unreduced in [-2q, 3q).
+
+    One row may be replaced by a multiple of another plus multiples of q, so
+    singular inputs turn up at every q, not only at the small ones.
+    """
+    q = draw(st.sampled_from((2, 3, 5, 13, 43)))
+    n = draw(st.integers(0, 6))
+    w = draw(st.integers(1, 3))
+    entry = st.integers(-2 * q, 3 * q - 1)
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(0, q - 1))
+        m[j] = [c * v + q * draw(st.integers(-2, 2)) for v in m[i]]
+    rhs = tuple(tuple(draw(st.lists(entry, min_size=w, max_size=w))) for _ in range(n))
+    return q, tuple(map(tuple, m)), rhs
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(square_systems())
+    def test_elimination(self, system):
+        q, m, rhs = system
+        f = PrimeField(q)
+        assert is_invertible(f, m) == oracle.is_invertible(f, m)
+        assert solve(f, m, rhs) == oracle.solve(f, m, rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 13, 43)), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 5), st.data())
+    def test_combine(self, q, rows, cols, count, data):
+        f = PrimeField(q)
+        entry = st.integers(-q, 2 * q)
+        mats = [
+            tuple(tuple(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+                  for _ in range(rows))
+            for _ in range(count)
+        ]
+        weights = data.draw(st.lists(entry, min_size=count, max_size=count))
+        assert mat_combine(f, weights, mats) == oracle.scale_and_add(f, weights, mats, rows, cols)

@@ -5,7 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import protocol_oracles as oracle
 from gasptables import (
     DomainError,
     GaspParams,
@@ -14,13 +17,17 @@ from gasptables import (
     build_instance,
     choose_field_and_points,
     construct,
+    count_distinct,
     decode,
     encode,
+    n_of_r,
     partition,
     plain_product,
     security_check,
     server_compute,
 )
+from gasptables import sdmm
+from gasptables.sdmm import MAX_EXHAUSTIVE_SUBSETS
 
 T111 = construct(GaspParams(1, 1, 1, 1))
 T222 = construct(GaspParams(2, 2, 2, 1))
@@ -287,7 +294,97 @@ class TestSecurityCheck:
         again = security_check(inst, mode="sampled", sample_size=200, seed=9)
         assert first == again
 
+    def test_exhaustive_audit_is_bounded(self):
+        t = construct(GaspParams(2, 2, 12, 2))
+        inst = build_instance(((1,), (2,)), ((3, 4),), t)
+        assert inst.n_servers == 31
+        total = math.comb(31, 12)
+        assert total == 141120525 > MAX_EXHAUSTIVE_SUBSETS
+        with pytest.raises(DomainError, match=rf"C\(31,12\) = {total} subsets"):
+            security_check(inst, mode="all")
+        assert security_check(inst, mode="auto", sample_size=20).checked == 20
+
     def test_unknown_mode_rejected(self):
         inst = build_instance(((1,),), ((1,),), T111)
         with pytest.raises(DomainError, match="unknown mode"):
             security_check(inst, mode="thorough")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as e:
+        return str(e)
+
+
+class TestAgainstOracle:
+    # GF(13) at (2,2,2,1) fails for about half the seeds, GF(19) at (3,2,2,1)
+    # for nearly all; both sides must fail with the same message, and succeed
+    # with the same points, which needs the same draws from the shared RNG.
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(2, 2, 2, 1), (3, 2, 2, 1), (4, 4, 4, 2)]),
+           st.integers(0, 10**6), st.sampled_from([2, 50]))
+    def test_points(self, params, seed, samples):
+        t = construct(GaspParams(*params))
+        kw = dict(seed=seed, selection_samples=samples)
+        assert _outcome(choose_field_and_points, t, **kw) == _outcome(
+            oracle.choose_field_and_points, t, **kw)
+
+    def test_points_on_a_run_of_seeds(self):
+        t = construct(GaspParams(2, 2, 2, 1))
+        outcomes = [_outcome(choose_field_and_points, t, seed=s) for s in range(20)]
+        assert outcomes == [_outcome(oracle.choose_field_and_points, t, seed=s) for s in range(20)]
+        assert 5 <= sum(isinstance(o, str) for o in outcomes) <= 15
+
+    # At C(N,T) == selection_samples every subset is checked; one below, the
+    # subsets are sampled from the shared RNG.
+    @pytest.mark.parametrize("params", [(2, 2, 2, 1), (3, 2, 2, 1)])
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_points_at_the_enumeration_boundary(self, params, below):
+        t = construct(GaspParams(*params))
+        samples = math.comb(n_of_r(GaspParams(*params)), t.T) - below
+        for seed in range(8):
+            kw = dict(seed=seed, selection_samples=samples)
+            assert _outcome(choose_field_and_points, t, **kw) == _outcome(
+                oracle.choose_field_and_points, t, **kw)
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_audit_at_the_enumeration_boundary(self, monkeypatch, below):
+        inst = build_instance(((1,), (2,)), ((3, 4),), construct(GaspParams(2, 2, 3, 2)), seed=3)
+        total = math.comb(inst.n_servers, 3)
+        monkeypatch.setattr(sdmm, "EXHAUSTIVE_SUBSET_LIMIT", total - below)
+        monkeypatch.setattr(oracle, "EXHAUSTIVE_SUBSET_LIMIT", total - below)
+        rep = security_check(inst, sample_size=40, seed=1)
+        assert rep.exhaustive == (below == 0)
+        assert rep == oracle.security_check(inst, sample_size=40, seed=1)
+        monkeypatch.setattr(sdmm, "MAX_EXHAUSTIVE_SUBSETS", total - below)
+        if below:
+            with pytest.raises(DomainError, match="exhaustive audit would check"):
+                security_check(inst, mode="all")
+        else:
+            assert security_check(inst, mode="all") == oracle.security_check(inst, mode="all")
+
+    # Points are drawn freely from a small field, repeats allowed, so many
+    # audits leak on one side or both.
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 1, 1, 1), (2, 1, 2, 1), (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 2),
+                            (3, 1, 3, 1)]),
+           st.sampled_from([5, 13, 43]), st.sampled_from(["all", "auto", "sampled"]),
+           st.integers(1, 300), st.integers(0, 10**6), st.data())
+    def test_security_reports(self, params, q, mode, sample_size, seed, data):
+        t = construct(GaspParams(*params))
+        n = count_distinct(t)
+        pts = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+        inst = SdmmInstance(
+            field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
+            r_masks=(), s_masks=(), points=tuple(pts),
+        )
+        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
+        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+
+    def test_sampled_report_with_leaks(self):
+        rng = random.Random(2)
+        inst = build_instance(rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442, seed=7)
+        rep = security_check(inst, mode="sampled", sample_size=3000, seed=5)
+        assert rep.failures
+        assert rep == oracle.security_check(inst, mode="sampled", sample_size=3000, seed=5)
