@@ -35,6 +35,18 @@ class TestPrimeField:
         with pytest.raises(DomainError, match="not prime"):
             PrimeField(10)
 
+    def test_inverse_of_zero(self):
+        # the inverse is a 1x1 solve; 0 and 14 are zero in GF(7), so singular
+        f = PrimeField(7)
+        assert solve(f, ((0,),), ((1,),)) is None
+        assert solve(f, ((14,),), ((1,),)) is None
+
+    def test_inv_against_all_elements(self):
+        f = PrimeField(23)
+        for x in range(1, 23):
+            (inv,), = solve(f, ((x,),), ((1,),))
+            assert x * inv % 23 == 1
+
     def test_pow_exponent_reduction(self):
         # x**(q-1) = 1 for nonzero x, so exponents act mod q-1
         f = PrimeField(11)
@@ -63,18 +75,22 @@ class TestPrimeField:
 class TestMatrixOps:
     F = PrimeField(13)
 
-    def test_combine(self):
+    def test_add_scale(self):
         a = ((1, 2), (3, 4))
         b = ((12, 12), (1, 1))
         assert mat_combine(self.F, (1, 1), (a, b)) == ((0, 1), (4, 5))
         assert mat_combine(self.F, (2,), (a,)) == ((2, 4), (6, 8))
         assert mat_combine(self.F, (3, 5), (a, b)) == ((11, 1), (1, 4))
-        assert mat_combine(self.F, (0, 13), (a, b)) == ((0, 0), (0, 0))
 
     def test_mul(self):
         a = ((1, 2), (3, 4))
         b = ((5, 6), (7, 8))
         assert mat_mul(self.F, a, b) == ((19 % 13, 22 % 13), (43 % 13, 50 % 13))
+
+    def test_zero_matrix(self):
+        a = ((1, 2, 3), (4, 5, 6))
+        b = ((7, 8, 9), (10, 11, 12))
+        assert mat_combine(self.F, (0, 13), (a, b)) == ((0, 0, 0), (0, 0, 0))
 
 
 class TestSolve:
@@ -96,14 +112,6 @@ class TestSolve:
     def test_singular_returns_none(self):
         m = ((1, 2), (2, 4))
         assert solve(self.F, m, ((1,), (1,))) is None
-
-    def test_one_by_one_is_the_fermat_inverse(self):
-        f = PrimeField(23)
-        for x in range(1, 23):
-            (inv,), = solve(f, ((x,),), ((1,),))
-            assert x * inv % 23 == 1
-        assert solve(self.F, ((0,),), ((1,),)) is None
-        assert solve(self.F, ((14,),), ((1,),)) is None
 
     def test_pivoting_handles_leading_zero(self):
         m = ((0, 1), (1, 0))
