@@ -51,7 +51,9 @@ class BoundsReport:
     ineq3: int
     entry_bound_alpha: Optional[int] = None
     entry_bound_beta: Optional[int] = None
-    operational_threshold: Optional[int] = None
+    # e in the operational threshold q**e - 2, kept symbolic: the power can
+    # run to gigabytes.
+    threshold_exponent: Optional[int] = None
 
     @property
     def best(self) -> int:
@@ -87,14 +89,13 @@ def full_report(K: int, L: int, T: int, dims: Optional[MatrixDims] = None) -> Bo
     """One report with the lower bounds, entry bounds, and threshold together."""
     rep = lower_bounds(K, L, T)
     eb = entry_upper_bounds(K, L, T)
-    thr = operational_threshold(dims) if dims is not None else None
     return BoundsReport(
         K=K, L=L, T=T,
         ineq1=rep.ineq1, ineq2=rep.ineq2,
         ineq2_conditions=rep.ineq2_conditions, ineq3=rep.ineq3,
         entry_bound_alpha=eb[0] if eb else None,
         entry_bound_beta=eb[1] if eb else None,
-        operational_threshold=thr,
+        threshold_exponent=threshold_exponent(dims) if dims is not None else None,
     )
 
 
@@ -131,14 +132,18 @@ def largeT_entry_bound(table: DegreeTable, n: int) -> Optional[tuple[int, int]]:
     return None
 
 
+def threshold_exponent(dims: MatrixDims) -> int:
+    """e = 2abc - ac, so that the operational threshold is q**e - 2."""
+    return 2 * dims.a * dims.b * dims.c - dims.a * dims.c
+
+
 def operational_threshold(dims: MatrixDims) -> int:
     """Exponent size beyond which encoding costs more than trivial transfer.
 
     Exact big integer q**(2abc - ac) - 2; can be astronomically large, which
     is the point: honest tables never get near it.
     """
-    e = 2 * dims.a * dims.b * dims.c - dims.a * dims.c
-    return dims.q ** e - 2
+    return dims.q ** threshold_exponent(dims) - 2
 
 
 def entry_exceeds_threshold(entry: int, dims: MatrixDims) -> bool:
@@ -149,7 +154,7 @@ def entry_exceeds_threshold(entry: int, dims: MatrixDims) -> bool:
     """
     if entry < 0:
         raise DomainError("entry must be nonnegative")
-    e = 2 * dims.a * dims.b * dims.c - dims.a * dims.c
+    e = threshold_exponent(dims)
     lhs = entry + 2
     bits = e * math.log2(dims.q)
     if lhs.bit_length() > bits + 2:

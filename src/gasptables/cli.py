@@ -278,6 +278,8 @@ def _handle_bounds(args) -> None:
         a, b, c, q = _parse_ints(args.dims, 4, "--dims")
         dims = MatrixDims(a=a, b=b, c=c, q=q)
     rep = full_report(args.K, args.L, args.T, dims)
+    # printed as "q**e - 2": the power itself can have billions of digits
+    threshold = None if dims is None else f"{dims.q}**{rep.threshold_exponent} - 2"
     payload = {
         "K": rep.K,
         "L": rep.L,
@@ -289,7 +291,7 @@ def _handle_bounds(args) -> None:
         "best": rep.best,
         "entry_bound_alpha": rep.entry_bound_alpha,
         "entry_bound_beta": rep.entry_bound_beta,
-        "operational_threshold": rep.operational_threshold,
+        "operational_threshold": threshold,
     }
     _emit(args, payload)
 

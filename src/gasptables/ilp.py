@@ -6,11 +6,14 @@ symmetry cuts that pin sorted blocks and a zero minimum on each side.
 build_ilp_fixed is the far smaller model when the standard prefix and beta
 are frozen and only the alpha suffix is free.
 
-Models are plain data (variables, linear constraints, objective), can be
-serialized to LP text for an external solver, parsed back, and solved
-directly at desk scale by naive_solve, a branch-and-prune enumerator that is
-deliberately simple: it exists to cross-check tiny instances, not to compete
-with a real solver.  Anything beyond K*L*T around 8 is not its job.
+Models are plain data (variables, linear constraints with one term per
+variable, objective), can be serialized to LP text for an external solver,
+parsed back, and solved directly at desk scale by naive_solve.  That solver
+is one depth-first loop over a fixed list of decisions (one-hot groups
+first, then single variables), with equality propagation and interval
+bounds on every row and on the objective, all undone from one trail.  It
+exists to cross-check tiny instances, not to compete with a real solver:
+anything beyond K*L*T around 8 is not its job.
 """
 
 from __future__ import annotations
@@ -39,29 +42,36 @@ class Variable:
             raise DomainError(f"bad variable name {self.name!r}")
 
 
+def _merge(coeffs: Coeffs) -> Coeffs:
+    """Sum the coefficients of each variable, drop zero sums, sort by name."""
+    total: dict[str, int] = {}
+    for name, c in coeffs:
+        total[name] = total.get(name, 0) + c
+    return tuple(sorted((n, c) for n, c in total.items() if c))
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     name: str
-    coeffs: Coeffs  # sorted by variable name, zero coefficients dropped
+    coeffs: Coeffs  # one term per variable, sorted by name, no zero coefficients
     sense: str  # "<=", ">=", "="
     rhs: int
 
     def __post_init__(self):
         if self.sense not in ("<=", ">=", "="):
             raise DomainError(f"bad sense {self.sense!r}")
-        cleaned = tuple(sorted((n, c) for n, c in self.coeffs if c != 0))
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", _merge(self.coeffs))
 
 
 @dataclass(frozen=True)
 class IlpModel:
     name: str
-    objective: Coeffs  # minimization, sorted by variable name
+    objective: Coeffs  # minimization, merged like constraint coefficients
     variables: tuple[Variable, ...]  # sorted by name
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(sorted(self.objective)))
+        object.__setattr__(self, "objective", _merge(self.objective))
         object.__setattr__(self, "variables", tuple(sorted(self.variables, key=lambda v: v.name)))
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
@@ -254,25 +264,12 @@ _MAX_LINE = 255
 
 
 def _format_terms(coeffs: Coeffs) -> str:
-    parts = []
-    for i, (name, c) in enumerate(coeffs):
-        if i == 0:
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"- {name}")
-            else:
-                parts.append(f"{c} {name}" if c > 0 else f"- {-c} {name}")
-        else:
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            parts.append(f"{sign} {name}" if mag == 1 else f"{sign} {mag} {name}")
-    return " ".join(parts)
+    text = " ".join(f"{'+' if c > 0 else '-'} {'' if abs(c) == 1 else f'{abs(c)} '}{name}"
+                    for name, c in coeffs)
+    return text.removeprefix("+ ")
 
 
 def _wrap(line: str) -> list[str]:
-    if len(line) <= _MAX_LINE:
-        return [line]
     out = []
     while len(line) > _MAX_LINE:
         cut = line.rfind(" ", 1, _MAX_LINE)
@@ -301,22 +298,17 @@ def emit_lp_text(model: IlpModel) -> str:
     binaries = [v for v in model.variables if v.kind == "binary"]
     if integers:
         lines.append("Bounds")
-        for v in integers:
-            hi = "+inf" if v.upper is None else str(v.upper)
-            lines.append(f" {v.lower} <= {v.name} <= {hi}")
+        lines += [f" {v.lower} <= {v.name} <= {'+inf' if v.upper is None else v.upper}"
+                  for v in integers]
     if binaries:
-        lines.append("Binary")
-        for v in binaries:
-            lines.append(f" {v.name}")
+        lines += ["Binary"] + [f" {v.name}" for v in binaries]
     if integers:
-        lines.append("General")
-        for v in integers:
-            lines.append(f" {v.name}")
+        lines += ["General"] + [f" {v.name}" for v in integers]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*([A-Za-z_][A-Za-z0-9_]*)")
+_TERM_RE = re.compile(r"([+-])?\s*(\d+)?\s*([A-Za-z_][A-Za-z0-9_]*) *")
 
 
 def _parse_terms(expr: str) -> Coeffs:
@@ -328,14 +320,24 @@ def _parse_terms(expr: str) -> Coeffs:
         if not m:
             raise DomainError(f"cannot parse expression near {expr[pos:pos + 30]!r}")
         sign, mag, name = m.groups()
-        c = int(mag) if mag else 1
-        if sign == "-":
-            c = -c
-        coeffs.append((name, c))
+        c = int(mag or 1)
+        coeffs.append((name, -c if sign == "-" else c))
         pos = m.end()
-        while pos < len(expr) and expr[pos] == " ":
-            pos += 1
     return tuple(coeffs)
+
+
+_SECTIONS = ("minimize", "subject to", "bounds", "binary", "general", "end")
+
+
+def _rows(lines: list[str]) -> list[str]:
+    """Join continuation lines: a line that does not open with `name:` extends the row before."""
+    rows: list[str] = []
+    for line in lines:
+        if rows and not re.match(r"\s*\w+:", line):
+            rows[-1] += " " + line.strip()
+        else:
+            rows.append(line.strip())
+    return rows
 
 
 def parse_lp_text(text: str) -> IlpModel:
@@ -345,83 +347,46 @@ def parse_lp_text(text: str) -> IlpModel:
     sections, wrapped lines); not a general LP reader.
     """
     name = "parsed"
-    section = None
-    logical: list[str] = []
-    obj_parts: list[str] = []
-    con_rows: list[str] = []
-    bounds: dict[str, tuple[int, Optional[int]]] = {}
-    binaries: list[str] = []
-    generals: list[str] = []
-
-    def flush_row(row: str, into: list[str]):
-        if row.strip():
-            into.append(row.strip())
-
-    current = ""
+    section: Optional[str] = None
+    lines: dict[Optional[str], list[str]] = {}
     for raw in text.splitlines():
         line = raw.rstrip()
-        if not line:
-            continue
         if line.startswith("\\"):
             name = line[1:].strip() or name
-            continue
-        word = line.strip().lower()
-        if word in ("minimize", "subject to", "bounds", "binary", "general", "end"):
-            if current:
-                flush_row(current, obj_parts if section == "obj" else con_rows)
-                current = ""
-            section = {"minimize": "obj", "subject to": "cons", "bounds": "bounds",
-                       "binary": "binary", "general": "general", "end": "end"}[word]
-            continue
-        if section == "obj":
-            if re.match(r"\s*\w+:", line) and current:
-                flush_row(current, obj_parts)
-                current = line
-            else:
-                current += " " + line.strip() if current else line
-        elif section == "cons":
-            if re.match(r"\s*\w+:", line) and current:
-                flush_row(current, con_rows)
-                current = line
-            else:
-                current += " " + line.strip() if current else line
-        elif section == "bounds":
-            m = re.match(r"\s*(-?\d+)\s*<=\s*(\w+)\s*<=\s*(\+inf|-?\d+)\s*$", line)
-            if not m:
-                raise DomainError(f"cannot parse bound line {line!r}")
-            lo, vname, hi = m.groups()
-            bounds[vname] = (int(lo), None if hi == "+inf" else int(hi))
-        elif section == "binary":
-            binaries.append(line.strip())
-        elif section == "general":
-            generals.append(line.strip())
-    if current:
-        flush_row(current, obj_parts if section == "obj" else con_rows)
+        elif line.strip().lower() in _SECTIONS:
+            section = line.strip().lower()
+        elif line:
+            lines.setdefault(section, []).append(line)
 
-    if not obj_parts:
+    bounds: dict[str, tuple[int, Optional[int]]] = {}
+    for line in lines.get("bounds", []):
+        m = re.match(r"\s*(-?\d+)\s*<=\s*(\w+)\s*<=\s*(\+inf|-?\d+)\s*$", line)
+        if not m:
+            raise DomainError(f"cannot parse bound line {line!r}")
+        lo, vname, hi = m.groups()
+        bounds[vname] = (int(lo), None if hi == "+inf" else int(hi))
+
+    objective = _rows(lines.get("minimize", []))
+    if not objective:
         raise DomainError("no objective found")
-    obj_expr = obj_parts[0]
-    obj_expr = obj_expr.split(":", 1)[1] if ":" in obj_expr else obj_expr
-    objective = _parse_terms(obj_expr)
+    objective = _parse_terms(objective[0].split(":", 1)[-1])
 
     constraints = []
-    sense_re = re.compile(r"(<=|>=|=)\s*(-?\d+)\s*$")
-    for row in con_rows:
+    for row in _rows(lines.get("subject to", [])):
         if ":" not in row:
             raise DomainError(f"constraint row missing name: {row!r}")
         cname, rest = row.split(":", 1)
-        m = sense_re.search(rest)
+        m = re.search(r"(<=|>=|=)\s*(-?\d+)\s*$", rest)
         if not m:
             raise DomainError(f"constraint row missing sense/rhs: {row!r}")
-        sense, rhs = m.group(1), int(m.group(2))
         constraints.append(LinearConstraint(
             name=cname.strip(), coeffs=_parse_terms(rest[: m.start()]),
-            sense=sense, rhs=rhs))
+            sense=m.group(1), rhs=int(m.group(2))))
 
-    variables = [Variable(n, "binary", 0, 1) for n in binaries]
-    for n in generals:
-        lo, hi = bounds.get(n, (0, None))
-        variables.append(Variable(n, "integer", lo, hi))
+    variables = [Variable(n.strip(), "binary", 0, 1) for n in lines.get("binary", [])]
+    for n in lines.get("general", []):
+        lo, hi = bounds.get(n.strip(), (0, None))
+        variables.append(Variable(n.strip(), "integer", lo, hi))
     return IlpModel(name=name, objective=objective,
                     variables=tuple(variables), constraints=tuple(constraints))
 
@@ -440,223 +405,135 @@ class NaiveSolveOutcome:
 def naive_solve(model: IlpModel, budget: Optional[int] = None) -> NaiveSolveOutcome:
     """Branch-and-prune enumeration of an integer model, exact but tiny-scale.
 
-    One-hot equality rows (all coefficients 1, rhs 1, binary variables) are
-    branched as a group; equalities with a single unassigned variable are
-    propagated; everything else is plain depth-first assignment with
-    interval-arithmetic feasibility checks and an objective bound.  budget
-    caps node expansions; exceeding it abandons the search (no incumbent is
+    The search walks one list of decisions in order.  The one-hot groups
+    come first: equality rows with rhs 1, all coefficients 1 and binary
+    members, in row order, each skipped if it shares a member with an
+    earlier group.  A group branches on which member is 1, the rest being
+    0.  Every other variable follows, branching on each value from its lower
+    to its upper bound.  Each node first propagates the equalities that have
+    a single free variable; interval arithmetic on every row and on the
+    objective prunes infeasible and non-improving branches.  budget caps
+    node expansions; exceeding it abandons the search (no incumbent is
     reported since it may not be optimal).
     """
-    vars_by_name = {v.name: v for v in model.variables}
-    var_names = [v.name for v in model.variables]
-    n_vars = len(var_names)
-    index = {n: i for i, n in enumerate(var_names)}
-
-    def var_range(v: Variable) -> tuple[int, int]:
-        if v.kind == "binary":
-            return 0, 1
-        if v.upper is None:
+    names = [v.name for v in model.variables]
+    index = {n: i for i, n in enumerate(names)}
+    lo, hi = [], []
+    for v in model.variables:
+        if v.kind == "integer" and v.upper is None:
             raise DomainError(f"naive_solve needs finite bounds, {v.name} has none")
-        return v.lower, v.upper
+        lo.append(0 if v.kind == "binary" else v.lower)
+        hi.append(1 if v.kind == "binary" else v.upper)
 
-    lo = [var_range(vars_by_name[n])[0] for n in var_names]
-    hi = [var_range(vars_by_name[n])[1] for n in var_names]
+    # One row per constraint, then the objective.  A row's total must land
+    # in [floor, ceil], None being unbounded; fixed is its assigned part, and
+    # free_min, free_max and free cover its unassigned variables.
+    rows = [[(index[n], c) for n, c in con.coeffs] for con in model.constraints]
+    rows.append([(index[n], c) for n, c in model.objective])
+    obj = len(rows) - 1
+    floor = [None if con.sense == "<=" else con.rhs for con in model.constraints] + [None]
+    ceil = [None if con.sense == ">=" else con.rhs for con in model.constraints] + [None]
+    fixed, free_min, free_max, free = ([0] * len(rows) for _ in range(4))
+    terms: list[list[tuple[int, int]]] = [[] for _ in names]  # (row, coeff) per variable
+    for r, row in enumerate(rows):
+        for i, c in row:
+            terms[i].append((r, c))
+    value: list[Optional[int]] = [None] * len(names)
+    trail: list[int] = []
 
-    # Per-constraint state: fixed part and the min/max of the free part.
-    cons = list(model.constraints)
-    c_fix = [0] * len(cons)
-    c_min = [0] * len(cons)
-    c_max = [0] * len(cons)
-    c_terms: list[list[tuple[int, int]]] = []  # (var index, coeff)
-    touching: list[list[int]] = [[] for _ in range(n_vars)]
-    for ci, c in enumerate(cons):
-        terms = []
-        for nm, coeff in c.coeffs:
-            vi = index[nm]
-            terms.append((vi, coeff))
-            touching[vi].append(ci)
-            a, b = coeff * lo[vi], coeff * hi[vi]
-            c_min[ci] += min(a, b)
-            c_max[ci] += max(a, b)
-        c_terms.append(terms)
-    unassigned_cnt = [len(t) for t in c_terms]
+    def shift(i: int, val: int, sign: int) -> None:
+        """Move variable i into its rows' assigned parts (sign 1) or back out (-1)."""
+        for r, c in terms[i]:
+            a, b = c * lo[i], c * hi[i]
+            fixed[r] += sign * c * val
+            free_min[r] -= sign * min(a, b)
+            free_max[r] -= sign * max(a, b)
+            free[r] -= sign
 
-    obj_coeff = [0] * n_vars
-    for nm, coeff in model.objective:
-        obj_coeff[index[nm]] += coeff
-    obj_fix = 0
-    obj_min = sum(min(c * lo[i], c * hi[i]) for i, c in enumerate(obj_coeff) if c)
+    def feasible(r: int) -> bool:
+        return ((floor[r] is None or fixed[r] + free_max[r] >= floor[r])
+                and (ceil[r] is None or fixed[r] + free_min[r] <= ceil[r]))
 
-    value: list[Optional[int]] = [None] * n_vars
+    def put(i: int, val: int) -> bool:
+        """Set variable i on the trail; False if it holds another value or a row fails."""
+        if value[i] is not None:
+            return value[i] == val
+        value[i] = val
+        trail.append(i)
+        shift(i, val, 1)
+        return all(feasible(r) for r, _ in terms[i])
 
-    def feasible(ci: int) -> bool:
-        c = cons[ci]
-        total_lo = c_fix[ci] + c_min[ci]
-        total_hi = c_fix[ci] + c_max[ci]
-        if c.sense == "<=":
-            return total_lo <= c.rhs
-        if c.sense == ">=":
-            return total_hi >= c.rhs
-        return total_lo <= c.rhs <= total_hi
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            i = trail.pop()
+            shift(i, value[i], -1)
+            value[i] = None
 
-    def assign(vi: int, val: int) -> Optional[list[int]]:
-        """Set variable vi; returns the touched-constraint list or None if infeasible."""
-        nonlocal obj_fix, obj_min
-        value[vi] = val
-        oc = obj_coeff[vi]
-        if oc:
-            obj_fix += oc * val
-            obj_min -= min(oc * lo[vi], oc * hi[vi])
-        bad = False
-        for ci in touching[vi]:
-            coeff = 0
-            for vj, co in c_terms[ci]:
-                if vj == vi:
-                    coeff = co
-                    break
-            a, b = coeff * lo[vi], coeff * hi[vi]
-            c_min[ci] -= min(a, b)
-            c_max[ci] -= max(a, b)
-            c_fix[ci] += coeff * val
-            unassigned_cnt[ci] -= 1
-            if not feasible(ci):
-                bad = True
-        return None if bad else touching[vi]
+    for i in range(len(names)):
+        shift(i, 0, -1)  # every variable starts free
+    equalities = [r for r, con in enumerate(model.constraints) if con.sense == "="]
 
-    def unassign(vi: int, val: int):
-        nonlocal obj_fix, obj_min
-        oc = obj_coeff[vi]
-        if oc:
-            obj_fix -= oc * val
-            obj_min += min(oc * lo[vi], oc * hi[vi])
-        for ci in touching[vi]:
-            coeff = 0
-            for vj, co in c_terms[ci]:
-                if vj == vi:
-                    coeff = co
-                    break
-            a, b = coeff * lo[vi], coeff * hi[vi]
-            c_min[ci] += min(a, b)
-            c_max[ci] += max(a, b)
-            c_fix[ci] -= coeff * val
-            unassigned_cnt[ci] += 1
-        value[vi] = None
-
-    # One-hot groups to branch on as units.
-    sos_groups: list[list[int]] = []
-    sos_member = set()
-    for ci, c in enumerate(cons):
-        if (c.sense == "=" and c.rhs == 1 and len(c.coeffs) > 1
-                and all(co == 1 for _, co in c.coeffs)
-                and all(vars_by_name[nm].kind == "binary" for nm, _ in c.coeffs)):
-            group = [index[nm] for nm, _ in c.coeffs]
-            if not any(vi in sos_member for vi in group):
-                sos_groups.append(group)
-                sos_member.update(group)
-
-    free_order = [i for i in range(n_vars) if i not in sos_member]
-
-    best_obj: Optional[int] = None
-    best_assign: Optional[dict[str, int]] = None
-    nodes = 0
-    out_of_budget = False
-
-    def propagate() -> Optional[list[tuple[int, int]]]:
-        """Fix single-free-variable equalities; returns the trail or None."""
-        trail: list[tuple[int, int]] = []
+    def propagate() -> bool:
         changed = True
         while changed:
             changed = False
-            for ci, c in enumerate(cons):
-                if c.sense != "=" or unassigned_cnt[ci] != 1:
-                    continue
-                vi = next(vj for vj, _ in c_terms[ci] if value[vj] is None)
-                coeff = next(co for vj, co in c_terms[ci] if vj == vi)
-                need = c.rhs - c_fix[ci]
-                if need % coeff != 0:
-                    _undo(trail)
-                    return None
-                val = need // coeff
-                if not lo[vi] <= val <= hi[vi]:
-                    _undo(trail)
-                    return None
-                if assign(vi, val) is None:
-                    trail.append((vi, val))
-                    _undo(trail)
-                    return None
-                trail.append((vi, val))
-                changed = True
-        return trail
+            for r in equalities:
+                if free[r] == 1:
+                    i, c = next((i, c) for i, c in rows[r] if value[i] is None)
+                    val = (ceil[r] - fixed[r]) // c  # a remainder leaves row r unmet
+                    if not lo[i] <= val <= hi[i] or not put(i, val):
+                        return False
+                    changed = True
+        return True
 
-    def _undo(trail: list[tuple[int, int]]):
-        for vi, val in reversed(trail):
-            unassign(vi, val)
+    # Decisions in branching order: (the variable, or None for a group;
+    # the alternatives, each a list of (variable, value) pairs).
+    decisions: list[tuple[Optional[int], list[list[tuple[int, int]]]]] = []
+    grouped: set[int] = set()
+    for r in equalities:
+        members = [i for i, _ in rows[r]]
+        if (ceil[r] == 1 and len(members) > 1 and grouped.isdisjoint(members)
+                and all(c == 1 and model.variables[i].kind == "binary" for i, c in rows[r])):
+            decisions.append((None, [[(j, int(j == i)) for j in members] for i in members]))
+            grouped.update(members)
+    decisions += [(i, [[(i, v)] for v in range(lo[i], hi[i] + 1)])
+                  for i in range(len(names)) if i not in grouped]
 
-    def search(gi: int, fi: int):
-        nonlocal best_obj, best_assign, nodes, out_of_budget
-        if out_of_budget:
-            return
+    best: Optional[int] = None
+    best_value: list[Optional[int]] = []
+    nodes = 0
+
+    def search(d: int) -> bool:
+        """Expand one node at decision d; True once the budget is spent."""
+        nonlocal best, best_value, nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            out_of_budget = True
-            return
-        if best_obj is not None and obj_fix + obj_min >= best_obj:
-            return
-        trail = propagate()
-        if trail is None:
-            return
-        try:
-            if gi < len(sos_groups):
-                group = [vi for vi in sos_groups[gi] if value[vi] is None]
-                if not group:
-                    search(gi + 1, fi)
-                    return
-                taken = any(value[vi] == 1 for vi in sos_groups[gi])
-                choices = [None] if taken else list(group)
-                for one in choices:
-                    sub: list[tuple[int, int]] = []
-                    ok = True
-                    for vi in group:
-                        val = 1 if vi == one else 0
-                        if assign(vi, val) is None:
-                            sub.append((vi, val))
-                            ok = False
-                            break
-                        sub.append((vi, val))
-                    if ok:
-                        search(gi + 1, fi)
-                    _undo(sub)
-                    if out_of_budget:
-                        return
-                return
-            while fi < len(free_order) and value[free_order[fi]] is not None:
-                fi += 1
-            if fi == len(free_order):
-                done = all(v is not None for v in value)
-                if done:
-                    if best_obj is None or obj_fix < best_obj:
-                        best_obj = obj_fix
-                        best_assign = {var_names[i]: value[i] for i in range(n_vars)}
-                    return
-                # Only SOS-covered variables remain; let propagation-free DFS
-                # handle them through the group loop above.
-                remaining = [i for i in range(n_vars) if value[i] is None]
-                vi = remaining[0]
+            return True
+        if best is not None and fixed[obj] + free_min[obj] >= best:
+            return False
+        mark = len(trail)
+        if propagate():
+            # A variable that propagation set is passed over.  A group is
+            # still entered, through the one alternative that agrees with
+            # it: that counts a node there, as the enumeration always has.
+            while (d < len(decisions) and decisions[d][0] is not None
+                   and value[decisions[d][0]] is not None):
+                d += 1
+            if d == len(decisions):
+                if best is None or fixed[obj] < best:
+                    best, best_value = fixed[obj], list(value)
             else:
-                vi = free_order[fi]
-            for val in range(lo[vi], hi[vi] + 1):
-                if assign(vi, val) is not None:
-                    search(gi, fi + 1 if fi < len(free_order) else fi)
-                unassign(vi, val)
-                if out_of_budget:
-                    return
-        finally:
-            _undo(trail)
+                for alternative in decisions[d][1]:
+                    inner = len(trail)
+                    if all(put(i, v) for i, v in alternative) and search(d + 1):
+                        return True
+                    undo(inner)
+        undo(mark)
+        return False
 
-    search(0, 0)
-    if out_of_budget:
+    if search(0):
         return NaiveSolveOutcome(status="budget_exceeded", nodes=nodes)
-    if best_obj is None:
+    if best is None:
         return NaiveSolveOutcome(status="infeasible", nodes=nodes)
-    return NaiveSolveOutcome(status="optimal", objective=best_obj,
-                             assignment=best_assign, nodes=nodes)
+    return NaiveSolveOutcome(status="optimal", objective=best,
+                             assignment=dict(zip(names, best_value)), nodes=nodes)

@@ -17,7 +17,7 @@ from gasptables import (
     operational_threshold,
     optimal_r,
 )
-from gasptables.bounds import entry_exceeds_threshold
+from gasptables.bounds import entry_exceeds_threshold, threshold_exponent
 
 
 class TestLowerBounds:
@@ -139,6 +139,12 @@ class TestOperationalThreshold:
         assert operational_threshold(MatrixDims(1, 1, 1, 8)) == 6
         assert operational_threshold(MatrixDims(2, 2, 2, 3)) == 531439
 
+    def test_exponent_is_symbolic(self):
+        for dims in (MatrixDims(1, 1, 1, 2), MatrixDims(1, 1, 1, 8), MatrixDims(2, 2, 2, 3)):
+            assert operational_threshold(dims) == dims.q ** threshold_exponent(dims) - 2
+        # 3**15_996_000_000 would need gigabytes; the exponent alone is exact
+        assert threshold_exponent(MatrixDims(2000, 2000, 2000, 3)) == 15_996_000_000
+
     def test_dims_validation(self):
         with pytest.raises(DomainError):
             MatrixDims(0, 1, 1, 2)
@@ -175,9 +181,9 @@ class TestFullReport:
         rep = full_report(2, 2, 5)
         assert rep.best == 16
         assert rep.entry_bound_alpha == rep.entry_bound_beta == 10
-        assert rep.operational_threshold is None
+        assert rep.threshold_exponent is None
 
     def test_with_dims(self):
         rep = full_report(4, 4, 4, dims=MatrixDims(1, 1, 1, 8))
         assert rep.entry_bound_alpha is None
-        assert rep.operational_threshold == 6
+        assert rep.threshold_exponent == 1

@@ -152,9 +152,21 @@ class TestBoundsCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["operational_threshold"] == 6
+        assert doc["operational_threshold"] == "8**1 - 2"
         assert doc["entry_bound_alpha"] is None
         assert doc["best"] == 3
+
+    @pytest.mark.parametrize("dims, threshold", [
+        ("20,20,20,2", "2**15600 - 2"),
+        ("2000,2000,2000,3", "3**15996000000 - 2"),
+    ])
+    def test_large_dims_print_the_exponent(self, capsys, dims, threshold):
+        # the power itself has too many digits to print, or to build at all
+        code, out, _ = dispatch(
+            capsys, "bounds", "--K", "4", "--L", "4", "--T", "4", "--dims", dims, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["operational_threshold"] == threshold
 
     def test_malformed_dims(self, capsys):
         code, _, err = dispatch(capsys, "bounds", "--K", "1", "--L", "1", "--T", "1", "--dims", "1,1,1")

@@ -1,7 +1,11 @@
 """Model construction, LP text serialization, and the toy solver."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gasptables.ilp as ilp
+import ilp_oracles as oracle
 from gasptables import (
     DomainError,
     build_blp,
@@ -34,6 +38,13 @@ class TestModelValidation:
     def test_constraint_coeffs_cleaned(self):
         c = LinearConstraint("c", (("b", 1), ("a", 2), ("z", 0)), "<=", 3)
         assert c.coeffs == (("a", 2), ("b", 1))
+
+    def test_repeated_variables_are_summed(self):
+        c = LinearConstraint("c", (("x", 1), ("y", 4), ("x", 2), ("z", 1), ("z", -1)), "<=", 2)
+        assert c.coeffs == (("x", 3), ("y", 4))
+        m = IlpModel("m", (("x", -1), ("x", -1), ("y", 2), ("y", -2)),
+                     (Variable("x", "binary"), Variable("y", "binary")), ())
+        assert m.objective == (("x", -2),)
 
     def test_duplicate_variable(self):
         with pytest.raises(DomainError, match="duplicate variable"):
@@ -184,6 +195,15 @@ class TestNaiveSolve:
         out = naive_solve(m)
         assert out.status == "optimal" and out.objective == 1
 
+    def test_repeated_variable_counts_in_full(self):
+        # min -x subject to x + 2x <= 2: x = 1 would give 3 > 2
+        m = parse_lp_text("Minimize\n obj: - x\nSubject To\n c: x + 2 x <= 2\n"
+                          "Binary\n x\nEnd\n")
+        assert m.constraints[0].coeffs == (("x", 3),)
+        out = naive_solve(m)
+        assert out.status == "optimal"
+        assert out.assignment == {"x": 0} and out.objective == 0
+
     def test_requires_finite_bounds(self):
         m = IlpModel("m", (("x", 1),), (Variable("x", "integer", 0, None),), ())
         with pytest.raises(DomainError, match="finite bounds"):
@@ -228,3 +248,100 @@ class TestLpText:
         bad = "Minimize\n obj: x\nSubject To\n c: x <= 1\nBounds\n nonsense\nEnd\n"
         with pytest.raises(DomainError, match="bound line"):
             parse_lp_text(bad)
+        for row, message in ((" x <= 1", "constraint row missing name"),
+                             (" c: x + y", "missing sense/rhs"),
+                             (" c: x + * y <= 1", "cannot parse expression near")):
+            with pytest.raises(DomainError, match=message):
+                parse_lp_text(f"Minimize\n obj: x\nSubject To\n{row}\nEnd\n")
+
+
+def builder_models():
+    """The acceptance sizes, plain and tight, the T=1 models with one link
+    row dropped, and the smallest census models."""
+    models = []
+    for K, L, T in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2)):
+        models += [build_ilp_fixed(K, L, T), build_ilp_fixed(K, L, T, tight_link=True)]
+    for K, L in ((2, 2), (3, 1)):
+        m = build_ilp_fixed(K, L, 1)
+        models += [IlpModel(m.name, m.objective, m.variables,
+                            tuple(c for c in m.constraints if c is not link))
+                   for link in m.constraints if link.name.startswith("link_")]
+    return models + [build_blp(1, 1, 1, (1, 1)), build_blp(1, 1, 1, (1, 2))]
+
+
+def oracle_text(model):
+    """emit_lp_text with the reference term writer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "_format_terms", oracle._format_terms)
+        return emit_lp_text(model)
+
+
+NAMES = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def small_models(draw):
+    """At most five variables, binary or small-range integer; rows and the
+    objective may name a variable twice, and some rows are one-hot."""
+    n = draw(st.integers(1, 5))
+    variables = []
+    for name in NAMES[:n]:
+        if draw(st.booleans()):
+            variables.append(Variable(name, "binary", 0, 1))
+        else:
+            lo = draw(st.integers(-2, 2))
+            variables.append(Variable(name, "integer", lo, lo + draw(st.integers(-1, 3))))
+    name = st.sampled_from(NAMES[:n])
+    terms = st.lists(st.tuples(name, st.integers(-3, 3)), max_size=4).map(tuple)
+    constraints = []
+    for j in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            members = draw(st.lists(name, min_size=1, unique=True))
+            constraints.append(LinearConstraint(f"r{j}", tuple((m, 1) for m in members), "=", 1))
+        else:
+            constraints.append(LinearConstraint(
+                f"r{j}", draw(terms), draw(st.sampled_from(("<=", ">=", "="))),
+                draw(st.integers(-3, 4))))
+    return IlpModel("drawn", draw(terms), tuple(variables), tuple(constraints))
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("model", builder_models(), ids=lambda m: m.name)
+    def test_builder_models(self, model):
+        out = naive_solve(model)
+        assert out.status == "optimal"
+        assert out == oracle.naive_solve(model)
+        for budget in (0, 1, 2, 5, out.nodes // 2, out.nodes - 1, out.nodes):
+            assert naive_solve(model, budget) == oracle.naive_solve(model, budget), budget
+        text = emit_lp_text(model)
+        assert text == oracle_text(model)
+        assert parse_lp_text(text) == oracle.parse_lp_text(text) == model
+
+    def test_node_counts_pinned(self):
+        # ACCEPTANCE 9's six tiny solves
+        nodes = [naive_solve(build_ilp_fixed(K, L, T)).nodes
+                 for K, L, T in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2))]
+        assert nodes == [10, 151, 19, 43, 31, 1738]
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_models(), st.one_of(st.none(), st.integers(0, 12)))
+    def test_drawn_models(self, model, budget):
+        assert naive_solve(model, budget) == oracle.naive_solve(model, budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_models(), st.integers(0, 40))
+    def test_lp_text(self, model, width):
+        # a wide row is wrapped over several lines
+        names = tuple(f"w_{i:02d}" for i in range(width))
+        model = IlpModel(
+            model.name, model.objective + tuple((n, 3) for n in names),
+            model.variables + tuple(Variable(n, "integer", -1, None) for n in names),
+            model.constraints + (LinearConstraint("wide", tuple((n, -2) for n in names), ">=", 1),))
+        text = emit_lp_text(model)
+        assert text == oracle_text(model)
+        assert parse_lp_text(text) == oracle.parse_lp_text(text) == model
+
+    @given(st.lists(st.tuples(st.sampled_from(NAMES), st.integers(-12, 12)), max_size=6))
+    def test_term_writer(self, coeffs):
+        # raw terms, zero and repeated coefficients included
+        assert ilp._format_terms(tuple(coeffs)) == oracle._format_terms(tuple(coeffs))
