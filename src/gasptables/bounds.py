@@ -12,8 +12,7 @@ protocol, so entries beyond it are pointless even when combinatorially fine.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError
@@ -87,12 +86,9 @@ def lower_bounds(K: int, L: int, T: int) -> BoundsReport:
 
 def full_report(K: int, L: int, T: int, dims: Optional[MatrixDims] = None) -> BoundsReport:
     """One report with the lower bounds, entry bounds, and threshold together."""
-    rep = lower_bounds(K, L, T)
     eb = entry_upper_bounds(K, L, T)
-    return BoundsReport(
-        K=K, L=L, T=T,
-        ineq1=rep.ineq1, ineq2=rep.ineq2,
-        ineq2_conditions=rep.ineq2_conditions, ineq3=rep.ineq3,
+    return replace(
+        lower_bounds(K, L, T),
         entry_bound_alpha=eb[0] if eb else None,
         entry_bound_beta=eb[1] if eb else None,
         threshold_exponent=threshold_exponent(dims) if dims is not None else None,
@@ -145,20 +141,3 @@ def operational_threshold(dims: MatrixDims) -> int:
     """
     return dims.q ** threshold_exponent(dims) - 2
 
-
-def entry_exceeds_threshold(entry: int, dims: MatrixDims) -> bool:
-    """entry >= q**(2abc - ac) - 2, without materializing the power if avoidable.
-
-    A bit-length comparison settles all but a two-bit window around the
-    boundary; only there do we fall back to the exact power.
-    """
-    if entry < 0:
-        raise DomainError("entry must be nonnegative")
-    e = threshold_exponent(dims)
-    lhs = entry + 2
-    bits = e * math.log2(dims.q)
-    if lhs.bit_length() > bits + 2:
-        return True
-    if lhs.bit_length() < bits - 1:
-        return False
-    return lhs >= dims.q ** e

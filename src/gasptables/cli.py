@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -137,12 +137,15 @@ def _kv_tsv(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _series_payload(series: list[PlotSeries]) -> dict:
-    return {
-        "series": [
-            {"name": s.name, "rows": [[x, y] for x, y in s.rows]} for s in series
-        ]
-    }
+def _payload(obj):
+    """A result as JSON-ready data: records become dicts in field order."""
+    if is_dataclass(obj):
+        return {f.name: _payload(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [_payload(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _payload(v) for k, v in obj.items()}
+    return obj
 
 
 def _series_tsv(series: list[PlotSeries]) -> str:
@@ -164,24 +167,15 @@ def _emit(args, payload: dict, tsv: Optional[str] = None, pretty: Optional[str] 
         print(pretty if pretty is not None else "\n".join(_pretty_lines(payload)))
 
 
-def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
+def _parse(text: str, n: int, what: str, convert=int) -> tuple:
+    noun, bad = ("integers", "non-integer") if convert is int else ("rationals", "bad rational")
     parts = text.split(",")
     if len(parts) != n:
-        raise DomainError(f"{what} needs {n} comma-separated integers, got {text!r}")
+        raise DomainError(f"{what} needs {n} comma-separated {noun}, got {text!r}")
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise DomainError(f"{what}: non-integer in {text!r}") from None
-
-
-def _parse_fractions(text: str, n: int, what: str) -> tuple[Fraction, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise DomainError(f"{what} needs {n} comma-separated rationals, got {text!r}")
-    try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(convert(p) for p in parts)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"{what}: bad rational in {text!r}") from None
+        raise DomainError(f"{what}: {bad} in {text!r}") from None
 
 
 def _load_table(path: str) -> DegreeTable:
@@ -199,54 +193,17 @@ def _params(args) -> GaspParams:
     return GaspParams(K=args.K, L=args.L, T=args.T, r=args.r)
 
 
-def _trace_dict(trace) -> dict:
-    return {
-        "K": trace.K,
-        "L": trace.L,
-        "T": trace.T,
-        "phi": trace.phi,
-        "mu": trace.mu,
-        "x": trace.x,
-        "W": list(trace.W),
-        "q_w": {str(w): list(v) for w, v in sorted(trace.q_w.items())},
-        "Q": list(trace.Q),
-        "Q_prime": list(trace.Q_prime),
-        "Q_dprime": list(trace.Q_dprime),
-        "evaluated": [[r, n] for r, n in trace.evaluated],
-        "r_star": trace.r_star,
-        "n_star": trace.n_star,
-    }
-
-
-def _search_payload(res) -> dict:
-    return {
-        "K": res.K,
-        "L": res.L,
-        "T": res.T,
-        "best_n": res.best_n,
-        "tables_examined": res.tables_examined,
-        "valid_tables": res.valid_tables,
-        "entry_bound": list(res.entry_bound),
-        "side_candidates": list(res.side_candidates),
-        "budget_exhausted": res.budget_exhausted,
-        "optima": [t.to_json_dict() for t in res.optima],
-        "canonical_optima": [t.to_json_dict() for t in res.canonical_optima],
-    }
-
-
 def _handle_gasp(args) -> None:
     if args.action == "optimal-r":
         r_star, n, trace = optimal_r(args.K, args.L, args.T, mode=args.mode)
-        _emit(args, {"r_star": r_star, "N": n, "trace": _trace_dict(trace)})
+        _emit(args, {"r_star": r_star, "N": n, "trace": _payload(trace)})
         return
     p = _params(args)
     if args.action == "construct":
-        payload = construct(p).to_json_dict()
-        payload["transposed"] = p.transposed
-        _emit(args, payload)
+        _emit(args, {**_payload(construct(p)), "transposed": p.transposed})
     elif args.action == "score":
         sb = score_closed_form(p)
-        _emit(args, {"left": sb.left, "right": sb.right, "total": sb.total})
+        _emit(args, {**_payload(sb), "total": sb.total})
     else:
         n = n_of_r(p)
         payload = {"K": args.K, "L": args.L, "T": args.T, "r": p.r, "N": n}
@@ -257,13 +214,11 @@ def _handle_table(args) -> None:
     t = _load_table(args.infile)
     if args.action == "squeeze":
         out, steps = squeeze(t)
-        payload = out.to_json_dict()
-        if args.trace:
-            payload = {"table": out.to_json_dict(), "steps": [asdict(s) for s in steps]}
+        payload = {"table": _payload(out), "steps": _payload(steps)} if args.trace else _payload(out)
     elif args.action == "normal":
-        payload = normal(t).to_json_dict()
+        payload = _payload(normal(t))
     else:
-        payload = canonical(t).to_json_dict()
+        payload = _payload(canonical(t))
     if args.outfile:
         with open(args.outfile, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -275,25 +230,13 @@ def _handle_table(args) -> None:
 def _handle_bounds(args) -> None:
     dims = None
     if args.dims:
-        a, b, c, q = _parse_ints(args.dims, 4, "--dims")
-        dims = MatrixDims(a=a, b=b, c=c, q=q)
+        dims = MatrixDims(*_parse(args.dims, 4, "--dims"))
     rep = full_report(args.K, args.L, args.T, dims)
+    payload = _payload(rep)
+    e = payload.pop("threshold_exponent")
     # printed as "q**e - 2": the power itself can have billions of digits
-    threshold = None if dims is None else f"{dims.q}**{rep.threshold_exponent} - 2"
-    payload = {
-        "K": rep.K,
-        "L": rep.L,
-        "T": rep.T,
-        "ineq1": rep.ineq1,
-        "ineq2": rep.ineq2,
-        "ineq2_conditions": list(rep.ineq2_conditions),
-        "ineq3": rep.ineq3,
-        "best": rep.best,
-        "entry_bound_alpha": rep.entry_bound_alpha,
-        "entry_bound_beta": rep.entry_bound_beta,
-        "operational_threshold": threshold,
-    }
-    _emit(args, payload)
+    threshold = None if dims is None else f"{dims.q}**{e} - 2"
+    _emit(args, {**payload, "best": rep.best, "operational_threshold": threshold})
 
 
 def _handle_search(args) -> None:
@@ -302,7 +245,7 @@ def _handle_search(args) -> None:
             res = exhaustive_fixed_prefix(args.K, args.L, args.T, budget=args.budget)
         else:
             res = exhaustive(args.K, args.L, args.T, entry_bound=args.entry_bound)
-        _emit(args, _search_payload(res))
+        _emit(args, _payload(res))
     elif args.action == "greedy":
         g = greedy(args.K, args.L, args.T, budget=args.budget, beam_width=args.beam_width)
         table = fixed_prefix_table(args.K, args.L, args.T, g.alpha_s)
@@ -311,7 +254,7 @@ def _handle_search(args) -> None:
             "N": g.n,
             "nodes": g.nodes,
             "budget_exhausted": g.budget_exhausted,
-            "table": table.to_json_dict(),
+            "table": _payload(table),
         }
         _emit(args, payload)
     else:
@@ -335,7 +278,7 @@ def _handle_search(args) -> None:
 
 
 def _handle_sdmm(args) -> None:
-    a, b, c = _parse_ints(args.dims, 3, "--dims")
+    a, b, c = _parse(args.dims, 3, "--dims")
     if args.table:
         table = _load_table(args.table)
     else:
@@ -372,7 +315,7 @@ def _handle_sdmm(args) -> None:
         "n_servers": inst.n_servers,
         "points": list(inst.points),
         "dims": [a, b, c],
-        "table": table.to_json_dict(),
+        "table": _payload(table),
         "share_shape_f": [a // table.K, b],
         "share_shape_g": [b, c // table.L],
         "response_shape": [a // table.K, c // table.L],
@@ -390,22 +333,16 @@ def _handle_sdmm(args) -> None:
 
 def _handle_cost(args) -> None:
     if args.action == "compare":
-        vals = _parse_fractions(args.exponents, 6, "--exponents")
+        vals = _parse(args.exponents, 6, "--exponents", Fraction)
         outer, inner, wins = asymptotic_compare(CostExponents(*vals))
         _emit(args, {"outer_exponent": outer, "inner_exponent": inner, "outer_wins": wins})
     else:
-        a, b, c = _parse_ints(args.dims, 3, "--dims")
-        k, l, m = _parse_ints(args.blocks, 3, "--blocks")
-        n_o, n_i = _parse_ints(args.servers, 2, "--servers")
-        rep = concrete_costs(a, b, c, k, l, m, n_o, n_i)
-        _emit(args, {
-            "u_outer": rep.u_outer,
-            "d_outer": rep.d_outer,
-            "total_outer": rep.total_outer,
-            "u_inner": rep.u_inner,
-            "d_inner": rep.d_inner,
-            "total_inner": rep.total_inner,
-        })
+        rep = concrete_costs(
+            *_parse(args.dims, 3, "--dims"),
+            *_parse(args.blocks, 3, "--blocks"),
+            *_parse(args.servers, 2, "--servers"),
+        )
+        _emit(args, {**_payload(rep), "total_outer": rep.total_outer, "total_inner": rep.total_inner})
 
 
 def _handle_figure(args) -> None:
@@ -414,7 +351,7 @@ def _handle_figure(args) -> None:
     else:
         series = figure1b_series(args.n_max)
     tsv = _series_tsv(series)
-    _emit(args, _series_payload(series), tsv=tsv, pretty=tsv)
+    _emit(args, {"series": _payload(series)}, tsv=tsv, pretty=tsv)
 
 
 def _handle_stats(args) -> None:

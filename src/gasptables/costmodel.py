@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional
 
 from .degree_table import DomainError
 
@@ -63,9 +62,6 @@ class CostReport:
     d_outer: Fraction
     u_inner: Fraction
     d_inner: Fraction
-    outer_exponent: Optional[Fraction] = None
-    inner_exponent: Optional[Fraction] = None
-    outer_wins: Optional[bool] = None
 
     @property
     def total_outer(self) -> Fraction:

@@ -40,6 +40,10 @@ class Variable:
             raise DomainError(f"unknown variable kind {self.kind!r}")
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
             raise DomainError(f"bad variable name {self.name!r}")
+        if self.kind == "binary" and (self.lower != 0 or self.upper not in (None, 1)):
+            raise DomainError(f"binary {self.name} must have bounds 0 and 1, got {self.lower}, {self.upper}")
+        if self.upper is not None and self.lower > self.upper:
+            raise DomainError(f"variable {self.name} has lower bound {self.lower} > upper {self.upper}")
 
 
 def _merge(coeffs: Coeffs) -> Coeffs:
@@ -82,6 +86,9 @@ class IlpModel:
         if set(cnames) & set(names):
             raise DomainError("constraint name collides with a variable name")
         known = set(names)
+        for n, _ in self.objective:
+            if n not in known:
+                raise DomainError(f"objective references unknown variable {n}")
         for c in self.constraints:
             for n, _ in c.coeffs:
                 if n not in known:

@@ -17,7 +17,7 @@ from gasptables import (
     operational_threshold,
     optimal_r,
 )
-from gasptables.bounds import entry_exceeds_threshold, threshold_exponent
+from gasptables.bounds import threshold_exponent
 
 
 class TestLowerBounds:
@@ -150,30 +150,6 @@ class TestOperationalThreshold:
             MatrixDims(0, 1, 1, 2)
         with pytest.raises(DomainError):
             MatrixDims(1, 1, 1, 1)
-
-    def test_exceeds_boundary(self):
-        dims = MatrixDims(2, 2, 2, 3)
-        thr = operational_threshold(dims)
-        assert not entry_exceeds_threshold(thr - 1, dims)
-        assert entry_exceeds_threshold(thr, dims)
-        assert entry_exceeds_threshold(thr + 1, dims)
-
-    def test_exceeds_fast_paths(self):
-        # far from the boundary the bit-length shortcut must decide alone
-        dims = MatrixDims(3, 3, 3, 2)
-        assert not entry_exceeds_threshold(2, dims)
-        assert entry_exceeds_threshold(1 << 100, dims)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(DomainError):
-            entry_exceeds_threshold(-1, MatrixDims(1, 1, 1, 2))
-
-    def test_exceeds_matches_exact_on_window(self):
-        dims = MatrixDims(1, 2, 1, 3)  # threshold 3**3 - 2 = 25
-        thr = operational_threshold(dims)
-        assert thr == 25
-        for entry in range(0, 80):
-            assert entry_exceeds_threshold(entry, dims) == (entry >= thr)
 
 
 class TestFullReport:

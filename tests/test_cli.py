@@ -1,13 +1,25 @@
 """Exercises the command-line surface through cmd_dispatch."""
 
+import dataclasses
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from gasptables import GaspParams, build_blp, build_ilp_fixed, n_of_r, parse_lp_text
+from gasptables import (
+    GaspParams,
+    SearchResult,
+    build_blp,
+    build_ilp_fixed,
+    construct,
+    count_distinct,
+    n_of_r,
+    parse_lp_text,
+)
 from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series
+from gasptables.gasp import ChainSearchTrace
 
 MESSY = {
     "K": 3, "L": 2, "T": 1,
@@ -77,7 +89,7 @@ class TestGaspCommands:
         assert doc["r_star"] == 3
         assert doc["N"] == 112
         assert doc["trace"]["W"] == [1, 2, 4, 8]
-        assert {"phi", "mu", "x", "Q", "Q_prime", "Q_dprime", "evaluated"} <= set(doc["trace"])
+        assert set(doc["trace"]) == {f.name for f in dataclasses.fields(ChainSearchTrace)}
 
     def test_r_and_big_are_mutually_exclusive(self, capsys):
         code, _, _ = dispatch(
@@ -146,6 +158,14 @@ class TestBoundsCommand:
             "operational_threshold": None,
         }
 
+    def test_pretty_follows_the_record_field_order(self, capsys):
+        code, out, _ = dispatch(capsys, "bounds", "--K", "2", "--L", "2", "--T", "5")
+        assert code == 0
+        assert out == (
+            "K: 2\nL: 2\nT: 5\nineq1: 15\nineq2: 16\nineq2_conditions: [square]\nineq3: 7\n"
+            "entry_bound_alpha: 10\nentry_bound_beta: 10\nbest: 16\noperational_threshold: null\n"
+        )
+
     def test_dims_add_operational_threshold(self, capsys):
         code, out, _ = dispatch(
             capsys, "bounds", "--K", "1", "--L", "1", "--T", "1", "--dims", "1,1,1,8", "--format", "json"
@@ -188,6 +208,7 @@ class TestSearchCommands:
         assert doc["side_candidates"] == [3, 3]
         assert len(doc["optima"]) == 2
         assert [t["alpha_s"] for t in doc["canonical_optima"]] == [[1, 2]]
+        assert set(doc) == {f.name for f in dataclasses.fields(SearchResult)}
 
     def test_census_refuses_unbounded_parameters(self, capsys):
         code, _, err = dispatch(capsys, "search", "exhaustive", "--K", "1", "--L", "1", "--T", "1")
@@ -205,6 +226,7 @@ class TestSearchCommands:
         assert doc["tables_examined"] == 24
         assert doc["budget_exhausted"] is False
         assert sorted(t["alpha_s"] for t in doc["optima"]) == [[4, 5], [4, 6]]
+        assert set(doc) == {f.name for f in dataclasses.fields(SearchResult)}
 
     def test_greedy_reports_table(self, capsys):
         code, out, _ = dispatch(
@@ -361,6 +383,16 @@ class TestFigureCommands:
             {"name": "r=n", "rows": [[2, "9/7"]]},
             {"name": "r=n^2", "rows": [[2, "39/28"]]},
         ]
+        code, out, _ = dispatch(capsys, "figure", "1b", "--n-max", "4", "--format", "json")
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert [s["name"] for s in series] == ["r=1", "r=n", "r=n^2"]
+        for s, chain in zip(series, (lambda n: 1, lambda n: n, lambda n: n * n)):
+            assert [x for x, _ in s["rows"]] == [2, 3, 4]
+            for n, ratio in s["rows"]:
+                k = n * n
+                table = construct(GaspParams(k, k, k, chain(n)))
+                assert Fraction(ratio) == Fraction(count_distinct(table), n ** 4 + 3 * n ** 2)
 
     def test_figure_1b_tsv_decimals(self, capsys):
         code, out, _ = dispatch(capsys, "figure", "1b", "--n-max", "2", "--format", "tsv")
@@ -434,3 +466,43 @@ class TestDispatch:
         assert build_parser().parse_args(
             ["sdmm", "run", "--dims", "1,1,1", "--seed", "3"]
         ).seed == 3
+
+
+EVERY_COMMAND = [
+    "gasp construct --K 4 --L 3 --T 5 --r 2",
+    "gasp score --K 4 --L 4 --T 4 --r 2",
+    "gasp n --K 4 --L 4 --T 4 --big",
+    "gasp optimal-r --K 9 --L 6 --T 9",
+    "gasp optimal-r --K 9 --L 6 --T 30 --mode full_scan",
+    "table squeeze --trace --in {gappy}",
+    "table normal --in {messy}",
+    "table canonical --in {messy}",
+    "bounds --K 2 --L 2 --T 5",
+    "bounds --K 4 --L 4 --T 4 --dims 20,20,20,2",
+    "search exhaustive --K 1 --L 1 --T 2",
+    "search exhaustive --fixed-prefix --K 2 --L 2 --T 2",
+    "search greedy --K 3 --L 3 --T 3",
+    "search emit-lp --kind census --K 1 --L 1 --T 2",
+    "sdmm run --dims 2,4,4 --K 2 --L 2 --T 2 --r 1",
+    "cost compare --exponents 1,1,1,1/2,1/2,1",
+    "cost concrete --dims 4,4,4 --blocks 2,2,4 --servers 17,9",
+    "figure 1a",
+    "figure 1b --n-max 3",
+    "stats --k-max 4 --t-max 11",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_every_command_renders_in_every_format(capsys, tmp_path, command, fmt):
+    files = {"gappy": GAPPY, "messy": MESSY}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = command.format(**{n: str(tmp_path / f"{n}.json") for n in files}).split()
+    code, out, err = dispatch(capsys, *argv, "--format", fmt)
+    assert code == 0, err
+    assert out.strip()
+    if argv[:2] == ["search", "emit-lp"]:
+        parse_lp_text(out)
+    elif fmt == "json":
+        json.loads(out)

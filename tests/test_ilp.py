@@ -55,6 +55,20 @@ class TestModelValidation:
             IlpModel("m", (), (Variable("x", "binary"),),
                      (LinearConstraint("c", (("y", 1),), "<=", 0),))
 
+    def test_unknown_variable_in_objective(self):
+        with pytest.raises(DomainError, match="objective references unknown variable y"):
+            IlpModel("m", (("y", 1),), (Variable("x", "binary"),), ())
+
+    def test_integer_bounds_out_of_order(self):
+        with pytest.raises(DomainError, match="lower bound 3 > upper 1"):
+            Variable("z", "integer", 3, 1)
+        assert Variable("z", "integer", 3, 3).upper == 3
+
+    @pytest.mark.parametrize("lower, upper", [(5, 9), (1, 1), (0, 2), (-1, 1), (0, 0)])
+    def test_binary_bounds_are_zero_one(self, lower, upper):
+        with pytest.raises(DomainError, match="must have bounds 0 and 1"):
+            Variable("b", "binary", lower, upper)
+
     def test_constraint_name_collision(self):
         with pytest.raises(DomainError, match="collides"):
             IlpModel("m", (), (Variable("x", "binary"),),
@@ -290,7 +304,7 @@ def small_models(draw):
             variables.append(Variable(name, "binary", 0, 1))
         else:
             lo = draw(st.integers(-2, 2))
-            variables.append(Variable(name, "integer", lo, lo + draw(st.integers(-1, 3))))
+            variables.append(Variable(name, "integer", lo, lo + draw(st.integers(0, 3))))
     name = st.sampled_from(NAMES[:n])
     terms = st.lists(st.tuples(name, st.integers(-3, 3)), max_size=4).map(tuple)
     constraints = []
