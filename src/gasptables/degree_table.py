@@ -161,12 +161,13 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> set[int]:
     return {x + y for x in sa for y in sb}
 
 
-def validate(table: DegreeTable) -> ValidationReport:
-    """Check D1, D2, D3 and report which failed.
+def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
+    """validate()'s report and the table's distinct-entry count, in one pass.
 
     D3 is checked by counting, over Set(alpha) x Set(beta), the
     representations of each value in the prefix sumset; the first value with
-    two or more is recorded as the witness.
+    two or more is recorded as the witness.  The counter's keys are exactly
+    the distinct entries.
     """
     d1 = len(set(table.alpha)) == len(table.alpha)
     d2 = len(set(table.beta)) == len(table.beta)
@@ -177,11 +178,17 @@ def validate(table: DegreeTable) -> ValidationReport:
         if reps[n] != 1:
             witness = n
             break
-    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness)
+    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), len(reps)
 
 
-def require_valid(table: DegreeTable) -> None:
-    report = validate(table)
+def validate(table: DegreeTable) -> ValidationReport:
+    """Check D1, D2, D3 and report which failed."""
+    return _check(table)[0]
+
+
+def require_valid(table: DegreeTable) -> int:
+    """The distinct-entry count of a table that satisfies D1 to D3; raises otherwise."""
+    report, distinct = _check(table)
     if not report.ok:
         broken = [
             name
@@ -190,6 +197,7 @@ def require_valid(table: DegreeTable) -> None:
         ]
         detail = f" (witness sum {report.d3_witness})" if report.d3_witness is not None else ""
         raise InvalidTableError(f"degree table violates {', '.join(broken)}{detail}", report)
+    return distinct
 
 
 def count_distinct(table: DegreeTable) -> int:
@@ -199,8 +207,7 @@ def count_distinct(table: DegreeTable) -> int:
     rejected because the count is only operationally meaningful under
     D1 to D3; use sumset() directly to size an arbitrary table.
     """
-    require_valid(table)
-    return len(sumset(table.set_alpha(), table.set_beta()))
+    return require_valid(table)
 
 
 @dataclass(frozen=True)

@@ -128,11 +128,18 @@ def n_of_r(params: GaspParams) -> int:
     """Distinct-entry count of GASP_r via the collision score.
 
     The first K rows of the table cover exactly KL + K + T - 1 values; the
-    T suffix rows contribute L + T cells each, minus the score.
+    T suffix rows contribute L + T cells each, minus the score.  The score
+    is score_closed_form's counts summed in O(1): on rows i <= r, T-1-i runs
+    over r <= K consecutive values, so its floor by K is q on c0 rows and
+    q + 1 on the rest; (T-1)//r rows i in 2..T satisfy i = 1 mod r.
     """
-    K, L, T = params.K, params.L, params.T
-    s = score_closed_form(params).total
-    return K * L + K + T - 1 + T * (L + T) - s
+    K, L, T, r = params.K, params.L, params.T, params.r
+    q, m = divmod(T - 1 - r, K)
+    c0 = min(r, K - m)
+    left = c0 * min(L, 2 + q) + (r - c0) * min(L, 3 + q) + (T - r) * L
+    c = (T - 1) // r
+    right = max(0, K + T - K * L - 1) + c * max(0, T - K + r - 1) + (T - 1 - c) * (T - 1)
+    return K * L + K + T - 1 + T * (L + T) - left - right
 
 
 def n_theorem1(params: GaspParams) -> int:
@@ -174,8 +181,8 @@ def h_function(K: int, L: int, T: int, r: int) -> int:
     _check_klt(K, L, T)
     phi = T - 1 - K * L + 2 * K
     lo, hi = max(1, phi + 1), min(K, T)
-    if not lo <= r <= hi:
-        raise DomainError(f"h_function needs {lo} <= r <= {hi}, got r={r}")
+    if not isinstance(r, int) or isinstance(r, bool) or not lo <= r <= hi:
+        raise DomainError(f"h_function needs an integer {lo} <= r <= {hi}, got r={r!r}")
     mu = (T - 1) % K
     return (L - 2 - (T - 1 - mu) // K) * r + max(mu, r) + ((T - 1) // r) * min(T - 1, K - r)
 
@@ -221,47 +228,39 @@ def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:
 
     The slope of the r-dependent part changes only at block boundaries of
     floor((T-1)/r) and at the two special points mu and K-T+1, so a
-    minimizer is always among: per-block endpoints selected by slope signs
-    (Q), the regime corners (Q_prime), clipped to the feasible range.
+    minimizer is always among: per-block endpoints or kinks selected by the
+    signs of the block's first and last step (Q), the regime corners
+    (Q_prime), clipped to the feasible range.  Ties break as in a full scan.
     """
     _check_klt(K, L, T)
     phi = T - 1 - K * L + 2 * K
     mu = (T - 1) % K
     x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
     i_lo, i_hi = max(1, phi + 1), min(K, T - 1)
-    W = sorted({(T - 1) // i for i in range(i_lo, i_hi + 1)})
+    # floor((T-1)/i) on [i_lo, i_hi]: i_lo's block, then each later block start.
+    starts = [i for i in _w_block_starts(T, i_hi) if i > i_lo]
+    W = [(T - 1) // i for i in reversed([i_lo] + starts)] if i_lo <= i_hi else []
 
     step = L - 2 - (T - 1 - mu) // K
 
-    def slope(r: int, w: int) -> int:
+    def slope(r: int, w: int) -> int:  # N(r) - N(r - 1) inside the block of w
         return step + (1 if mu < r else 0) - (w if K - T + 1 < r else 0)
 
     q_w: dict[int, tuple[int, ...]] = {}
     for w in W:
         l_w = (T - 1) // (w + 1) + 1
         r_w = (T - 1) // w
-        a_w = sorted({mu, K - T + 1} & set(range(l_w + 1, r_w)))
-        if r_w < l_w:
-            cand: tuple[int, ...] = ()
-        elif l_w == r_w:
-            cand = (l_w,)
-        elif a_w and slope(l_w, w) >= 0 and slope(r_w, w) >= 0:
-            cand = (l_w,)
-        elif a_w and slope(l_w, w) >= 0 and slope(r_w, w) < 0:
-            cand = (l_w, r_w)
-        elif a_w and slope(l_w, w) < 0 and slope(r_w, w) >= 0:
-            cand = tuple(a_w)
-        elif a_w and slope(l_w, w) < 0 and slope(r_w, w) < 0:
-            cand = (r_w,)
-        elif slope(l_w, w) >= 0:
-            cand = (l_w,)
+        a_w = tuple(sorted(v for v in {mu, K - T + 1} if l_w < v < r_w))
+        up_l, up_r = slope(l_w + 1, w) >= 0, slope(r_w, w) >= 0
+        if a_w and up_l != up_r:
+            # the slope changes sign inside the block: both ends, or the kinks
+            q_w[w] = (l_w, r_w) if up_l else a_w
         else:
-            cand = (r_w,)
-        q_w[w] = cand
+            q_w[w] = (l_w,) if up_l or l_w == r_w else (r_w,)
 
-    Q = sorted(set().union(*q_w.values()) if q_w else set())
-    Q_prime = sorted({max(1, min(K, T, phi)), max(1, phi + 1), T})
-    Q_dprime = sorted((set(Q_prime) | set(Q)) & set(range(1, min(K, T) + 1)))
+    Q = sorted(set().union(*q_w.values()))
+    Q_prime = sorted({max(1, min(K, T, phi)), max(1, phi + 1), min(K, T)})
+    Q_dprime = sorted(v for v in set(Q_prime) | set(Q) if 1 <= v <= min(K, T))
     return ChainSearchTrace(
         K=K, L=L, T=T, phi=phi, mu=mu, x=x,
         W=tuple(W), q_w=q_w, Q=tuple(Q),

@@ -1,0 +1,74 @@
+"""Reference kernel for the chain-length candidate set.
+
+This is the original `gasp.candidate_set`, which builds `set(range(...))`
+over the whole feasible i-range for W, for each block's interior kinks and
+for the final clip, so it costs O(K) where the block walk in `gasp.py` costs
+O(sqrt(T)).  The differential tests in test_gasp.py compare the two traces
+field for field.
+
+It differs from the original only by the two corrections that
+`gasp.candidate_set` carries too.  Every left slope is slope(l_w + 1, w),
+the block's first step N(l_w + 1) - N(l_w); the original's slope(l_w, w)
+misreads it when mu or K-T+1 equals l_w.  The third regime corner
+is min(K, T); the original's T is clipped away whenever T > K.  Without
+them the reduced search returned a worse N than the full scan on 542 of the
+49,200 triples L <= K <= 40, T <= 60 (at (4, 4, 11) it gave 55 where r = 4
+gives 53), and a larger tied r on 21 more.
+"""
+
+from __future__ import annotations
+
+from gasptables.gasp import ChainSearchTrace, _check_klt
+
+
+def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:
+    """Compute the reduced candidate set Q'' for the best chain length.
+
+    The slope of the r-dependent part changes only at block boundaries of
+    floor((T-1)/r) and at the two special points mu and K-T+1, so a
+    minimizer is always among: per-block endpoints selected by slope signs
+    (Q), the regime corners (Q_prime), clipped to the feasible range.
+    """
+    _check_klt(K, L, T)
+    phi = T - 1 - K * L + 2 * K
+    mu = (T - 1) % K
+    x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
+    i_lo, i_hi = max(1, phi + 1), min(K, T - 1)
+    W = sorted({(T - 1) // i for i in range(i_lo, i_hi + 1)})
+
+    step = L - 2 - (T - 1 - mu) // K
+
+    def slope(r: int, w: int) -> int:
+        return step + (1 if mu < r else 0) - (w if K - T + 1 < r else 0)
+
+    q_w: dict[int, tuple[int, ...]] = {}
+    for w in W:
+        l_w = (T - 1) // (w + 1) + 1
+        r_w = (T - 1) // w
+        a_w = sorted({mu, K - T + 1} & set(range(l_w + 1, r_w)))
+        if r_w < l_w:
+            cand: tuple[int, ...] = ()
+        elif l_w == r_w:
+            cand = (l_w,)
+        elif a_w and slope(l_w + 1, w) >= 0 and slope(r_w, w) >= 0:
+            cand = (l_w,)
+        elif a_w and slope(l_w + 1, w) >= 0 and slope(r_w, w) < 0:
+            cand = (l_w, r_w)
+        elif a_w and slope(l_w + 1, w) < 0 and slope(r_w, w) >= 0:
+            cand = tuple(a_w)
+        elif a_w and slope(l_w + 1, w) < 0 and slope(r_w, w) < 0:
+            cand = (r_w,)
+        elif slope(l_w + 1, w) >= 0:
+            cand = (l_w,)
+        else:
+            cand = (r_w,)
+        q_w[w] = cand
+
+    Q = sorted(set().union(*q_w.values()) if q_w else set())
+    Q_prime = sorted({max(1, min(K, T, phi)), max(1, phi + 1), min(K, T)})
+    Q_dprime = sorted((set(Q_prime) | set(Q)) & set(range(1, min(K, T) + 1)))
+    return ChainSearchTrace(
+        K=K, L=L, T=T, phi=phi, mu=mu, x=x,
+        W=tuple(W), q_w=q_w, Q=tuple(Q),
+        Q_prime=tuple(Q_prime), Q_dprime=tuple(Q_dprime),
+    )

@@ -45,6 +45,10 @@ class TestGaspCommands:
         assert code == 0
         assert out == "36\n"
 
+    def test_n_at_large_t(self, capsys):
+        code, out, _ = dispatch(capsys, "gasp", "n", "--K", "2", "--L", "1", "--T", "10000000", "--r", "1")
+        assert (code, out) == (0, "30000002\n")
+
     def test_n_json_payload(self, capsys):
         code, out, _ = dispatch(
             capsys, "gasp", "n", "--K", "4", "--L", "4", "--T", "4", "--r", "2", "--format", "json"

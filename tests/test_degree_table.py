@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasptables import (
     DegreeTable,
@@ -124,6 +126,44 @@ class TestCountDistinct:
         with pytest.raises(InvalidTableError, match="D3") as exc:
             count_distinct(t)
         assert exc.value.report.d3_witness == 1
+
+    @pytest.mark.parametrize("alpha_p,alpha_s,beta_p,beta_s,message", [
+        ((0, 0), (5,), (0,), (3,), "degree table violates D1"),
+        ((0, 3), (5,), (0,), (0,), "degree table violates D2"),
+        ((0, 1), (2,), (0,), (1,), "degree table violates D3 (witness sum 1)"),
+        ((0, 0), (1,), (0,), (0,), "degree table violates D1, D2"),
+        ((0, 1), (1,), (0,), (1,), "degree table violates D1, D3 (witness sum 1)"),
+    ])
+    def test_invalid_table_messages(self, alpha_p, alpha_s, beta_p, beta_s, message):
+        t = DegreeTable(K=2, L=1, T=1, alpha_p=alpha_p, alpha_s=alpha_s,
+                        beta_p=beta_p, beta_s=beta_s)
+        with pytest.raises(InvalidTableError) as exc:
+            count_distinct(t)
+        assert str(exc.value) == message
+        assert exc.value.report == validate(t)
+
+    def test_equals_sumset_size_on_gasp_tables(self):
+        for K in range(1, 9):
+            for L in range(1, K + 1):
+                for T in range(1, 9):
+                    for r in range(1, min(K, T) + 1):
+                        t = construct(GaspParams(K, L, T, r))
+                        assert count_distinct(t) == len(sumset(t.alpha, t.beta)), (K, L, T, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_sumset_size_or_raises(self, data):
+        K, L, T = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+        def vec(n):
+            return tuple(data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+
+        t = DegreeTable(K=K, L=L, T=T, alpha_p=vec(K), alpha_s=vec(T), beta_p=vec(L), beta_s=vec(T))
+        if validate(t).ok:
+            assert count_distinct(t) == len(sumset(t.alpha, t.beta))
+        else:
+            with pytest.raises(InvalidTableError):
+                count_distinct(t)
 
     def test_at_least_kl(self):
         rng = random.Random(1003)

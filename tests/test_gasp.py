@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gasp_oracles as oracle
 from gasptables import (
     DomainError,
     GaspParams,
@@ -83,6 +86,11 @@ class TestConstruct:
             assert list(t.alpha_s) == chain
 
 
+def _n_from_score(p: GaspParams) -> int:
+    """N(r) from the per-row score lists, the O(T) route n_of_r replaced."""
+    return p.K * p.L + p.K + p.T - 1 + p.T * (p.L + p.T) - score_closed_form(p).total
+
+
 class TestServerCount:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_table_iii(self, r):
@@ -114,12 +122,14 @@ class TestServerCount:
         assert score_closed_form(GaspParams(4, 4, 4, r)).total == score
 
     def test_monolithic_formula_agrees(self):
-        for K in range(1, 7):
+        # n_of_r's O(1) sum, the per-row score lists and Theorem 1's closed
+        # form, on every L <= K <= 30, T <= 40 and r.
+        for K in range(1, 31):
             for L in range(1, K + 1):
-                for T in range(1, 7):
+                for T in range(1, 41):
                     for r in range(1, min(K, T) + 1):
                         p = GaspParams(K, L, T, r)
-                        assert n_theorem1(p) == n_of_r(p), (K, L, T, r)
+                        assert n_of_r(p) == _n_from_score(p) == n_theorem1(p), (K, L, T, r)
 
     def test_big_never_exceeds_2kl_plus_2t_minus_1(self):
         # The r = min(K, T) member needs at most 2KL + 2T - 1 servers, with
@@ -131,6 +141,20 @@ class TestServerCount:
                     ub = 2 * K * L + 2 * T - 1
                     assert n <= ub, (K, L, T)
                     assert (n == ub) == (T >= K or L == 1), (K, L, T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_three_derivations_agree_at_scale(self, data):
+        K = data.draw(st.integers(1, 10**6))
+        L = data.draw(st.integers(1, K))
+        T = data.draw(st.integers(1, 10**6))
+        p = GaspParams(K, L, T, data.draw(st.integers(1, min(K, T))))
+        assert n_of_r(p) == _n_from_score(p) == n_theorem1(p)
+
+    def test_large_t_in_constant_time(self):
+        # GASP(2, 1, T, 1) needs 3T + 2 servers (count_distinct agrees for
+        # small T); the per-row score lists would hold 2 * 10^9 items here.
+        assert n_of_r(GaspParams(2, 1, 10**9, 1)) == 3 * 10**9 + 2
 
     def test_transposed_params_give_same_count(self):
         assert n_of_r(GaspParams(3, 5, 4, 2)) == n_of_r(GaspParams(5, 3, 4, 2))
@@ -146,6 +170,12 @@ def test_h_function_range():
         h_function(9, 6, 9, 10)
     with pytest.raises(DomainError):
         h_function(9, 6, 9, 0)
+
+
+@pytest.mark.parametrize("r", [2.5, 2.0, True, "2"])
+def test_h_function_rejects_non_integer_r(r):
+    with pytest.raises(DomainError, match="integer"):
+        h_function(4, 4, 4, r)
 
 
 def test_h_minimizers_match_n_minimizers():
@@ -166,6 +196,10 @@ def test_h_minimizers_match_n_minimizers():
         h_min = {r for r, v in hs.items() if v == min(hs.values())}
         n_min = {r for r, v in ns.items() if v == min(ns.values())}
         assert h_min == n_min, (K, L, T)
+
+
+def _trace_fields(tr):
+    return tr.W, tr.q_w, tr.Q, tr.Q_prime, tr.Q_dprime
 
 
 class TestCandidateSet:
@@ -197,6 +231,22 @@ class TestCandidateSet:
         with pytest.raises(DomainError, match="swap"):
             candidate_set(2, 3, 1)
 
+    def test_matches_oracle_on_grid(self):
+        for K in range(1, 41):
+            for L in range(1, K + 1):
+                for T in range(1, 61):
+                    assert _trace_fields(candidate_set(K, L, T)) == _trace_fields(
+                        oracle.candidate_set(K, L, T)
+                    ), (K, L, T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_at_scale(self, data):
+        K = data.draw(st.integers(1, 5000))
+        L = data.draw(st.integers(1, K))
+        T = data.draw(st.integers(1, 5000))
+        assert _trace_fields(candidate_set(K, L, T)) == _trace_fields(oracle.candidate_set(K, L, T))
+
 
 class TestOptimalR:
     @pytest.mark.parametrize("n,want_n", [(1, 3), (2, 36), (3, 148), (4, 410)])
@@ -208,20 +258,29 @@ class TestOptimalR:
         assert trace.r_star == n and trace.n_star == best
 
     def test_square_formula(self):
-        for n in range(2, 5):
+        for n in (2, 3, 4, 100, 1000):
             k = n * n
-            _, best, _ = optimal_r(k, k, k)
-            assert best == n ** 4 + 2 * n ** 3 + 2 * n ** 2 - n - 2
+            assert optimal_r(k, k, k)[:2] == (n, n ** 4 + 2 * n ** 3 + 2 * n ** 2 - n - 2)
 
     def test_modes_agree(self):
-        rng = random.Random(37)
-        for _ in range(60):
-            K = rng.randint(1, 14)
-            L = rng.randint(1, 14)
-            T = rng.randint(1, 14)
-            red = optimal_r(K, L, T, mode="reduced")
-            full = optimal_r(K, L, T, mode="full_scan")
-            assert red[:2] == full[:2], (K, L, T)
+        # Every L <= K <= 40, T <= 60; optimal_r maps L > K onto these.
+        for K in range(1, 41):
+            for L in range(1, K + 1):
+                for T in range(1, 61):
+                    red = optimal_r(K, L, T, mode="reduced")
+                    full = optimal_r(K, L, T, mode="full_scan")
+                    assert red[:2] == full[:2], (K, L, T)
+
+    def test_reduced_reaches_the_end_of_the_range(self):
+        # T > K: the corner min(K, T) = 4 is a candidate; r = 3 gives 55.
+        r_star, best, trace = optimal_r(4, 4, 11)
+        assert (r_star, best) == (4, 53) == optimal_r(4, 4, 11, mode="full_scan")[:2]
+        assert trace.Q_prime == (2, 3, 4)
+
+    def test_reduced_reads_the_first_step_of_a_block(self):
+        # mu = 3 starts the block [3, 4]; N(4) - N(3) = 0, so both tie and
+        # the smaller r must be a candidate.
+        assert optimal_r(5, 4, 9)[:2] == (3, 57) == optimal_r(5, 4, 9, mode="full_scan")[:2]
 
     def test_tie_breaks_to_smallest(self):
         # (9, 6, 9) has two minimizers, 3 and 5; the smaller wins.
