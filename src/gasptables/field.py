@@ -111,8 +111,8 @@ def _eliminate(q: int, rows: list[list[int]], n: int) -> bool:
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve m X = rhs over the field; None if m is singular.
 
-    Forward elimination on the augmented rows, then back-substitution that
-    normalises each pivot row once; exact by construction.
+    Forward elimination on the augmented rows, then back-substitution on the
+    w right-hand-side columns alone, O(n^2 w); exact by construction.
     """
     q = field.q
     n = len(m)
@@ -123,14 +123,15 @@ def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     aug = [list(mr) + list(rr) for mr, rr in zip(m, rhs)]
     if not _eliminate(q, aug, n):
         return None
+    x = [row[n:] for row in aug]
     for col in range(n - 1, -1, -1):
         inv = pow(aug[col][col], q - 2, q)
-        prow = aug[col] = [v * inv % q for v in aug[col]]
+        xrow = x[col] = [v * inv % q for v in x[col]]
         for r in range(col):
             f = aug[r][col]
             if f:
-                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], prow)]
-    return tuple(tuple(row[n:]) for row in aug)
+                x[r] = [(v - f * p) % q for v, p in zip(x[r], xrow)]
+    return tuple(map(tuple, x))
 
 
 def is_invertible(field: PrimeField, m: Matrix) -> bool:

@@ -14,10 +14,12 @@ mod q - 1 reduction used during evaluation).
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import mul
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, require_valid, sumset
@@ -114,24 +116,67 @@ def _powers(field: PrimeField, points, exps) -> Matrix:
     return tuple(tuple(field.pow(x, e) for e in exps) for x in points)
 
 
-def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random):
-    """Every t-subset of range(n) if there are at most ``limit``, else
-    ``samples`` sorted random draws, all made before the caller checks any."""
-    if math.comb(n, t) <= limit:
-        return combinations(range(n), t)
-    return [tuple(sorted(rng.sample(range(n), t))) for _ in range(samples)]
+def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
+    """None (every t-subset of range(n)) if there are at most max(limit, samples),
+    else ``samples`` sorted random draws, all made before the caller checks any;
+    ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged."""
+    if math.comb(n, t) <= max(limit, samples):
+        return None
+    drawn = {}
+    while len(drawn) < samples:
+        s = tuple(sorted(rng.sample(range(n), t)))
+        drawn[s if distinct else len(drawn)] = s
+    return list(drawn.values())
+
+
+def _dependent_subsets(q: int, rows, t: int):
+    """Every linearly dependent t-subset of ``rows``, in lexicographic order, from
+    one DFS that carries a basis of the vectors orthogonal to the prefix's rows: a
+    row is in their span iff orthogonal to all of them, so a leaf costs one dot
+    product, and the completions of a dependent prefix need no work at all."""
+    n = len(rows)
+
+    def walk(prefix, basis, lo):
+        for i in range(lo, n - t + len(prefix) + 1):
+            dots = [sum(map(mul, rows[i], w)) % q for w in basis]
+            if not any(dots):
+                s = prefix + (i,)
+                yield from (s + rest for rest in combinations(range(i + 1, n), t - len(s)))
+            elif len(basis) > 1:
+                # Clear row i's dot from the other basis vectors with the first nonzero one.
+                j = next(k for k, d in enumerate(dots) if d)
+                f = pow(dots[j], q - 2, q)
+                rest = [[(a - d * f * b) % q for a, b in zip(w, basis[j])]
+                        for k, (w, d) in enumerate(zip(basis, dots)) if k != j]
+                yield from walk(prefix + (i,), rest, i + 1)
+
+    return walk((), [[int(i == j) for j in range(t)] for i in range(t)], 0)
+
+
+def _mask_side(field: PrimeField, points, exps):
+    """None when no T x T block of this side can be singular, else (leaks, every):
+    leaks(s) tests one subset, every() yields the singular ones in lexicographic
+    order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular iff
+    two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated."""
+    t, n = len(exps), len(points)
+    steps = {b - a for a, b in zip(exps, exps[1:])}
+    if len(steps) <= 1 and all(x % field.q for x in points):
+        y = [field.pow(x, max(steps, default=1)) for x in points]
+        leaks = lambda s: len({y[i] for i in s}) < t
+        return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
+    rows = _powers(field, points, exps)
+    return (lambda s: not is_invertible(field, tuple(rows[i] for i in s)),
+            lambda: _dependent_subsets(field.q, rows, t))
 
 
 def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
-    """Yield (subset, side) for each side, alpha first, whose T x T mask block is singular."""
-    sides = (
-        ("alpha", _powers(field, points, table.alpha_s)),
-        ("beta", _powers(field, points, table.beta_s)),
-    )
-    for s in subsets:
-        for side, rows in sides:
-            if not is_invertible(field, tuple(rows[i] for i in s)):
-                yield s, side
+    """Yield (subset, side), alpha first, for each singular T x T mask block: over
+    ``subsets`` in order, or, when None, streamed over every T-subset in lexicographic order."""
+    sides = [(side, check) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
+             if (check := _mask_side(field, points, exps))]
+    if subsets is None:
+        return heapq.merge(*(zip(every(), repeat(side)) for side, (_, every) in sides))
+    return ((s, side) for s in subsets for side, (leaks, _) in sides if leaks(s))
 
 
 def choose_field_and_points(
@@ -159,7 +204,8 @@ def choose_field_and_points(
         pts = tuple(sorted(rng.sample(range(1, q), n)))
         if not is_invertible(fld, _powers(fld, pts, degrees)):
             continue
-        subsets = _subsets(n, table.T, selection_samples, selection_samples, rng)
+        # Drawn with replacement as always, so every seed keeps its points.
+        subsets = _subsets(n, table.T, selection_samples, selection_samples, rng, distinct=False)
         if next(_leaks(fld, pts, table, subsets), None) is None:
             return fld, pts
     raise DomainError(
@@ -267,26 +313,27 @@ def security_check(
 ) -> SecurityReport:
     """Verify the T x T mask submatrices are invertible for server subsets.
 
-    Every subset is tried when there are at most 100000 of them (or when
-    ``mode="all"`` forces it, up to MAX_EXHAUSTIVE_SUBSETS); otherwise
-    ``sample_size`` random subsets are drawn.  A failure names the offending
-    subset and which side leaked.
+    Every subset is tried when there are at most 100000 of them, at most
+    ``sample_size``, or when ``mode="all"`` forces it (up to
+    MAX_EXHAUSTIVE_SUBSETS); otherwise ``sample_size`` distinct random subsets
+    are drawn.  A failure names the offending subset and which side leaked.
     """
     # The most subsets each mode enumerates; above that it samples instead.
     limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}
     if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
+    if sample_size < 1:
+        raise DomainError(f"sample_size must be at least 1, got {sample_size}")
     n = inst.n_servers
     t = inst.table.T
     total = math.comb(n, t)
     if mode == "all" and total > MAX_EXHAUSTIVE_SUBSETS:
         raise DomainError(f"an exhaustive audit would check C({n},{t}) = {total} subsets,"
                           f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
-    exhaustive = total <= limits[mode]
     subsets = _subsets(n, t, limits[mode], sample_size, random.Random(f"security:{seed}"))
     return SecurityReport(
         total_subsets=total,
-        checked=total if exhaustive else sample_size,
-        exhaustive=exhaustive,
+        checked=total if subsets is None else sample_size,
+        exhaustive=subsets is None,
         failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)),
     )

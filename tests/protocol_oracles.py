@@ -159,9 +159,10 @@ def security_check(
 ) -> SecurityReport:
     """Verify the T x T mask submatrices are invertible for server subsets.
 
-    Every subset is tried when there are at most 100000 of them (or when
-    ``mode="all"`` forces it); otherwise ``sample_size`` random subsets are
-    drawn.  A failure names the offending subset and which side leaked.
+    Every subset is tried when there are at most 100000 of them, at most
+    ``sample_size``, or when ``mode="all"`` forces it; otherwise
+    ``sample_size`` distinct random subsets are drawn.  A failure names the
+    offending subset and which side leaked.
     """
     if mode not in ("auto", "all", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -174,13 +175,19 @@ def security_check(
         return SecurityReport(total_subsets=total, checked=0, exhaustive=True)
     rows_a = _suffix_rows(fld, inst.points, tab.alpha_s)
     rows_b = _suffix_rows(fld, inst.points, tab.beta_s)
-    exhaustive = mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT)
+    exhaustive = (mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT)
+                  or total <= sample_size)
     if exhaustive:
         subsets = combinations(range(n), t)
         checked = total
     else:
+        # Distinct draws in draw order: a repeated subset is drawn again.
         rng = random.Random(f"security:{seed}")
-        subsets = (tuple(sorted(rng.sample(range(n), t))) for _ in range(sample_size))
+        subsets = []
+        while len(subsets) < sample_size:
+            s = tuple(sorted(rng.sample(range(n), t)))
+            if s not in subsets:
+                subsets.append(s)
         checked = sample_size
     failures = []
     for s in subsets:

@@ -165,15 +165,16 @@ class TestIsInvertible:
 
 
 @st.composite
-def square_systems(draw):
-    """(q, m, rhs) with m square, n <= 6, entries unreduced in [-2q, 3q).
+def square_systems(draw, widths=lambda n: st.integers(1, 3)):
+    """(q, m, rhs) with m square, n <= 6, entries unreduced in [-2q, 3q), and
+    rhs as wide as ``widths(n)`` draws.
 
     One row may be replaced by a multiple of another plus multiples of q, so
     singular inputs turn up at every q, not only at the small ones.
     """
     q = draw(st.sampled_from((2, 3, 5, 13, 43)))
     n = draw(st.integers(0, 6))
-    w = draw(st.integers(1, 3))
+    w = draw(widths(n))
     entry = st.integers(-2 * q, 3 * q - 1)
     m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
@@ -192,6 +193,27 @@ class TestAgainstOracle:
         f = PrimeField(q)
         assert is_invertible(f, m) == oracle.is_invertible(f, m)
         assert solve(f, m, rhs) == oracle.solve(f, m, rhs)
+
+    # The back pass touches the right-hand side alone: no columns, one, and
+    # more columns than the matrix has.
+    @settings(max_examples=150, deadline=None)
+    @given(square_systems(widths=lambda n: st.sampled_from((0, 1, n + 3))))
+    def test_solve_widths(self, system):
+        q, m, rhs = system
+        f = PrimeField(q)
+        got = solve(f, m, rhs)
+        assert got == oracle.solve(f, m, rhs)
+        if got is not None:
+            assert len(got) == len(m) and all(len(row) == len(rhs[0]) for row in got)
+            assert mat_mul(f, m, got) == tuple(tuple(v % q for v in row) for row in rhs)
+
+    @pytest.mark.parametrize("w", [0, 1, 5])
+    def test_singular_solves_to_none(self, w):
+        f = PrimeField(13)
+        m = ((1, 2, 3), (2, 4, 6 + 13), (0, 1, 1))
+        rhs = tuple(tuple(range(r, r + w)) for r in range(3))
+        assert solve(f, m, rhs) is None
+        assert oracle.solve(f, m, rhs) is None
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from((2, 3, 5, 13, 43)), st.integers(1, 4), st.integers(1, 4),

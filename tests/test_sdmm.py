@@ -3,6 +3,9 @@
 import dataclasses
 import math
 import random
+import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +259,18 @@ class TestSecurityCheck:
         for subset, _ in rep.failures[:10]:
             assert len(subset) == 4 and len(set(subset)) == 4
 
+    def test_readme_quick_start_audits(self):
+        # The README's claim: at the defaults the 4-cube audit leaks over
+        # GF(43); base_q=65537 gives points whose exhaustive audit is clean.
+        a = tuple(tuple(range(i, i + 4)) for i in range(8))
+        b = tuple(tuple(range(i, i + 8)) for i in range(4))
+        rep = security_check(build_instance(a, b, T442), mode="all")
+        assert (rep.checked, len(rep.failures)) == (58905, 1158)
+        assert {side for _, side in rep.failures} == {"alpha"}
+        inst = build_instance(a, b, T442, base_q=65537)
+        assert inst.field.q == 65537
+        assert security_check(inst, mode="all").ok
+
     def test_larger_field_clears_sampled_audit(self):
         rng = random.Random(2)
         inst = build_instance(
@@ -274,8 +289,61 @@ class TestSecurityCheck:
         assert not rep.exhaustive
         assert rep.total_subsets == 58905
         assert rep.checked == 500
+        # 500 distinct subsets.  Drawn with replacement, the 500 held 498
+        # (the first repeat at draw 250) and also gave 15 failures.
         assert len(rep.failures) == 15
+        assert rep == oracle.security_check(inst, mode="sampled", sample_size=500)
         assert not rep.ok
+
+    @pytest.mark.parametrize("mode", ["all", "auto", "sampled"])
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_sample_size_must_be_positive(self, mode, size):
+        inst = build_instance(((1,),), ((1,),), T111)
+        with pytest.raises(DomainError, match=rf"sample_size must be at least 1, got {size}"):
+            security_check(inst, mode=mode, sample_size=size)
+
+    @pytest.mark.parametrize("mode", ["auto", "sampled"])
+    def test_sample_covering_every_subset_is_exhaustive(self, monkeypatch, mode):
+        inst = build_instance(((1,),), ((1,),), T111)
+        rep = security_check(inst, mode=mode, sample_size=10)
+        assert (rep.total_subsets, rep.checked, rep.exhaustive, rep.ok) == (3, 3, True, True)
+        # C(11, 2) = 55 subsets, with auto's own limit set below them.
+        monkeypatch.setattr(sdmm, "EXHAUSTIVE_SUBSET_LIMIT", 10)
+        inst = build_instance(((1,), (2,)), ((3, 4),), construct(GaspParams(2, 2, 2, 2)))
+        below = security_check(inst, mode=mode, sample_size=54)
+        assert (below.total_subsets, below.checked, below.exhaustive) == (55, 54, False)
+        rep = security_check(inst, mode=mode, sample_size=55)
+        assert (rep.checked, rep.exhaustive) == (55, True)
+        assert rep == security_check(inst, mode="all")
+
+    def test_sampled_subsets_are_distinct(self):
+        # At GASP(4,4,4,2), 10,000 draws with replacement hold 9,189 distinct
+        # subsets; redrawing each repeat keeps the draws before the first one.
+        rng = random.Random("security:0")
+        with_repeats = sdmm._subsets(36, 4, -1, 10_000, rng, distinct=False)
+        drawn = sdmm._subsets(36, 4, -1, 10_000, random.Random("security:0"))
+        assert len(set(with_repeats)) == 9189
+        assert len(drawn) == len(set(drawn)) == 10_000
+        first = next(i for i, s in enumerate(with_repeats) if s in with_repeats[:i])
+        assert first == 250
+        assert drawn[:first] == with_repeats[:first]
+        assert all(list(s) == sorted(set(s)) and len(s) == 4 for s in drawn)
+
+    def test_exhaustive_audit_streams_its_subsets(self):
+        rng = random.Random(2)
+        inst = build_instance(rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442, seed=7)
+        listed = list(combinations(range(36), 4))
+        list_bytes = sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))
+        del listed
+        tracemalloc.start()
+        try:
+            rep = security_check(inst, mode="all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.checked, len(rep.failures)) == (58905, 1177)
+        assert list_bytes > 4_000_000
+        assert peak < list_bytes / 10
 
     def test_auto_switches_to_sampling_above_limit(self):
         t = construct(GaspParams(2, 2, 9, 2))
@@ -388,3 +456,60 @@ class TestAgainstOracle:
         rep = security_check(inst, mode="sampled", sample_size=3000, seed=5)
         assert rep.failures
         assert rep == oracle.security_check(inst, mode="sampled", sample_size=3000, seed=5)
+
+    # Every GASP table with at most 1,500 T-subsets.  It holds AP suffixes
+    # with step 1 (r >= T), step K (r = 1) and T = 1, and gappy alpha
+    # suffixes such as (3, 4, 6) that go through the prefix DFS.
+    AUDITED = [
+        p for p in ((K, L, T, r) for K in range(1, 5) for L in range(1, K + 1)
+                    for T in range(1, 5) for r in range(1, min(K, T) + 1))
+        if math.comb(n_of_r(GaspParams(*p)), p[2]) <= 1500
+    ]
+
+    def test_audited_tables_cover_every_path(self):
+        suffixes = [construct(GaspParams(*p)).alpha_s for p in self.AUDITED]
+        steps = [{b - a for a, b in zip(s, s[1:])} for s in suffixes]
+        assert any(len(s) == 1 for s in suffixes)
+        assert any(st_ == {1} for st_ in steps)
+        assert any(len(st_) == 1 and st_ != {1} for st_ in steps)
+        assert any(len(st_) > 1 for st_ in steps)
+
+    # Points are drawn from [0, 2q], so zero points (0, q, 2q), repeated
+    # points and unreduced ones all occur, and with them the elimination path
+    # on sides that would otherwise be proved clean.
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(AUDITED), st.sampled_from([5, 13, 43]),
+           st.sampled_from(["all", "auto", "sampled"]), st.integers(1, 300),
+           st.integers(0, 10**6), st.data())
+    def test_audit_paths(self, params, q, mode, sample_size, seed, data):
+        t = construct(GaspParams(*params))
+        n = count_distinct(t)
+        pts = data.draw(st.lists(st.integers(0, 2 * q), min_size=n, max_size=n))
+        inst = SdmmInstance(
+            field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
+            r_masks=(), s_masks=(), points=tuple(pts),
+        )
+        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
+        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+
+    @pytest.mark.parametrize("params", [(2, 2, 2, 2), (4, 4, 2, 2), (3, 1, 3, 1), (3, 2, 3, 2)])
+    @pytest.mark.parametrize("edit", ["zero", "q", "repeat"])
+    @pytest.mark.parametrize("mode", ["all", "auto", "sampled"])
+    def test_zero_or_repeated_point(self, params, edit, mode):
+        t = construct(GaspParams(*params))
+        inst = build_instance(((1,),) * t.K, ((1,) * t.L,), t, base_q=101, seed=1)
+        pts = list(inst.points)
+        if edit == "repeat":
+            pts[1] = pts[0]
+        else:
+            pts[2] = 0 if edit == "zero" else inst.field.q
+        bad = dataclasses.replace(inst, points=tuple(pts))
+        # The clean instance's beta side is proved clean; the edited one is not.
+        assert sdmm._mask_side(inst.field, inst.points, t.beta_s) is None
+        assert sdmm._mask_side(bad.field, bad.points, t.beta_s) is not None
+        rep = security_check(bad, mode=mode, sample_size=40, seed=2)
+        assert rep == oracle.security_check(bad, mode=mode, sample_size=40, seed=2)
+        # A zero row sinks every block it enters; a repeated pair sinks only
+        # the subsets holding both, which a sample may miss.
+        if rep.exhaustive or edit != "repeat":
+            assert rep.failures
