@@ -1,15 +1,23 @@
 """Prime fields and exact linear algebra, no floating point anywhere.
 
-Matrices are tuples of tuples of ints already reduced mod q.  Everything the
-protocol needs is here: `mat_combine` (a weighted sum of matrices, which is
-what encoding a share is), `mat_mul`, and one forward elimination behind both
-`is_invertible` and `solve`.  Arithmetic is inline ``% q``; inverses go
-through Fermat (x^(q-2)), which is plenty at the field sizes involved.
+Matrices are tuples of tuples of ints; the kernels reduce entries mod q
+themselves.  Everything the protocol needs is here: `mat_combine` (a weighted
+sum of matrices, which is what encoding a share is), `mat_mul`, and one
+forward elimination behind both `is_invertible` and `solve`.
+
+The hot loops run on packed rows: a row over GF(q) is one Python int with one
+byte-aligned slot per column, so a row operation is a few big-int operations
+instead of one ``% q`` per entry.  Products sum weight times packed row in
+slots wide enough for the unreduced sum and reduce each entry once, unpacked.
+Elimination keeps its slots lazily reduced in [0, 2q) by a floor-Barrett step
+(see `_eliminate`).  Shapes are checked before anything is packed.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .degree_table import DomainError
@@ -70,69 +78,124 @@ class PrimeField:
         return tuple(tuple(rng.randrange(self.q) for _ in range(cols)) for _ in range(rows))
 
 
+def _shape(m: Matrix, what: str) -> tuple[int, int]:
+    cols = len(m[0]) if m else 0
+    if any(len(row) != cols for row in m):
+        raise DomainError(f"{what} has ragged rows: lengths {sorted({len(row) for row in m})}")
+    return len(m), cols
+
+
+# struct codes of the slot widths it packs in one call; other widths go through to_bytes.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bits: int) -> int:
+    """Whole bytes for a slot of ``bits`` bits: the narrowest struct width that fits, else the fewest."""
+    nb = max(1, -(-bits // 8))
+    return next(s for s in (*_FORMATS, nb) if s >= nb)
+
+
+def _pack(rows, q: int, nb: int, width: int) -> list[int]:
+    """Each row, a tuple of pieces ``width`` entries long in all, as one int:
+    entry j, reduced mod q, in bytes [j*nb, (j+1)*nb)."""
+    flat = [v % q for row in rows for piece in row for v in piece]
+    c = _FORMATS.get(nb)
+    b = struct.pack(f"<{len(flat)}{c}", *flat) if c else b"".join([v.to_bytes(nb, "little") for v in flat])
+    return [int.from_bytes(b[i:i + width * nb], "little") for i in range(0, len(b), width * nb or 1)]
+
+
+def _unpack(x: int, width: int, nb: int, q: int) -> tuple[int, ...]:
+    b = x.to_bytes(width * nb, "little")
+    c = _FORMATS.get(nb)
+    row = struct.unpack(f"<{width}{c}", b) if c else [
+        int.from_bytes(b[i:i + nb], "little") for i in range(0, len(b), nb)]
+    return tuple([v % q for v in row])
+
+
+def _weighted_sums(q: int, weights, rows, width: int, terms: int) -> Matrix:
+    """sum(w * row) for each weight vector, over ``rows`` packed once in slots
+    wide enough for ``terms`` unreduced products; each entry reduced once."""
+    nb = _slot_bytes((terms * (q - 1) ** 2).bit_length())
+    packed = _pack(rows, q, nb, width)
+    return tuple(_unpack(sum(map(mul, [w % q for w in ws], packed)), width, nb, q) for ws in weights)
+
+
 def mat_combine(field: PrimeField, weights: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
-    """sum(w * m for w, m in zip(weights, mats)), reduced once per entry."""
-    q = field.q
-    out = []
-    for rows in zip(*mats):
-        acc = [0] * len(rows[0])
-        for w, row in zip(weights, rows):
-            acc = [a + w * v for a, v in zip(acc, row)]
-        out.append(tuple(a % q for a in acc))
-    return tuple(out)
+    """sum(w * m for w, m in zip(weights, mats)), each matrix packed as one row."""
+    shapes = {_shape(m, "a combined matrix") for m in mats}
+    if len(weights) != len(mats) or len(shapes) > 1:
+        raise DomainError(f"mat_combine got {len(weights)} weights for {len(mats)} matrices of shape "
+                          + " and ".join(f"{r}x{c}" for r, c in sorted(shapes)))
+    (rows, cols), = shapes or {(0, 0)}
+    flat, = _weighted_sums(field.q, (weights,), mats, rows * cols, len(mats))
+    return tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
 
 
 def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
-    q = field.q
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt)
-        for row in a
-    )
+    (n, inner), (inner_b, cols) = _shape(a, "A"), _shape(b, "B")
+    if n and inner != inner_b:  # an A with no rows has no inner dimension to match
+        raise DomainError(f"mat_mul inner dimensions differ: A is {n}x{inner}, B is {inner_b}x{cols}")
+    return _weighted_sums(field.q, a, zip(b), cols, inner_b)
 
 
-def _eliminate(q: int, rows: list[list[int]], n: int) -> bool:
-    """Reduce the first n columns of ``rows`` in place to upper-triangular form,
-    pivots unnormalised; False at the first column with no pivot (singular)."""
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] % q), None)
-        if piv is None:
-            return False
-        rows[col], rows[piv] = rows[piv], rows[col]
-        prow = rows[col]
-        inv = pow(prow[col], q - 2, q)
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv % q
-                rows[r] = [(v - f * p) % q for v, p in zip(rows[r], prow)]
-    return True
+def _eliminate(q: int, rows, n: int, width: int) -> Optional[tuple[list[int], int]]:
+    """Forward elimination on the first n columns of ``rows`` (as `_pack` takes
+    them): the n pivot rows, packed with their pivot in slot 0, and the slot
+    bytes; None at the first column with no pivot.
+
+    Slots stay lazily reduced in [0, 2q).  A row operation adds g = -f mod q
+    times the pivot row (each slot is then below q(2q - 1) < 2^k), shifts out
+    the eliminated column, and takes off q times the floor-Barrett estimate
+    (v*m >> k, m = floor(2^k / q)) of floor(v / q), exact or one short.  As
+    v*m < 2q * 2^k fits k + bits(q) + 1 bits, slots never carry into each
+    other, and each estimate, below 2q, fits the bits above k that lowmask keeps.
+    """
+    b = q.bit_length()
+    k = 2 * b + 2
+    m = (1 << k) // q
+    nb = _slot_bytes(k + b + 1)
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    lowmask = int.from_bytes(((1 << w - k) - 1).to_bytes(nb, "little") * width, "little")
+    rows = _pack(rows, q, nb, width)
+    pivots = []
+    for _ in range(n):
+        i = next((i for i, x in enumerate(rows) if (x & smask) % q), None)
+        if i is None:
+            return None
+        pivots.append(p := rows.pop(i))
+        neg = q - pow(p & smask, -1, q)
+        rows = [(s := (x + (x & smask) * neg % q * p) >> w) - q * ((s * m >> k) & lowmask)
+                for x in rows]
+    return pivots, nb
 
 
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve m X = rhs over the field; None if m is singular.
 
-    Forward elimination on the augmented rows, then back-substitution on the
-    w right-hand-side columns alone, O(n^2 w); exact by construction.
+    Packed forward elimination on the augmented rows, then back-substitution
+    on the w right-hand-side columns alone, O(n^2 w); exact by construction.
     """
-    q = field.q
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DomainError("solve needs a square matrix")
-    if len(rhs) != n:
-        raise DomainError("rhs row count mismatch")
-    aug = [list(mr) + list(rr) for mr, rr in zip(m, rhs)]
-    if not _eliminate(q, aug, n):
+    q, (n, cols), (rn, w) = field.q, _shape(m, "the matrix"), _shape(rhs, "rhs")
+    if n != cols:
+        raise DomainError(f"solve needs a square matrix, got {n}x{cols}")
+    if rn != n:
+        raise DomainError(f"rhs row count mismatch: the matrix is {n}x{n}, the rhs {rn}x{w}")
+    if (found := _eliminate(q, zip(m, rhs), n, n + w)) is None:
         return None
-    x = [row[n:] for row in aug]
+    # u[c][j - c] is the entry in column j of the pivot row of column c.
+    u = [_unpack(p, n + w - c, found[1], q) for c, p in enumerate(found[0])]
+    x = [list(row[n - c:]) for c, row in enumerate(u)]
     for col in range(n - 1, -1, -1):
-        inv = pow(aug[col][col], q - 2, q)
+        inv = pow(u[col][0], -1, q)
         xrow = x[col] = [v * inv % q for v in x[col]]
         for r in range(col):
-            f = aug[r][col]
-            if f:
+            if f := u[r][col - r]:
                 x[r] = [(v - f * p) % q for v, p in zip(x[r], xrow)]
     return tuple(map(tuple, x))
 
 
 def is_invertible(field: PrimeField, m: Matrix) -> bool:
-    return _eliminate(field.q, [list(row) for row in m], len(m))
+    n, cols = _shape(m, "the matrix")
+    if n != cols:
+        raise DomainError(f"is_invertible needs a square matrix, got {n}x{cols}")
+    return _eliminate(field.q, zip(m), n, n) is not None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, ScoreBreakdown
@@ -133,7 +134,11 @@ def n_of_r(params: GaspParams) -> int:
     over r <= K consecutive values, so its floor by K is q on c0 rows and
     q + 1 on the rest; (T-1)//r rows i in 2..T satisfy i = 1 mod r.
     """
-    K, L, T, r = params.K, params.L, params.T, params.r
+    return _n_of_r(params.K, params.L, params.T, params.r)
+
+
+def _n_of_r(K: int, L: int, T: int, r: int) -> int:
+    """n_of_r on plain integers, for callers that have already range-checked r."""
     q, m = divmod(T - 1 - r, K)
     c0 = min(r, K - m)
     left = c0 * min(L, 2 + q) + (r - c0) * min(L, 3 + q) + (T - r) * L
@@ -284,12 +289,12 @@ def optimal_r(K: int, L: int, T: int, mode: str = "reduced") -> tuple[int, int, 
         candidates = list(range(1, min(K, T) + 1))
     else:
         raise DomainError(f"unknown mode {mode!r}, expected 'reduced' or 'full_scan'")
-    evaluated = [(r, n_of_r(GaspParams(K=K, L=L, T=T, r=r))) for r in candidates]
-    trace.evaluated = tuple(evaluated)
-    best_n = min(n for _, n in evaluated)
-    best_r = min(r for r, n in evaluated if n == best_n)
-    trace.r_star, trace.n_star = best_r, best_n
-    return best_r, best_n, trace
+    # Candidates ascend, so min keeps the smallest r among ties; only the
+    # winner is built as a validated GaspParams and read through n_of_r.
+    trace.evaluated = tuple((r, _n_of_r(K, L, T, r)) for r in candidates)
+    best_r = min(trace.evaluated, key=itemgetter(1))[0]
+    trace.r_star, trace.n_star = best_r, n_of_r(GaspParams(K=K, L=L, T=T, r=best_r))
+    return best_r, trace.n_star, trace
 
 
 def _w_block_starts(T: int, i_hi: int) -> list[int]:

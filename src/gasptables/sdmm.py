@@ -23,7 +23,7 @@ from operator import mul
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, require_valid, sumset
-from .field import Matrix, PrimeField, is_invertible, mat_combine, mat_mul, next_prime, solve
+from .field import Matrix, PrimeField, _shape, is_invertible, mat_combine, mat_mul, next_prime, solve
 
 DEFAULT_SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
@@ -78,10 +78,7 @@ class SecurityReport:
 def _shape_of(m: Matrix, what: str) -> tuple[int, int]:
     if not m or not m[0]:
         raise DomainError(f"{what} must be non-empty")
-    cols = len(m[0])
-    if any(len(row) != cols for row in m):
-        raise DomainError(f"{what} has ragged rows")
-    return len(m), cols
+    return _shape(m, what)
 
 
 def partition(a_mat: Matrix, b_mat: Matrix, K: int, L: int) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:

@@ -1,11 +1,13 @@
 """Reference kernels for the protocol layer.
 
 These are the original implementations of the field eliminations, the
-scale-and-add encoding fold, point selection and the security audit, each
-with its own copy of the loop that `field.py` and `sdmm.py` now share.  The
-differential tests in test_protocol_oracles.py compare the shared kernels
-against them result for result: the same solutions, the same points (so the
-same RNG draws) and the same audit reports.
+scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
+that `field.py` replaced with packed-integer rows, point selection and the
+security audit, each with its own copy of the loop that `field.py` and
+`sdmm.py` now share.  The differential tests in test_field.py and
+test_sdmm.py compare the shared kernels against them result for result: the
+same products and solutions, the same points (so the same RNG draws) and the
+same audit reports.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, require_valid, sumset
 from gasptables.field import Matrix, PrimeField, next_prime
@@ -45,6 +47,27 @@ def scale_and_add(field: PrimeField, weights, mats, rows: int, cols: int) -> Mat
     for blk, w in zip(mats, weights):
         acc = mat_add(field, acc, mat_scale(field, w, blk))
     return acc
+
+
+def mat_combine(field: PrimeField, weights: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
+    """sum(w * m for w, m in zip(weights, mats)), reduced once per entry."""
+    q = field.q
+    out = []
+    for rows in zip(*mats):
+        acc = [0] * len(rows[0])
+        for w, row in zip(weights, rows):
+            acc = [a + w * v for a, v in zip(acc, row)]
+        out.append(tuple(a % q for a in acc))
+    return tuple(out)
+
+
+def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
+    q = field.q
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt)
+        for row in a
+    )
 
 
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:

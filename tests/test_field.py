@@ -228,3 +228,108 @@ class TestAgainstOracle:
         ]
         weights = data.draw(st.lists(entry, min_size=count, max_size=count))
         assert mat_combine(f, weights, mats) == oracle.scale_and_add(f, weights, mats, rows, cols)
+
+
+class TestShapeChecks:
+    """Ragged or mismatched operands are rejected before anything is packed."""
+
+    F = PrimeField(13)
+
+    def test_is_invertible_needs_a_square_matrix(self):
+        with pytest.raises(DomainError, match="square matrix, got 2x3"):
+            is_invertible(self.F, ((1, 2, 3), (4, 5, 6)))
+        with pytest.raises(DomainError, match="square matrix, got 3x2"):
+            is_invertible(self.F, ((1, 2), (3, 4), (5, 6)))
+
+    def test_mat_mul_inner_dimensions(self):
+        with pytest.raises(DomainError, match="A is 2x3, B is 2x2"):
+            mat_mul(self.F, ((1, 2, 3), (4, 5, 6)), ((1, 0), (0, 1)))
+
+    def test_solve_ragged_rhs(self):
+        with pytest.raises(DomainError, match="rhs has ragged rows"):
+            solve(self.F, ((1, 0), (0, 1)), ((1, 2), (3,)))
+
+    def test_mat_combine_weight_count(self):
+        a = ((1, 2), (3, 4))
+        with pytest.raises(DomainError, match="3 weights for 2 matrices"):
+            mat_combine(self.F, (1, 2, 3), (a, a))
+
+    def test_mat_combine_shapes(self):
+        with pytest.raises(DomainError, match="2x2 and 2x3"):
+            mat_combine(self.F, (1, 1), (((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6))))
+
+
+# Fields for the packed kernels: 1-, 2-, 4- and 8-byte struct slots, and slots
+# wider than 8 bytes that go through int.to_bytes.  At q = 1009 the
+# elimination's slot bound, k + bits(q) + 1 = 33 bits, is one bit past 4 bytes.
+PACKED_QS = (2, 3, 13, 331, 1009, 65537, 1_000_003, next_prime(2 ** 64))
+
+
+def _entries(rng, q, rows, cols, spread):
+    """Entries in [-spread*q, spread*q), or reduced ones when spread is 0."""
+    lo, hi = (-spread * q, spread * q) if spread else (0, q)
+    return [[rng.randrange(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def packed_systems(draw):
+    """(q, m, rhs) with m square of size 0-40, rhs 0 or more columns wide, and
+    entries reduced, unreduced or negative.  Some rows are replaced by a
+    multiple of another plus multiples of q, so singular inputs, and lazily
+    reduced zeros, turn up at every q and every depth."""
+    q = draw(st.sampled_from(PACKED_QS))
+    n = draw(st.integers(0, 40))
+    w = draw(st.sampled_from((0, 1, 3, n + 2)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    spread = draw(st.sampled_from((0, 1, 3)))
+    m = _entries(rng, q, n, n, spread)
+    for _ in range(draw(st.integers(0, 2)) if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(q)
+        m[j] = [c * v + q * rng.randrange(-2, 3) for v in m[i]]
+    return q, tuple(map(tuple, m)), tuple(map(tuple, _entries(rng, q, n, w, spread)))
+
+
+class TestPackedAgainstOracle:
+    """The packed kernels against the list-of-ints kernels they replaced."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(packed_systems())
+    def test_elimination(self, system):
+        q, m, rhs = system
+        f = PrimeField(q)
+        assert is_invertible(f, m) == oracle.is_invertible(f, m)
+        assert solve(f, m, rhs) == oracle.solve(f, m, rhs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PACKED_QS), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+           st.sampled_from((0, 1, 3)), st.integers(0, 2 ** 32))
+    def test_mat_mul(self, q, rows, inner, cols, spread, seed):
+        f, rng = PrimeField(q), random.Random(seed)
+        a = tuple(map(tuple, _entries(rng, q, rows, inner, spread)))
+        b = tuple(map(tuple, _entries(rng, q, inner, cols, spread)))
+        assert mat_mul(f, a, b) == oracle.mat_mul(f, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PACKED_QS), st.integers(0, 40), st.integers(0, 8), st.integers(0, 40),
+           st.sampled_from((0, 1, 3)), st.integers(0, 2 ** 32))
+    def test_mat_combine(self, q, count, rows, cols, spread, seed):
+        f, rng = PrimeField(q), random.Random(seed)
+        mats = [tuple(map(tuple, _entries(rng, q, rows, cols, spread))) for _ in range(count)]
+        weights = [row[0] for row in _entries(rng, q, count, 1, spread)]
+        assert mat_combine(f, weights, mats) == oracle.mat_combine(f, weights, mats)
+
+    @pytest.mark.parametrize("q", PACKED_QS)
+    @pytest.mark.parametrize("n", [1, 2, 17, 40])
+    def test_every_entry_q_minus_1(self, q, n):
+        # The largest entries fill every slot to its bound: n products of
+        # (q-1)^2 in a product slot, and pivots and multipliers of q-1.
+        f, top = PrimeField(q), q - 1
+        full = ((top,) * n,) * n
+        assert mat_mul(f, full, full) == oracle.mat_mul(f, full, full) == ((n * top * top % q,) * n,) * n
+        assert mat_combine(f, (top,) * n, (full,) * n) == oracle.mat_combine(f, (top,) * n, (full,) * n)
+        assert is_invertible(f, full) == oracle.is_invertible(f, full) == (n == 1)
+        off_diagonal = tuple(tuple(top * (i != j) for j in range(n)) for i in range(n))
+        for m in (full, off_diagonal):
+            assert is_invertible(f, m) == oracle.is_invertible(f, m)
+            assert solve(f, m, full) == oracle.solve(f, m, full)
