@@ -19,11 +19,12 @@ package is about driving that count down subject to D1, D2, D3.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 ExponentVector = tuple[int, ...]
+
+_SPARSE_RATIO = 1024  # _check uses sets when a bitset row takes more bits per row value
 
 
 class DomainError(Exception):
@@ -45,6 +46,8 @@ def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
     vec = tuple(values)
     if len(vec) == 0:
         raise ValueError(f"{name} must be nonempty")
+    if set(map(type, vec)) == {int} and min(vec) >= 0:
+        return vec
     for v in vec:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"{name} entries must be integers, got {v!r}")
@@ -121,18 +124,16 @@ class DegreeTable:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DegreeTable":
-        missing = {"K", "L", "T", "alpha_p", "alpha_s", "beta_p", "beta_s"} - set(d)
+        if not isinstance(d, dict):
+            raise ValueError(f"table JSON must be an object, got {type(d).__name__}")
+        blocks = ("alpha_p", "alpha_s", "beta_p", "beta_s")
+        missing = {"K", "L", "T", *blocks} - set(d)
         if missing:
             raise ValueError(f"table object missing keys: {sorted(missing)}")
-        return cls(
-            K=d["K"],
-            L=d["L"],
-            T=d["T"],
-            alpha_p=tuple(d["alpha_p"]),
-            alpha_s=tuple(d["alpha_s"]),
-            beta_p=tuple(d["beta_p"]),
-            beta_s=tuple(d["beta_s"]),
-        )
+        for name in blocks:
+            if not isinstance(d[name], list):
+                raise ValueError(f"{name} must be a list of integers, got {type(d[name]).__name__}")
+        return cls(K=d["K"], L=d["L"], T=d["T"], **{name: tuple(d[name]) for name in blocks})
 
 
 @dataclass(frozen=True)
@@ -161,24 +162,43 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> set[int]:
     return {x + y for x in sa for y in sb}
 
 
+def _mask(values: Iterable[int]) -> int:
+    """The bitset of a set of entry values: bit v is set for each value v."""
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
+
+
 def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
     """validate()'s report and the table's distinct-entry count, in one pass.
 
-    D3 is checked by counting, over Set(alpha) x Set(beta), the
-    representations of each value in the prefix sumset; the first value with
-    two or more is recorded as the witness.  The counter's keys are exactly
-    the distinct entries.
+    Each row, the larger side's value set shifted by a value of the other, is
+    ORed into `once` after its overlap with `once` is ORed into `twice`.  Each
+    prefix sum occurs at least once, so D3 fails exactly at the prefix sums in
+    `twice`; the least is the witness.  Rows are bitsets, or sets when the
+    largest sum exceeds _SPARSE_RATIO times the row size (measured crossover).
     """
-    d1 = len(set(table.alpha)) == len(table.alpha)
-    d2 = len(set(table.beta)) == len(table.beta)
-    sa, sb = table.set_alpha(), table.set_beta()
-    reps = Counter(x + y for x in sa for y in sb)
-    witness = None
-    for n in sorted(sumset(table.alpha_p, table.beta_p)):
-        if reps[n] != 1:
-            witness = n
-            break
-    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), len(reps)
+    sa, sb = set(table.alpha), set(table.beta)
+    d1, d2 = len(sa) == len(table.alpha), len(sb) == len(table.beta)
+    shifts, values = sorted((sa, sb), key=len)
+    sparse = max(shifts) + max(values) > _SPARSE_RATIO * len(values)
+    if sparse:
+        row, base, bp = (lambda s, a: {a + v for v in s}), values, set(table.beta_p)
+        once, twice, prefix = set(), set(), set()
+    else:
+        row, base, bp = int.__lshift__, _mask(values), _mask(table.beta_p)
+        once = twice = prefix = 0
+    for a in shifts:
+        r = row(base, a)
+        twice |= once & r
+        once |= r
+    for a in set(table.alpha_p):
+        prefix |= row(bp, a)
+    bad = prefix & twice
+    witness = min(bad, default=None) if sparse else ((bad & -bad).bit_length() - 1 if bad else None)
+    distinct = len(once) if sparse else once.bit_count()
+    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), distinct
 
 
 def validate(table: DegreeTable) -> ValidationReport:
@@ -190,11 +210,8 @@ def require_valid(table: DegreeTable) -> int:
     """The distinct-entry count of a table that satisfies D1 to D3; raises otherwise."""
     report, distinct = _check(table)
     if not report.ok:
-        broken = [
-            name
-            for name, ok in (("D1", report.d1_ok), ("D2", report.d2_ok), ("D3", report.d3_ok))
-            if not ok
-        ]
+        flags = (("D1", report.d1_ok), ("D2", report.d2_ok), ("D3", report.d3_ok))
+        broken = [name for name, ok in flags if not ok]
         detail = f" (witness sum {report.d3_witness})" if report.d3_witness is not None else ""
         raise InvalidTableError(f"degree table violates {', '.join(broken)}{detail}", report)
     return distinct

@@ -229,8 +229,13 @@ def canonical(table: DegreeTable) -> DegreeTable:
 
     This is a class invariant: any two equivalent tables (including through
     negation) canonicalize to the same table, and canonical is idempotent.
-    Comparison key is the concatenation alpha_p|alpha_s|beta_p|beta_s.
+    Comparison key is alpha_p|alpha_s|beta_p|beta_s.  The negated branch maps
+    each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept).
     """
     n = normal(table)
-    m = normal(negate(n))
-    return n if _lex_key(n) <= _lex_key(m) else m
+    ma, mb = max(n.alpha), max(n.beta)
+    ap, as_, bp, bs = (tuple(m - v for v in reversed(block)) for m, block in
+                       ((ma, n.alpha_p), (ma, n.alpha_s), (mb, n.beta_p), (mb, n.beta_s)))
+    if _lex_key(n) <= ap + as_ + bp + bs:
+        return n
+    return DegreeTable(K=n.K, L=n.L, T=n.T, alpha_p=ap, alpha_s=as_, beta_p=bp, beta_s=bs)

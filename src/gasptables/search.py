@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Optional, Union
 
 from .bounds import entry_upper_bounds
-from .degree_table import DegreeTable, DomainError
+from .degree_table import DegreeTable, DomainError, _mask
 from .equivalence import canonical
 from .gasp import standard_beta
 
@@ -107,13 +107,12 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     # B - B_p and by the gcd of the entries.
     by_diff: dict[int, int] = {}
     by_gcd: dict[int, int] = {}
-    value_masks = []
     for j, (pre, _, g, vals) in enumerate(betas):
         bit = 1 << j
         for d in {v - y for y in pre for v in vals if v != y}:
             by_diff[d] = by_diff.get(d, 0) | bit
         by_gcd[g] = by_gcd.get(g, 0) | bit
-        value_masks.append(sum(1 << v for v in vals))
+    value_masks = [_mask(vals) for *_, vals in betas]
     coprime: dict[int, int] = {}
 
     best_n: Optional[int] = None
@@ -179,9 +178,7 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
         raise DomainError(f"need L <= K, got K={K}, L={L}")
     kl = K * L
     beta = standard_beta(K, L, T)
-    beta_mask = 0
-    for b in beta:
-        beta_mask |= 1 << b
+    beta_mask = _mask(beta)
     base_mask = 0
     for a in range(K):
         base_mask |= beta_mask << a
@@ -259,7 +256,7 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     if L > K:
         raise DomainError(f"need L <= K, got K={K}, L={L}")
     kl = K * L
-    beta_mask = sum(1 << b for b in standard_beta(K, L, T))
+    beta_mask = _mask(standard_beta(K, L, T))
     width = L + T
     v_lo, v_hi = kl, T * (kl + T) + K - 1
     top = kl + K + T - 2  # the prefix rows use every entry in [0, top]

@@ -1,0 +1,134 @@
+"""Reference kernels for the table calculus.
+
+These are the earlier implementations of `degree_table._check`,
+`degree_table._as_exponent_vector` and `equivalence.canonical`.  They count
+every cell of Set(alpha) x Set(beta) in a Counter, check each entry of a
+block one at a time, and build the negated branch of the canonical form
+through `negate` and `normal`, so the differential tests in
+test_degree_table.py and test_equivalence.py compare the bitset pass, the
+one-pass structural check and the direct negated branch against them.
+The hypothesis strategies below draw the tables those tests share.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable
+
+from hypothesis import strategies as st
+
+from gasptables.degree_table import (
+    _SPARSE_RATIO,
+    DegreeTable,
+    ExponentVector,
+    ValidationReport,
+    sumset,
+)
+from gasptables.equivalence import _lex_key, negate, normal
+
+
+def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
+    vec = tuple(values)
+    if len(vec) == 0:
+        raise ValueError(f"{name} must be nonempty")
+    for v in vec:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} entries must be integers, got {v!r}")
+        if v < 0:
+            raise ValueError(f"{name} entries must be nonnegative, got {v}")
+    return vec
+
+
+def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
+    """validate()'s report and the table's distinct-entry count, in one pass.
+
+    D3 is checked by counting, over Set(alpha) x Set(beta), the
+    representations of each value in the prefix sumset; the first value with
+    two or more is recorded as the witness.  The counter's keys are exactly
+    the distinct entries.
+    """
+    d1 = len(set(table.alpha)) == len(table.alpha)
+    d2 = len(set(table.beta)) == len(table.beta)
+    sa, sb = table.set_alpha(), table.set_beta()
+    reps = Counter(x + y for x in sa for y in sb)
+    witness = None
+    for n in sorted(sumset(table.alpha_p, table.beta_p)):
+        if reps[n] != 1:
+            witness = n
+            break
+    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), len(reps)
+
+
+def canonical(table: DegreeTable) -> DegreeTable:
+    """The lexicographically smaller of normal(t) and normal(negate(normal(t))).
+
+    This is a class invariant: any two equivalent tables (including through
+    negation) canonicalize to the same table, and canonical is idempotent.
+    Comparison key is the concatenation alpha_p|alpha_s|beta_p|beta_s.
+    """
+    n = normal(table)
+    m = normal(negate(n))
+    return n if _lex_key(n) <= _lex_key(m) else m
+
+
+def _table(K: int, L: int, T: int, alpha: list[int], beta: list[int]) -> DegreeTable:
+    return DegreeTable(K=K, L=L, T=T, alpha_p=alpha[:K], alpha_s=alpha[K:],
+                       beta_p=beta[:L], beta_s=beta[L:])
+
+
+@st.composite
+def tables(draw, entries=st.integers(0, 30), dims=st.integers(1, 4)):
+    """Tables with K, L, T drawn from dims and every entry from entries."""
+    K, L, T = draw(dims), draw(dims), draw(dims)
+    alpha = draw(st.lists(entries, min_size=K + T, max_size=K + T))
+    beta = draw(st.lists(entries, min_size=L + T, max_size=L + T))
+    return _table(K, L, T, alpha, beta)
+
+
+@st.composite
+def guard_tables(draw, over: int):
+    """Tables whose largest entry sum is _SPARSE_RATIO times the larger of
+    |Set(alpha)| and |Set(beta)|, plus over.
+
+    Each alpha entry is drawn near 0 or near the largest one, so both ends of
+    the table can collide.
+    """
+    K, L, T = (draw(st.integers(1, 4)) for _ in range(3))
+    beta = draw(st.lists(st.integers(0, 40), min_size=L + T, max_size=L + T))
+    # (False, v) is the entry v and (True, v) the entry top - v; the two
+    # ranges never meet, so distinct spots are distinct entries.
+    spot = st.tuples(st.booleans(), st.integers(0, 30))
+    spots = draw(st.lists(spot, min_size=K + T, max_size=K + T))
+    spots[draw(st.integers(0, K + T - 1))] = (True, 0)
+    top = _SPARSE_RATIO * max(len(set(spots)), len(set(beta))) + over - max(beta)
+    alpha = [top - v if high else v for high, v in spots]
+    return _table(K, L, T, alpha, beta)
+
+
+@st.composite
+def repeated_tables(draw, entries=st.integers(0, 30)):
+    """Tables with one entry copied to another position of the same side,
+    so D1 or D2 fails."""
+    t = draw(tables(entries))
+    alpha, beta = list(t.alpha), list(t.beta)
+    side = draw(st.sampled_from((alpha, beta)))
+    i, j = draw(st.lists(st.integers(0, len(side) - 1), min_size=2, max_size=2, unique=True))
+    side[j] = side[i]
+    return _table(t.K, t.L, t.T, alpha, beta)
+
+
+@st.composite
+def colliding_tables(draw, entries=st.integers(0, 30)):
+    """Tables where a prefix sum x + y has a second cell (x + d) + (y - d),
+    so D3 fails."""
+    t = draw(tables(entries))
+    alpha, beta = list(t.alpha), list(t.beta)
+    d = draw(st.integers(1, 10))
+    i = draw(st.integers(0, t.K - 1))
+    j = draw(st.integers(0, t.L - 1))
+    i2 = draw(st.integers(0, len(alpha) - 1).filter(lambda k: k != i))
+    j2 = draw(st.integers(0, len(beta) - 1).filter(lambda k: k != j))
+    alpha[i] = draw(entries)
+    beta[j] = draw(st.integers(d, d + 30))
+    alpha[i2], beta[j2] = alpha[i] + d, beta[j] - d
+    return _table(t.K, t.L, t.T, alpha, beta)

@@ -149,6 +149,18 @@ class TestTableCommands:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("doc,message", [
+        (5, "table JSON must be an object, got int"),
+        (None, "table JSON must be an object, got NoneType"),
+        ({**MESSY, "beta_s": 5}, "beta_s must be a list of integers, got int"),
+    ])
+    @pytest.mark.parametrize("command", ["table normal --in", "sdmm run --dims 3,2,2 --table"])
+    def test_malformed_table_json_is_one_error_line(self, capsys, tmp_path, doc, message, command):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = dispatch(capsys, *command.split(), str(src))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestBoundsCommand:
     def test_report_without_dims(self, capsys):

@@ -1,7 +1,10 @@
 """Tests for table construction, validation, counting, and scores."""
 
+import json
 import random
+import time
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,9 @@ from gasptables import (
     sumset,
     validate,
 )
+from gasptables import degree_table
+from gasptables.cli import cmd_dispatch
+import table_oracles as oracle
 
 TABLE_III_B = DegreeTable(
     K=4, L=4, T=4,
@@ -174,6 +180,104 @@ class TestCountDistinct:
             p = GaspParams(*sorted((K, L), reverse=True), T, rng.randint(1, min(K, L, T)))
             t = construct(p)
             assert count_distinct(t) >= t.K * t.L
+
+
+def _outcome(t):
+    """count_distinct's count, or its InvalidTableError message and report."""
+    try:
+        return count_distinct(t)
+    except InvalidTableError as e:
+        return str(e), e.report
+
+
+def _assert_matches_oracle(t):
+    assert degree_table._check(t) == oracle._check(t)
+    with mock.patch.object(degree_table, "_check", oracle._check):
+        expected = _outcome(t)
+    assert _outcome(t) == expected
+
+
+SPARSE = st.integers(0, 10**15)
+
+
+class TestCheckAgainstOracle:
+    """The bitset pass against the Counter kernel: equal reports, counts and
+    InvalidTableError messages on every kind of table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(oracle.tables())
+    def test_dense(self, t):
+        _assert_matches_oracle(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle.tables(SPARSE))
+    def test_sparse(self, t):
+        _assert_matches_oracle(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 1)).flatmap(oracle.guard_tables))
+    def test_at_and_above_the_sparse_guard(self, t):
+        rows = max(len(t.set_alpha()), len(t.set_beta()))
+        over = max(t.alpha) + max(t.beta) - degree_table._SPARSE_RATIO * rows
+        assert over in (0, 1)
+        _assert_matches_oracle(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(oracle.repeated_tables(), oracle.repeated_tables(SPARSE)))
+    def test_repeated_entries(self, t):
+        assert not validate(t).d1_ok or not validate(t).d2_ok
+        _assert_matches_oracle(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(oracle.colliding_tables(), oracle.colliding_tables(SPARSE)))
+    def test_prefix_collisions(self, t):
+        assert not validate(t).d3_ok
+        _assert_matches_oracle(t)
+
+    def test_entries_near_1e15_validate_at_once(self, capsys, tmp_path):
+        big = 10**15
+        t = DegreeTable(K=2, L=2, T=2, alpha_p=(0, 1), alpha_s=(big, big + 3),
+                        beta_p=(0, 2), beta_s=(big - 10, big - 1))
+        start = time.perf_counter()
+        got = degree_table._check(t)
+        assert time.perf_counter() - start < 1
+        assert got == oracle._check(t) == (validate(t), 15)
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps(t.to_json_dict()))
+        code = cmd_dispatch(["sdmm", "run", "--dims", "2,2,2", "--table", str(src)])
+        assert code == 0, capsys.readouterr().err
+
+
+class IntSub(int):
+    pass
+
+
+ENTRY = st.one_of(
+    st.integers(-3, 10**15), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+    st.none(), st.integers(0, 9).map(IntSub),
+)
+
+
+def _vector_outcome(check, values):
+    try:
+        return check("beta_s", values)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRY, max_size=5) | st.lists(st.integers(0, 10**15), max_size=5))
+def test_exponent_vector_matches_oracle(values):
+    got = _vector_outcome(degree_table._as_exponent_vector, values)
+    assert got == _vector_outcome(oracle._as_exponent_vector, values)
+    if isinstance(got, tuple):
+        assert list(map(type, got)) == list(map(type, values))
+
+
+def test_int_subclass_accepted_and_bool_rejected():
+    assert degree_table._as_exponent_vector("alpha_s", (IntSub(2), 3)) == (2, 3)
+    with pytest.raises(ValueError, match="integers, got True"):
+        degree_table._as_exponent_vector("alpha_s", (2, True))
 
 
 def test_sumset_basics():

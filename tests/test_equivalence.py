@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasptables import (
     DegreeTable,
@@ -21,6 +23,7 @@ from gasptables import (
     transpose,
 )
 from gasptables.equivalence import squeeze_step
+import table_oracles as oracle
 
 
 def table(K, L, T, ap, as_, bp, bs):
@@ -276,3 +279,22 @@ class TestCanonical:
         for t in (OPT_A, OPT_B, OPT_C, OPT_D):
             assert count_distinct(t) == 17
             assert is_normal(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        oracle.tables(),
+        oracle.tables(st.integers(0, 3)),
+        oracle.tables(st.integers(0, 10**15)),
+        oracle.tables(st.sampled_from((0, 6, 12, 18))),
+        oracle.colliding_tables(),
+    ))
+    def test_equals_oracle(self, t):
+        assert canonical(t) == oracle.canonical(t)
+
+    @pytest.mark.parametrize("t", [
+        table(1, 1, 1, (0,), (0,), (0,), (0,)),
+        table(2, 1, 2, (5, 5), (5, 5), (7,), (7, 7)),
+        MESSY, GAPPY, OPT_A, OPT_B, OPT_C, OPT_D,
+    ])
+    def test_equals_oracle_on_fixed_tables(self, t):
+        assert canonical(t) == oracle.canonical(t)
