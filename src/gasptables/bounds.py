@@ -13,10 +13,12 @@ protocol, so entries beyond it are pointless even when combinatorially fine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Union
 
 from .degree_table import DegreeTable, DomainError
 from .equivalence import is_normal
+
+EntryBound = Union[int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,22 @@ def entry_upper_bounds(K: int, L: int, T: int) -> Optional[tuple[int, int]]:
     if 2 * K * L - K - L - min(K, L) + 3 <= T:
         return (2 * K * L + T - 1 - L, 2 * K * L + T - 1 - K)
     return None
+
+
+def census_bounds(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None) -> tuple[int, int]:
+    """The (alpha, beta) entry bounds of a census: the proven ones for None,
+    refused where none is proven; an int on both sides; a pair as given."""
+    proven = entry_upper_bounds(K, L, T)
+    if entry_bound is None:
+        if proven is None:
+            raise DomainError("no proven entry bound for these parameters;"
+                              " pass --entry-bound (entry_bound= from Python) to override")
+        return proven
+    pair = (entry_bound, entry_bound) if isinstance(entry_bound, int) else entry_bound
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(type(b) is int and b >= 0 for b in pair)):
+        raise DomainError(f"entry bound must be a non-negative int or a pair of them, got {entry_bound!r}")
+    return tuple(pair)
 
 
 def largeT_entry_bound(table: DegreeTable, n: int) -> Optional[tuple[int, int]]:

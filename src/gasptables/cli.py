@@ -18,13 +18,14 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import MatrixDims, entry_upper_bounds, full_report
+from .bounds import MatrixDims, full_report
 from .costmodel import CostExponents, asymptotic_compare, concrete_costs
 from .degree_table import DegreeTable, DomainError
 from .equivalence import canonical, normal, squeeze, transpose
-from .gasp import GaspParams, construct, n_of_r, optimal_r, reduction_statistic, score_closed_form
+from .gasp import (GaspParams, construct, fixed_prefix_table, n_of_r, optimal_r, reduction_statistic,
+                   score_closed_form)
 from .ilp import build_blp, build_ilp_fixed, emit_lp_text
-from .search import exhaustive, exhaustive_fixed_prefix, fixed_prefix_table, greedy
+from .search import exhaustive, exhaustive_fixed_prefix, greedy
 from .sdmm import build_instance, decode, plain_product, security_check
 
 
@@ -179,11 +180,14 @@ def _parse(text: str, n: int, what: str, convert=int) -> tuple:
 
 
 def _load_table(path: str) -> DegreeTable:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise DomainError(f"table JSON in {path} is nested too deeply") from None
     return DegreeTable.from_json_dict(data)
 
 
@@ -261,14 +265,7 @@ def _handle_search(args) -> None:
         if args.kind == "fixed":
             model = build_ilp_fixed(args.K, args.L, args.T, tight_link=args.tight_link)
         else:
-            bound = args.entry_bound
-            if bound is None:
-                bound = entry_upper_bounds(args.K, args.L, args.T)
-                if bound is None:
-                    raise DomainError(
-                        "no proven entry bound for these parameters; pass --entry-bound"
-                    )
-            model = build_blp(args.K, args.L, args.T, bound)
+            model = build_blp(args.K, args.L, args.T, args.entry_bound)
         text = emit_lp_text(model)
         if args.out:
             with open(args.out, "w") as fh:

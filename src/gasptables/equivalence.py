@@ -18,7 +18,7 @@ which is what makes exhaustive searches finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -44,48 +44,26 @@ class SqueezeStep:
     affected: tuple[int, ...]
 
 
-def _decrement_above(vec: tuple[int, ...], threshold: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    new = tuple(v - 1 if v > threshold else v for v in vec)
-    affected = tuple(i for i, v in enumerate(vec) if v > threshold)
-    return new, affected
-
-
 def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]]:
     """Apply one gap-closing step if any is feasible, smallest index first.
 
-    The alpha side is scanned before the beta side; at most one side can
-    have a feasible gap at a time, so the order only fixes determinism, not
-    the outcome.  Entries strictly above the gap's low endpoint are
-    decremented, wherever they sit in the vector.
+    The alpha side is scanned before the beta side, which is the alpha side
+    of the transpose; at most one side can have a feasible gap at a time, so
+    the order only fixes determinism, not the outcome.  Entries strictly
+    above the gap's low endpoint are decremented, wherever they sit in the
+    vector.
     """
-    alpha, beta = table.alpha, table.beta
-
-    vals = sorted(alpha)
-    b, big_b = min(beta), max(beta)
-    for i in range(len(vals) - 1):
-        if vals[i] + big_b < vals[i + 1] - 1 + b:
-            new_alpha, affected = _decrement_above(alpha, vals[i])
-            step = SqueezeStep(kind="alpha_op", index=i, threshold=vals[i], affected=affected)
-            new = DegreeTable(
-                K=table.K, L=table.L, T=table.T,
-                alpha_p=new_alpha[: table.K], alpha_s=new_alpha[table.K:],
-                beta_p=table.beta_p, beta_s=table.beta_s,
-            )
-            return new, step
-
-    vals = sorted(beta)
-    a, big_a = min(alpha), max(alpha)
-    for i in range(len(vals) - 1):
-        if vals[i] + big_a < vals[i + 1] - 1 + a:
-            new_beta, affected = _decrement_above(beta, vals[i])
-            step = SqueezeStep(kind="beta_op", index=i, threshold=vals[i], affected=affected)
-            new = DegreeTable(
-                K=table.K, L=table.L, T=table.T,
-                alpha_p=table.alpha_p, alpha_s=table.alpha_s,
-                beta_p=new_beta[: table.L], beta_s=new_beta[table.L:],
-            )
-            return new, step
-
+    for kind, t in (("alpha_op", table), ("beta_op", transpose(table))):
+        alpha, beta = t.alpha, t.beta
+        vals = sorted(alpha)
+        b, big_b = min(beta), max(beta)
+        for i in range(len(vals) - 1):
+            if vals[i] + big_b < vals[i + 1] - 1 + b:
+                new_alpha = tuple(v - 1 if v > vals[i] else v for v in alpha)
+                new = replace(t, alpha_p=new_alpha[: t.K], alpha_s=new_alpha[t.K:])
+                affected = tuple(j for j, v in enumerate(alpha) if v > vals[i])
+                step = SqueezeStep(kind=kind, index=i, threshold=vals[i], affected=affected)
+                return (new if kind == "alpha_op" else transpose(new)), step
     return None
 
 
@@ -232,7 +210,7 @@ def canonical(table: DegreeTable) -> DegreeTable:
     Comparison key is alpha_p|alpha_s|beta_p|beta_s.  The negated branch maps
     each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept).
     """
-    n = normal(table)
+    n = table if is_normal(table) else normal(table)
     ma, mb = max(n.alpha), max(n.beta)
     ap, as_, bp, bs = (tuple(m - v for v in reversed(block)) for m, block in
                        ((ma, n.alpha_p), (ma, n.alpha_s), (mb, n.beta_p), (mb, n.beta_s)))

@@ -15,7 +15,8 @@ the "small" end.
 This module provides the construction, the collision-score closed form, two
 independent closed forms for the distinct-entry count N(r), and the
 piecewise-linear machinery that shrinks the search for the best r from
-min(K, T) candidates down to a handful.
+min(K, T) candidates down to a handful.  It owns the fixed-prefix frame
+too (fixed_prefix_table, suffix_window) that the searches and the ILP read.
 """
 
 from __future__ import annotations
@@ -73,28 +74,33 @@ def standard_beta(K: int, L: int, T: int) -> tuple[int, ...]:
     return tuple(range(0, kl, K)) + tuple(range(kl, kl + T))
 
 
-def construct(params: GaspParams) -> DegreeTable:
-    """Build the GASP_r degree table for the given parameters."""
-    K, L, T, r = params.K, params.L, params.T, params.r
-    kl = K * L
-    alpha_s = []
-    m = 0
-    while len(alpha_s) < T:
-        for j in range(r):
-            alpha_s.append(kl + K * m + j)
-            if len(alpha_s) == T:
-                break
-        m += 1
+def fixed_prefix_table(K: int, L: int, T: int, alpha_s) -> DegreeTable:
+    """Table with the standard prefixes and beta, and the given alpha suffix."""
     beta = standard_beta(K, L, T)
     return DegreeTable(
-        K=K,
-        L=L,
-        T=T,
-        alpha_p=tuple(range(K)),
-        alpha_s=tuple(alpha_s),
-        beta_p=beta[:L],
-        beta_s=beta[L:],
+        K=K, L=L, T=T,
+        alpha_p=tuple(range(K)), alpha_s=tuple(alpha_s),
+        beta_p=beta[:L], beta_s=beta[L:],
     )
+
+
+def suffix_window(K: int, L: int, T: int) -> tuple[int, int, int, int]:
+    """The frame every fixed-prefix search of (K, L, T) runs in: (lo, hi, gap, top).
+
+    Suffix values live in [lo, hi] = [KL, T(KL+T)+K-1], and consecutive
+    sorted suffix values differ by at most gap = KL+T: any suffix outside
+    that frame is equivalent to one inside.  The prefix rows use every entry
+    in [0, top], top = KL+K+T-2.  Requires positive K, L, T with L <= K.
+    """
+    _check_klt(K, L, T)
+    kl = K * L
+    return kl, T * (kl + T) + K - 1, kl + T, kl + K + T - 2
+
+
+def construct(params: GaspParams) -> DegreeTable:
+    """Build the GASP_r degree table: chains of r consecutive values, period K."""
+    K, L, T, r = params.K, params.L, params.T, params.r
+    return fixed_prefix_table(K, L, T, (K * L + K * (i // r) + i % r for i in range(T)))
 
 
 def score_closed_form(params: GaspParams) -> ScoreBreakdown:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
+from .bounds import EntryBound, census_bounds
 from .degree_table import DomainError
-from .gasp import standard_beta
+from .gasp import standard_beta, suffix_window
 
 Coeffs = tuple[tuple[str, int], ...]
 
@@ -113,13 +114,10 @@ def build_ilp_fixed(K: int, L: int, T: int, tight_link: bool = False) -> IlpMode
     That is T^2KL+T^3-TKL+TK+5T+K-2 rows.  tight_link splits each link row
     into L+T per-column rows, stronger for an LP relaxation: (L+T-1)TV more.
     """
-    if L > K:
-        raise DomainError(f"need L <= K, got K={K}, L={L}")
+    v_lo, v_hi, gap, f_hi = suffix_window(K, L, T)
     kl = K * L
     beta = standard_beta(K, L, T)
-    v_lo, v_hi = kl, T * (kl + T) + K - 1
-    e_lo, e_hi = kl, (T + 1) * (kl + T) + K - 2
-    f_hi = kl + K + T - 2
+    e_lo, e_hi = kl, v_hi + gap - 1
     values = range(v_lo, v_hi + 1)
     rows = range(K + 1, K + T + 1)
 
@@ -164,7 +162,7 @@ def build_ilp_fixed(K: int, L: int, T: int, tight_link: bool = False) -> IlpMode
         cons.append(LinearConstraint(
             f"sort_{i}", ((f"R_{i}", 1), (f"R_{i + 1}", -1)), "<=", -1))
         cons.append(LinearConstraint(
-            f"gap_{i}", ((f"R_{i + 1}", 1), (f"R_{i}", -1)), "<=", kl + T))
+            f"gap_{i}", ((f"R_{i + 1}", 1), (f"R_{i}", -1)), "<=", gap))
 
     return IlpModel(
         name=f"suffix_{K}_{L}_{T}",
@@ -174,21 +172,17 @@ def build_ilp_fixed(K: int, L: int, T: int, tight_link: bool = False) -> IlpMode
     )
 
 
-def build_blp(K: int, L: int, T: int, entry_bound: Union[int, tuple[int, int]]) -> IlpModel:
+def build_blp(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None) -> IlpModel:
     """Boolean model over all normal tables with entries within the bound.
 
-    Entry values range over [0, bound_alpha + bound_beta].  R_(r,e) picks the
-    value of alpha row r, C_(c,e) of beta column c, M_(r,c,e) of cell (r,c);
-    the uniqueness condition is enforced by forbidding any second cell from
-    sharing a value claimed by a prefix-block cell.  Symmetry cuts pin each
-    block sorted and force a zero on each side.
+    The bounds are bounds.census_bounds(K, L, T, entry_bound), so None means
+    the proven ones.  Entry values range over [0, bound_alpha + bound_beta].
+    R_(r,e) picks the value of alpha row r, C_(c,e) of beta column c,
+    M_(r,c,e) of cell (r,c); the uniqueness condition is enforced by
+    forbidding any second cell from sharing a value claimed by a prefix-block
+    cell.  Symmetry cuts pin each block sorted and force a zero on each side.
     """
-    if isinstance(entry_bound, int):
-        ba = bb = entry_bound
-    else:
-        ba, bb = entry_bound
-    if min(K, L, T) < 1 or min(ba, bb) < 0:
-        raise DomainError("bad parameters")
+    ba, bb = census_bounds(K, L, T, entry_bound)
     e_hi = ba + bb
     evals = range(e_hi + 1)
     rows = range(1, K + T + 1)

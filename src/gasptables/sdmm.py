@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from itertools import combinations, repeat
 from operator import mul
@@ -198,8 +199,10 @@ def choose_field_and_points(
     fld = PrimeField(q)
     rng = random.Random(f"points:{seed}")
     for _ in range(max_retries):
-        pts = tuple(sorted(rng.sample(range(1, q), n)))
-        if not is_invertible(fld, _powers(fld, pts, degrees)):
+        # range(1, q) has no len() past sys.maxsize; there a rare repeat costs a retry.
+        pts = tuple(sorted(rng.sample(range(1, q), n) if q - 1 <= sys.maxsize
+                           else {rng.randrange(1, q) for _ in range(n)}))
+        if len(pts) < n or not is_invertible(fld, _powers(fld, pts, degrees)):
             continue
         # Drawn with replacement as always, so every seed keeps its points.
         subsets = _subsets(n, table.T, selection_samples, selection_samples, rng, distinct=False)

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
-from .bounds import entry_upper_bounds
+from .bounds import EntryBound, census_bounds
 from .degree_table import DegreeTable, DomainError, _mask
 from .equivalence import canonical
-from .gasp import standard_beta
-
-EntryBound = Union[int, tuple[int, int]]
+from .gasp import fixed_prefix_table, standard_beta, suffix_window
 
 
 @dataclass(frozen=True)
@@ -83,22 +81,12 @@ def _side_candidates(p_len: int, s_len: int, bound: int):
 def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None) -> SearchResult:
     """Census of every normal degree table within the entry bounds.
 
-    Without an explicit entry_bound the proven bounds are used; if they do
-    not apply for these parameters (T too small) the search space is not
-    known to be finite and we refuse rather than guess.  An explicit bound
-    narrows or widens the census at the caller's own risk.
+    The bounds are bounds.census_bounds(K, L, T, entry_bound): without an
+    explicit entry_bound the proven ones, and a refusal when none is proven
+    (T too small), since the search space is then not known to be finite.
+    An explicit bound narrows or widens the census at the caller's own risk.
     """
-    if entry_bound is None:
-        eb = entry_upper_bounds(K, L, T)
-        if eb is None:
-            raise DomainError(
-                "no proven entry bound for these parameters; pass entry_bound= to override"
-            )
-        bound_a, bound_b = eb
-    elif isinstance(entry_bound, int):
-        bound_a = bound_b = entry_bound
-    else:
-        bound_a, bound_b = entry_bound
+    bound_a, bound_b = census_bounds(K, L, T, entry_bound)
 
     alphas = list(_side_candidates(K, T, bound_a))
     betas = list(_side_candidates(L, T, bound_b))
@@ -155,38 +143,18 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     )
 
 
-def fixed_prefix_table(K: int, L: int, T: int, alpha_s) -> DegreeTable:
-    """Table with the standard prefixes and beta, and the given alpha suffix."""
-    beta = standard_beta(K, L, T)
-    return DegreeTable(
-        K=K, L=L, T=T,
-        alpha_p=tuple(range(K)), alpha_s=tuple(alpha_s),
-        beta_p=beta[:L], beta_s=beta[L:],
-    )
-
-
 def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None) -> SearchResult:
     """Optimal alpha suffix given the standard prefix and beta.
 
-    Suffix values live in [KL, T(KL+T)+K-1] with consecutive sorted gaps of
-    at most KL+T (tables outside that window are equivalent to ones inside).
-    Every candidate is a usable table: suffix values clear the prefix block's
-    sum range, so the uniqueness condition cannot break.  budget caps the
+    Suffix values live in gasp.suffix_window's [KL, T(KL+T)+K-1] with
+    consecutive sorted gaps of at most KL+T (tables outside that frame are
+    equivalent to ones inside).  Every candidate is a usable table: suffix
+    values clear the prefix block's sum range, so the uniqueness condition
+    cannot break; the prefix rows alone cover [0, top].  budget caps the
     number of complete candidates scored; exceeding it flags the result.
     """
-    if L > K:
-        raise DomainError(f"need L <= K, got K={K}, L={L}")
-    kl = K * L
-    beta = standard_beta(K, L, T)
-    beta_mask = _mask(beta)
-    base_mask = 0
-    for a in range(K):
-        base_mask |= beta_mask << a
-    v_hi = T * (kl + T) + K - 1
-    max_gap = kl + T
-
-    alpha_p = tuple(range(K))
-    beta_p, beta_s = beta[:L], beta[L:]
+    v_lo, v_hi, max_gap, top = suffix_window(K, L, T)
+    beta_mask = _mask(standard_beta(K, L, T))
     best_n: Optional[int] = None
     optima: list[DegreeTable] = []
     examined = 0
@@ -209,25 +177,22 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
             elif n == best_n:
                 optima.append(tuple(chosen))
             return
-        lo = max(kl, prev + 1)
+        lo = max(v_lo, prev + 1)
         hi = min(v_hi, prev + max_gap)
         for a in range(lo, hi + 1):
             chosen.append(a)
             rec(a, chosen, cover | (beta_mask << a))
             chosen.pop()
 
-    rec(K - 1, [], base_mask)
+    rec(K - 1, [], (1 << (top + 1)) - 1)
     if best_n is None:
         raise DomainError("empty search space")
-    tables = tuple(
-        DegreeTable(K=K, L=L, T=T, alpha_p=alpha_p, alpha_s=suf, beta_p=beta_p, beta_s=beta_s)
-        for suf in optima
-    )
+    tables = tuple(fixed_prefix_table(K, L, T, suf) for suf in optima)
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,
         optima=tables, canonical_optima=_dedupe_canonical(tables),
         tables_examined=examined, valid_tables=examined,
-        entry_bound=(v_hi, kl + T - 1),
+        entry_bound=(v_hi, max_gap - 1),
         budget_exhausted=exhausted,
     )
 
@@ -253,13 +218,9 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     caps how many argmax candidates are expanded per node; budget caps total
     node expansions and flags the result when hit.
     """
-    if L > K:
-        raise DomainError(f"need L <= K, got K={K}, L={L}")
-    kl = K * L
+    v_lo, v_hi, _, top = suffix_window(K, L, T)
     beta_mask = _mask(standard_beta(K, L, T))
     width = L + T
-    v_lo, v_hi = kl, T * (kl + T) + K - 1
-    top = kl + K + T - 2  # the prefix rows use every entry in [0, top]
 
     best_n: Optional[int] = None
     best_suffix: tuple[int, ...] = ()
@@ -302,6 +263,7 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
             chosen.pop()
             used.remove(r)
 
+    # the prefix rows use every entry in [0, top]
     rec((1 << (top + 1)) - 1, top + 1)
     if best_n is None:
         raise DomainError("greedy found no complete suffix (budget too small)")

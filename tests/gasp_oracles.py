@@ -1,4 +1,9 @@
-"""Reference kernel for the chain-length candidate set.
+"""Reference kernels for the chain-length candidate set and the construction.
+
+`construct` below is the original `gasp.construct`, which fills the alpha
+suffix chain by chain in a while loop; `gasp.construct` now writes suffix
+value i as KL + K*(i // r) + i % r, and test_gasp.py compares the two over a
+grid.
 
 This is the original `gasp.candidate_set`, which builds `set(range(...))`
 over the whole feasible i-range for W, for each block's interior kinks and
@@ -18,7 +23,32 @@ gives 53), and a larger tied r on 21 more.
 
 from __future__ import annotations
 
-from gasptables.gasp import ChainSearchTrace, _check_klt
+from gasptables.degree_table import DegreeTable
+from gasptables.gasp import ChainSearchTrace, GaspParams, _check_klt, standard_beta
+
+
+def construct(params: GaspParams) -> DegreeTable:
+    """Build the GASP_r degree table for the given parameters."""
+    K, L, T, r = params.K, params.L, params.T, params.r
+    kl = K * L
+    alpha_s = []
+    m = 0
+    while len(alpha_s) < T:
+        for j in range(r):
+            alpha_s.append(kl + K * m + j)
+            if len(alpha_s) == T:
+                break
+        m += 1
+    beta = standard_beta(K, L, T)
+    return DegreeTable(
+        K=K,
+        L=L,
+        T=T,
+        alpha_p=tuple(range(K)),
+        alpha_s=tuple(alpha_s),
+        beta_p=beta[:L],
+        beta_s=beta[L:],
+    )
 
 
 def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:

@@ -1,19 +1,21 @@
 """Reference kernels for the table calculus.
 
 These are the earlier implementations of `degree_table._check`,
-`degree_table._as_exponent_vector` and `equivalence.canonical`.  They count
-every cell of Set(alpha) x Set(beta) in a Counter, check each entry of a
-block one at a time, and build the negated branch of the canonical form
-through `negate` and `normal`, so the differential tests in
-test_degree_table.py and test_equivalence.py compare the bitset pass, the
-one-pass structural check and the direct negated branch against them.
+`degree_table._as_exponent_vector`, `equivalence.canonical` and
+`equivalence.squeeze_step`.  They count every cell of Set(alpha) x Set(beta)
+in a Counter, check each entry of a block one at a time, build the negated
+branch of the canonical form through `negate` and `normal`, and scan the
+beta side for a squeeze gap in a loop of its own, so the differential tests
+in test_degree_table.py and test_equivalence.py compare the bitset pass, the
+one-pass structural check, the direct negated branch and the one-loop
+squeeze over a table and its transpose against them.
 The hypothesis strategies below draw the tables those tests share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from gasptables.degree_table import (
     ValidationReport,
     sumset,
 )
-from gasptables.equivalence import _lex_key, negate, normal
+from gasptables.equivalence import SqueezeStep, _lex_key, negate, normal
 
 
 def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
@@ -69,6 +71,45 @@ def canonical(table: DegreeTable) -> DegreeTable:
     n = normal(table)
     m = normal(negate(n))
     return n if _lex_key(n) <= _lex_key(m) else m
+
+
+def _decrement_above(vec: tuple[int, ...], threshold: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    new = tuple(v - 1 if v > threshold else v for v in vec)
+    affected = tuple(i for i, v in enumerate(vec) if v > threshold)
+    return new, affected
+
+
+def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]]:
+    """Apply one gap-closing step if any is feasible, smallest index first."""
+    alpha, beta = table.alpha, table.beta
+
+    vals = sorted(alpha)
+    b, big_b = min(beta), max(beta)
+    for i in range(len(vals) - 1):
+        if vals[i] + big_b < vals[i + 1] - 1 + b:
+            new_alpha, affected = _decrement_above(alpha, vals[i])
+            step = SqueezeStep(kind="alpha_op", index=i, threshold=vals[i], affected=affected)
+            new = DegreeTable(
+                K=table.K, L=table.L, T=table.T,
+                alpha_p=new_alpha[: table.K], alpha_s=new_alpha[table.K:],
+                beta_p=table.beta_p, beta_s=table.beta_s,
+            )
+            return new, step
+
+    vals = sorted(beta)
+    a, big_a = min(alpha), max(alpha)
+    for i in range(len(vals) - 1):
+        if vals[i] + big_a < vals[i + 1] - 1 + a:
+            new_beta, affected = _decrement_above(beta, vals[i])
+            step = SqueezeStep(kind="beta_op", index=i, threshold=vals[i], affected=affected)
+            new = DegreeTable(
+                K=table.K, L=table.L, T=table.T,
+                alpha_p=table.alpha_p, alpha_s=table.alpha_s,
+                beta_p=new_beta[: table.L], beta_s=new_beta[table.L:],
+            )
+            return new, step
+
+    return None
 
 
 def _table(K: int, L: int, T: int, alpha: list[int], beta: list[int]) -> DegreeTable:

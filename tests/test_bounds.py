@@ -17,7 +17,7 @@ from gasptables import (
     operational_threshold,
     optimal_r,
 )
-from gasptables.bounds import threshold_exponent
+from gasptables.bounds import census_bounds, threshold_exponent
 
 
 class TestLowerBounds:
@@ -110,6 +110,30 @@ class TestEntryBounds:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             entry_upper_bounds(1, 0, 1)
+
+
+class TestCensusBounds:
+    def test_none_is_the_proven_bound(self):
+        assert census_bounds(2, 2, 5) == entry_upper_bounds(2, 2, 5) == (10, 10)
+        assert census_bounds(2, 2, 5, None) == (10, 10)
+
+    def test_none_without_a_proven_bound_is_refused(self):
+        with pytest.raises(DomainError, match="no proven entry bound.*pass --entry-bound"):
+            census_bounds(4, 4, 4)
+
+    def test_int_and_pair(self):
+        assert census_bounds(4, 4, 4, 7) == (7, 7)
+        assert census_bounds(4, 4, 4, (6, 5)) == (6, 5)
+        assert census_bounds(4, 4, 4, [6, 5]) == (6, 5)
+        assert census_bounds(1, 1, 1, 0) == (0, 0)
+
+    @pytest.mark.parametrize("K,L,T,bound", [
+        (1, 1, 0, 3), (0, 1, 1, 3), (1, 1, 1, -1), (1, 1, 1, (2, -1)),
+        (1, 1, 1, (3,)), (1, 1, 1, (1, 2, 3)), (1, 1, 1, "3"), (1, 1, 1, 2.5), (1, 1, 1, True),
+    ])
+    def test_refuses(self, K, L, T, bound):
+        with pytest.raises(DomainError):
+            census_bounds(K, L, T, bound)
 
 
 class TestLargeTEntryBound:

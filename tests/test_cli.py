@@ -161,6 +161,19 @@ class TestTableCommands:
         code, out, err = dispatch(capsys, *command.split(), str(src))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["table normal --in", "sdmm run --dims 3,2,2 --table"])
+    def test_deeply_nested_json_is_one_error_line(self, capsys, tmp_path, command):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100_000)
+        code, out, err = dispatch(capsys, *command.split(), str(src))
+        assert (code, out, err) == (1, "", f"error: table JSON in {src} is nested too deeply\n")
+
+    def test_deeply_nested_stdin_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
+        code, out, err = dispatch(capsys, "table", "normal")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestBoundsCommand:
     def test_report_without_dims(self, capsys):
@@ -278,6 +291,22 @@ class TestSearchCommands:
         assert code == 1
         assert "pass --entry-bound" in err
 
+    @pytest.mark.parametrize("kind", ["fixed", "census"])
+    def test_emit_lp_rejects_t_zero(self, capsys, kind):
+        code, out, err = dispatch(
+            capsys, "search", "emit-lp", "--kind", kind, "--K", "2", "--L", "2", "--T", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_emit_lp_census_with_entry_bound(self, capsys):
+        code, out, _ = dispatch(
+            capsys, "search", "emit-lp", "--kind", "census", "--entry-bound", "2",
+            "--K", "1", "--L", "1", "--T", "1",
+        )
+        assert code == 0
+        assert parse_lp_text(out) == build_blp(1, 1, 1, (2, 2))
+
 
 class TestSdmmCommand:
     def test_run_reports_roundtrip_and_security(self, capsys):
@@ -295,6 +324,16 @@ class TestSdmmCommand:
         assert doc["security"] == {
             "total_subsets": 3, "checked": 3, "exhaustive": True, "ok": True, "failures": 0,
         }
+
+    def test_run_past_sys_maxsize_decodes(self, capsys):
+        code, out, err = dispatch(
+            capsys, "sdmm", "run", "--dims", "1,1,1", "--q", str(2**63),
+            "--K", "1", "--L", "1", "--T", "1", "--r", "1", "--format", "json",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["q"] > sys.maxsize
+        assert doc["decode_matches_plain"] is True and doc["security"]["ok"] is True
 
     def test_dump_shares_writes_one_file_per_server(self, capsys, tmp_path):
         dest = tmp_path / "shares"
@@ -499,6 +538,8 @@ EVERY_COMMAND = [
     "search exhaustive --fixed-prefix --K 2 --L 2 --T 2",
     "search greedy --K 3 --L 3 --T 3",
     "search emit-lp --kind census --K 1 --L 1 --T 2",
+    "search emit-lp --tight-link --K 2 --L 1 --T 2",
+    "search exhaustive --entry-bound 2 --K 1 --L 1 --T 1",
     "sdmm run --dims 2,4,4 --K 2 --L 2 --T 2 --r 1",
     "cost compare --exponents 1,1,1,1/2,1/2,1",
     "cost concrete --dims 4,4,4 --blocks 2,2,4 --servers 17,9",

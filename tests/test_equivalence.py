@@ -112,6 +112,17 @@ class TestSqueeze:
             b = squeeze(transpose(t))[0]
             assert a == b
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(oracle.tables(st.integers(0, 40)), oracle.tables(st.integers(0, 6))))
+    def test_each_step_matches_oracle(self, t):
+        # Squeeze to a fixpoint and compare every step, beta_op steps included.
+        while True:
+            got, want = squeeze_step(t), oracle.squeeze_step(t)
+            assert got == want
+            if got is None:
+                return
+            t = got[0]
+
     def test_gasp_tables_are_already_squeezed(self):
         for K in range(1, 7):
             for L in range(1, K + 1):
@@ -298,3 +309,16 @@ class TestCanonical:
     ])
     def test_equals_oracle_on_fixed_tables(self, t):
         assert canonical(t) == oracle.canonical(t)
+
+    def test_normal_input_skips_normal(self, monkeypatch):
+        import gasptables.equivalence as equivalence
+
+        def refuse(_):
+            raise AssertionError("normal() called on a normal table")
+
+        t, expect = normal(MESSY), canonical(MESSY)
+        monkeypatch.setattr(equivalence, "normal", refuse)
+        assert is_normal(t)
+        assert canonical(t) == expect
+        with pytest.raises(AssertionError):
+            canonical(MESSY)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasp_oracles as oracle
+import gasptables
 from gasptables import (
     DomainError,
     GaspParams,
     candidate_set,
     construct,
     count_distinct,
+    fixed_prefix_table,
     h_function,
     n_of_r,
     n_theorem1,
@@ -22,6 +24,7 @@ from gasptables import (
     score_bruteforce,
     score_closed_form,
 )
+from gasptables.gasp import suffix_window
 
 # Known server counts at K = L = T = 4 for each chain length.
 KLT4 = {1: 41, 2: 36, 3: 37, 4: 39}
@@ -84,6 +87,49 @@ class TestConstruct:
                 kl + K * m + j for m in range(T + 1) for j in range(r)
             )[:T]
             assert list(t.alpha_s) == chain
+
+    def test_matches_while_loop_oracle_on_grid(self):
+        for K in range(1, 13):
+            for L in range(1, K + 1):
+                for T in range(1, 14):
+                    for r in range(1, min(K, T) + 1):
+                        p = GaspParams(K, L, T, r)
+                        assert construct(p) == oracle.construct(p), (K, L, T, r)
+
+    def test_is_a_fixed_prefix_table(self):
+        t = construct(GaspParams(4, 4, 4, 2))
+        assert t == fixed_prefix_table(4, 4, 4, t.alpha_s)
+
+
+class TestFixedPrefixFrame:
+    def test_fixed_prefix_table_has_one_home(self):
+        assert gasptables.fixed_prefix_table is gasptables.search.fixed_prefix_table
+        assert gasptables.fixed_prefix_table is gasptables.gasp.fixed_prefix_table
+
+    @pytest.mark.parametrize("K,L,T,frame", [
+        (1, 1, 1, (1, 2, 2, 1)),
+        (2, 2, 2, (4, 13, 6, 6)),
+        (4, 4, 4, (16, 83, 20, 22)),
+        (4, 3, 5, (12, 88, 17, 19)),
+    ])
+    def test_window(self, K, L, T, frame):
+        # (lo, hi, gap, top) = (KL, T(KL+T)+K-1, KL+T, KL+K+T-2)
+        assert suffix_window(K, L, T) == frame
+
+    def test_prefix_rows_cover_zero_to_top(self):
+        for K, L, T in ((1, 1, 1), (3, 2, 4), (4, 4, 4), (5, 1, 2)):
+            top = suffix_window(K, L, T)[3]
+            t = fixed_prefix_table(K, L, T, range(K * L, K * L + T))
+            assert {x + y for x in t.alpha_p for y in t.beta} == set(range(top + 1))
+
+    @pytest.mark.parametrize("K,L,T,message", [
+        (2, 3, 2, "need L <= K"),
+        (2, 2, 0, "T must be a positive integer"),
+        (0, 0, 2, "K must be a positive integer"),
+    ])
+    def test_window_rejects(self, K, L, T, message):
+        with pytest.raises(DomainError, match=message):
+            suffix_window(K, L, T)
 
 
 def _n_from_score(p: GaspParams) -> int:

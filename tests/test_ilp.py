@@ -125,6 +125,10 @@ class TestFixedModel:
         with pytest.raises(DomainError, match="need L <= K"):
             build_ilp_fixed(1, 2, 1)
 
+    def test_rejects_t_zero(self):
+        with pytest.raises(DomainError, match="T must be a positive integer"):
+            build_ilp_fixed(2, 2, 0)
+
 
 class TestBlpModel:
     def test_shape(self):
@@ -151,6 +155,13 @@ class TestBlpModel:
             build_blp(0, 1, 1, 2)
         with pytest.raises(DomainError):
             build_blp(1, 1, 1, -1)
+        with pytest.raises(DomainError, match="entry bound must be"):
+            build_blp(1, 1, 1, (2,))
+
+    def test_default_bound_is_the_proven_one(self):
+        assert build_blp(1, 1, 2) == build_blp(1, 1, 2, (2, 2))
+        with pytest.raises(DomainError, match="no proven entry bound"):
+            build_blp(1, 1, 1)
 
 
 class TestNaiveSolve:

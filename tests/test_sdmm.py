@@ -116,6 +116,22 @@ class TestFieldAndPoints:
         with pytest.raises(DomainError, match=msg):
             choose_field_and_points(T442, max_retries=0)
 
+    def test_points_past_sys_maxsize(self):
+        # range(1, q) has no len() here, so the points are drawn one by one.
+        fld, pts = choose_field_and_points(T111, base_q=2**63)
+        assert fld.q > 2**63 > sys.maxsize
+        assert len(set(pts)) == 3 and pts == tuple(sorted(pts))
+        assert all(1 <= x < fld.q for x in pts)
+        assert choose_field_and_points(T111, base_q=2**63) == (fld, pts)
+
+    def test_run_past_sys_maxsize_decodes(self):
+        rng = random.Random(7)
+        a, b = rand_matrix(rng, 1, 2), rand_matrix(rng, 2, 1)
+        inst = build_instance(a, b, T111, base_q=2**63, seed=3)
+        assert inst.field.q > sys.maxsize
+        assert decode(inst).product == plain_product(inst)
+        assert security_check(inst).ok
+
     def test_small_field_can_be_structurally_unusable(self):
         # GF(19) has only 18 nonzero points for this table's 14 servers and
         # none of the retried draws gives invertible decode/security minors.

@@ -80,6 +80,17 @@ class TestExhaustive:
         b = exhaustive(1, 1, 1, entry_bound=(2, 2))
         assert a == b
 
+    @pytest.mark.parametrize("K,L,T,bound,message", [
+        (1, 1, 0, 3, "K, L, T must be positive"),
+        (1, 1, 1, (3,), "entry bound must be"),
+        (1, 1, 1, -1, "entry bound must be"),
+        (1, 1, 1, (2, -1), "entry bound must be"),
+        (1, 1, 1, 2.0, "entry bound must be"),
+    ])
+    def test_rejects_bad_parameters(self, K, L, T, bound, message):
+        with pytest.raises(DomainError, match=message):
+            exhaustive(K, L, T, entry_bound=bound)
+
     def test_census_2_2_5(self):
         # Full census within the proven entry bound (10, 10): 2716 valid
         # normal tables, four of which reach the minimum 17, pairing into
@@ -169,6 +180,12 @@ class TestFixedPrefix:
     def test_rejects_l_above_k(self):
         with pytest.raises(DomainError, match="need L <= K"):
             exhaustive_fixed_prefix(1, 2, 1)
+        with pytest.raises(DomainError, match="need L <= K"):
+            exhaustive_fixed_prefix(2, 3, 2)
+
+    def test_rejects_t_zero(self):
+        with pytest.raises(DomainError, match="T must be a positive integer"):
+            exhaustive_fixed_prefix(2, 2, 0)
 
 
 class TestGreedy:
@@ -208,6 +225,14 @@ class TestGreedy:
     def test_rejects_l_above_k(self):
         with pytest.raises(DomainError, match="need L <= K"):
             greedy(1, 2, 1)
+
+    @pytest.mark.parametrize("K,L,T,message", [
+        (2, 2, 0, "T must be a positive integer"),
+        (0, 0, 2, "K must be a positive integer"),
+    ])
+    def test_rejects_nonpositive(self, K, L, T, message):
+        with pytest.raises(DomainError, match=message):
+            greedy(K, L, T)
 
     @pytest.mark.parametrize("K,L,T,kw", [
         *(((n, n, n, {}) for n in range(1, 11))),
