@@ -17,8 +17,9 @@ Both heavy kernels work on integers used as bitsets.  The census is a join
 on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
 gcd, and each alpha side reads its valid partners off as one mask.  Greedy
-keeps the entries in use as one integer and scores a candidate row by a
-shifted AND.
+keeps the entries in use as one integer and every row's overlap with them
+as a counter in another, updated by one shifted add per new entry; the
+argmax is a search of the counters' bytes.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
     number of complete candidates scored; exceeding it flags the result.
     """
     v_lo, v_hi, max_gap, top = suffix_window(K, L, T)
+    _check_limits(budget)
     beta_mask = _mask(standard_beta(K, L, T))
     best_n: Optional[int] = None
     optima: list[DegreeTable] = []
@@ -186,7 +188,7 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
 
     rec(K - 1, [], (1 << (top + 1)) - 1)
     if best_n is None:
-        raise DomainError("empty search space")
+        raise DomainError("fixed-prefix search scored no suffix (budget too small)")
     tables = tuple(fixed_prefix_table(K, L, T, suf) for suf in optima)
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,
@@ -195,6 +197,23 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
         entry_bound=(v_hi, max_gap - 1),
         budget_exhausted=exhausted,
     )
+
+
+def _check_limits(budget: Optional[int], beam_width: Optional[int] = None) -> None:
+    if budget is not None and budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
+    if beam_width is not None and beam_width < 1:
+        raise DomainError(f"beam_width must be >= 1, got {beam_width}")
+
+
+def _slots(buf: bytes, key: bytes) -> list[int]:
+    """Indices of the len(key)-byte slots of buf that equal key, ascending."""
+    found, p = [], buf.find(key)
+    while p >= 0:
+        if p % len(key) == 0:
+            found.append(p // len(key))
+        p = buf.find(key, p + 1)
+    return found
 
 
 @dataclass(frozen=True)
@@ -209,30 +228,36 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
            beam_width: Optional[int] = None) -> GreedyResult:
     """Best-first suffix search: grow alpha_s by the row overlapping most.
 
-    The table built so far is one integer, cover, with bit e set for every
-    entry e in use; candidate row i overlaps it in
-    popcount((cover >> i) & beta_mask) columns.  Rows with maximal overlap
-    add the fewest new entries, and all argmax candidates are branched on
-    (in increasing order), depth first.  A branch is cut when even one new
-    entry per remaining row cannot beat the incumbent.  beam_width, if set,
-    caps how many argmax candidates are expanded per node; budget caps total
-    node expansions and flags the result when hit.
+    Row i overlaps the table in the columns b of beta with i + b an entry in
+    use.  Every row's overlap is a counter in one packed integer (a byte per
+    row while L+T <= 255, more bytes past it); a child that adds row r adds
+    one to rows e - b, b in beta, for each new entry e: one shifted add per
+    entry.  Rows with maximal overlap add the fewest new entries, and all of
+    them are branched on in increasing order, depth first.  A branch is cut
+    when even one new entry per remaining row cannot beat the incumbent.
+    beam_width, if set, caps how many argmax candidates are expanded per
+    node; budget caps total node expansions and flags the result when hit.
     """
-    v_lo, v_hi, _, top = suffix_window(K, L, T)
-    beta_mask = _mask(standard_beta(K, L, T))
+    v_lo, _, _, top = suffix_window(K, L, T)
+    _check_limits(budget, beam_width)
+    beta = standard_beta(K, L, T)
+    beta_mask = _mask(beta)
     width = L + T
+    # Slot j of `over` counts row v_lo - max(beta) + j, so that entry e >= v_lo
+    # adds rev_beta at slot e - v_lo.  A slot holds any count up to L+T.
+    step = (width.bit_length() + 7) // 8
+    slot = 8 * step
+    rev_beta = sum(1 << slot * (beta[-1] - b) for b in beta)
+    below = slot * beta[-1]
 
     best_n: Optional[int] = None
     best_suffix: tuple[int, ...] = ()
     nodes = 0
     exhausted = False
     chosen: list[int] = []
-    used: set[int] = set()
 
-    def rec(cover: int, size: int):
+    def rec(cover: int, over: int, used: int, size: int):
         nonlocal best_n, best_suffix, nodes, exhausted
-        if exhausted:
-            return
         nodes += 1
         if budget is not None and nodes > budget:
             exhausted = True
@@ -244,27 +269,34 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
                 best_n = size
                 best_suffix = tuple(sorted(chosen))
             return
-        # Rows above cover's top bit overlap nothing, so only the window
-        # below it is scanned.  The maximum is at least 1: each of the K+T-1
-        # rows in [KL, top] meets cover in column beta = 0, and at most T-1
-        # of them are used.
-        best, cands = 1, []
-        for i in range(v_lo, min(v_hi + 1, cover.bit_length())):
-            o = ((cover >> i) & beta_mask).bit_count()
-            if o >= best and i not in used:
-                if o > best:
-                    best, cands = o, [i]
-                else:
-                    cands.append(i)
-        for r in cands[:beam_width]:
-            used.add(r)
+        # Rows above cover's top bit overlap nothing, so only the rows below
+        # it are read; at depth < T that bit is below the window's end.  The
+        # maximum is at least 1: each of the K+T-1 rows in [KL, top] meets
+        # cover in column beta = 0, and at most T-1 of them are used.
+        counts = ((over >> below) & ~used).to_bytes(step * (cover.bit_length() - v_lo), "little")
+        for best in range(width, 0, -1):
+            cands = _slots(counts, best.to_bytes(step, "little"))
+            if cands:
+                break
+        for i in cands[:beam_width]:
+            r = v_lo + i
+            new = (beta_mask << r) & ~cover
+            child, rest = over, new
+            while rest:
+                e = rest & -rest
+                rest ^= e
+                child += rev_beta << slot * (e.bit_length() - 1 - v_lo)
             chosen.append(r)
-            rec(cover | (beta_mask << r), size + width - best)
+            rec(cover | new, child, used | ((1 << slot) - 1) << slot * i, size + width - best)
             chosen.pop()
-            used.remove(r)
+            if exhausted:
+                return
 
     # the prefix rows use every entry in [0, top]
-    rec((1 << (top + 1)) - 1, top + 1)
+    cover = (1 << (top + 1)) - 1
+    over = sum(((cover >> i) & beta_mask).bit_count() << slot * (i - v_lo)
+               for i in range(v_lo, top + 1))
+    rec(cover, over << below, 0, top + 1)
     if best_n is None:
         raise DomainError("greedy found no complete suffix (budget too small)")
     return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)

@@ -2,9 +2,12 @@
 
 These are the original, slower implementations of `search.exhaustive` and
 `search.greedy`.  They compute D3 and the entry count by another route (a
-packed big-integer multiplication; per-node lists of column masks), so the
-differential tests in test_search.py compare the bitset kernels against them
-result for result, including the optima order and greedy's node count.
+packed big-integer multiplication; per-node lists of column masks; a rescan
+of every row's overlap at every node), so the differential tests in
+test_search.py compare the bitset and counter kernels against them result
+for result, including the optima order and greedy's node count.
+`greedy_lists` builds a list over the whole suffix window at every node, so
+only `greedy_scan` reaches the wide shapes (L+T >= 256, or K=L=T=130).
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 from typing import Optional
 
 from gasptables.bounds import entry_upper_bounds
-from gasptables.degree_table import DegreeTable, DomainError
-from gasptables.gasp import standard_beta
+from gasptables.degree_table import DegreeTable, DomainError, _mask
+from gasptables.gasp import standard_beta, suffix_window
 from gasptables.search import GreedyResult, SearchResult, _dedupe_canonical, _side_candidates
 
 
@@ -162,6 +165,58 @@ def greedy_lists(K: int, L: int, T: int, budget: Optional[int] = None,
             used.remove(r)
 
     rec(init, [], set(), kl + K + T - 1)
+    if best_n is None:
+        raise DomainError("greedy found no complete suffix (budget too small)")
+    return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)
+
+
+def greedy_scan(K: int, L: int, T: int, budget: Optional[int] = None,
+                beam_width: Optional[int] = None) -> GreedyResult:
+    """Greedy on one cover bitset, rescanning every window row below the
+    cover's top bit at every node: row i overlaps the table in
+    popcount((cover >> i) & beta_mask) columns."""
+    v_lo, v_hi, _, top = suffix_window(K, L, T)
+    beta_mask = _mask(standard_beta(K, L, T))
+    width = L + T
+
+    best_n: Optional[int] = None
+    best_suffix: tuple[int, ...] = ()
+    nodes = 0
+    exhausted = False
+    chosen: list[int] = []
+    used: set[int] = set()
+
+    def rec(cover: int, size: int):
+        nonlocal best_n, best_suffix, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if budget is not None and nodes > budget:
+            exhausted = True
+            return
+        if best_n is not None and size + (T - len(chosen)) > best_n:
+            return
+        if len(chosen) == T:
+            if best_n is None or size < best_n:
+                best_n = size
+                best_suffix = tuple(sorted(chosen))
+            return
+        best, cands = 1, []
+        for i in range(v_lo, min(v_hi + 1, cover.bit_length())):
+            o = ((cover >> i) & beta_mask).bit_count()
+            if o >= best and i not in used:
+                if o > best:
+                    best, cands = o, [i]
+                else:
+                    cands.append(i)
+        for r in cands[:beam_width]:
+            used.add(r)
+            chosen.append(r)
+            rec(cover | (beta_mask << r), size + width - best)
+            chosen.pop()
+            used.remove(r)
+
+    rec((1 << (top + 1)) - 1, top + 1)
     if best_n is None:
         raise DomainError("greedy found no complete suffix (budget too small)")
     return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)

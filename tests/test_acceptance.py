@@ -1,8 +1,9 @@
 """Acceptance gate: one test per numbered criterion.
 
 Each test prints exactly one line, ``ACCEPTANCE <n> <what>: PASS`` or
-``FAIL``, bypassing capture so the verdicts always reach the console, and
-then asserts.  Budgets are wall-clock seconds and are part of the verdict.
+``FAIL`` followed by its elapsed time against its budget (``in 0.2 s of 60
+s``), bypassing capture so the verdicts always reach the console, and then
+asserts.  Budgets are wall-clock seconds and are part of the verdict.
 """
 
 import itertools
@@ -50,7 +51,7 @@ def _finish(capsys, num, what, problems, started, budget):
         problems.append(f"took {elapsed:.1f}s, budget {budget}s")
     verdict = "FAIL" if problems else "PASS"
     with capsys.disabled():
-        print(f"ACCEPTANCE {num} {what}: {verdict}")
+        print(f"ACCEPTANCE {num} {what}: {verdict} in {elapsed:.1f} s of {budget} s")
     assert not problems, "; ".join(problems)
 
 

@@ -268,6 +268,17 @@ class TestSearchCommands:
         assert doc["nodes"] == 7
         assert doc["table"]["alpha_s"] == doc["alpha_s"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("greedy", "--budget", "-1"), "budget must be >= 0, got -1"),
+        (("greedy", "--beam-width", "0"), "beam_width must be >= 1, got 0"),
+        (("exhaustive", "--fixed-prefix", "--budget", "-3"), "budget must be >= 0, got -3"),
+        (("exhaustive", "--fixed-prefix", "--budget", "0"),
+         "fixed-prefix search scored no suffix (budget too small)"),
+    ])
+    def test_search_limits_exit_one(self, capsys, argv, message):
+        code, out, err = dispatch(capsys, "search", *argv, "--K", "2", "--L", "2", "--T", "2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_emit_lp_fixed_roundtrips(self, capsys, tmp_path):
         dst = tmp_path / "model.lp"
         code, out, _ = dispatch(

@@ -21,7 +21,7 @@ from gasptables import (
     optimal_r,
     validate,
 )
-from search_oracles import exhaustive_packed, greedy_lists
+from search_oracles import exhaustive_packed, greedy_lists, greedy_scan
 
 
 def _brute_census(K, L, T, bound):
@@ -187,6 +187,14 @@ class TestFixedPrefix:
         with pytest.raises(DomainError, match="T must be a positive integer"):
             exhaustive_fixed_prefix(2, 2, 0)
 
+    def test_zero_budget_names_the_budget(self):
+        with pytest.raises(DomainError, match="budget too small"):
+            exhaustive_fixed_prefix(2, 2, 2, budget=0)
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(DomainError, match="budget must be >= 0"):
+            exhaustive_fixed_prefix(2, 2, 2, budget=-1)
+
 
 class TestGreedy:
     def test_tiny(self):
@@ -233,6 +241,33 @@ class TestGreedy:
     def test_rejects_nonpositive(self, K, L, T, message):
         with pytest.raises(DomainError, match=message):
             greedy(K, L, T)
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"budget": -1}, "budget must be >= 0, got -1"),
+        ({"beam_width": 0}, "beam_width must be >= 1, got 0"),
+        ({"beam_width": -1}, "beam_width must be >= 1, got -1"),
+    ])
+    def test_rejects_bad_limits(self, kw, message):
+        with pytest.raises(DomainError, match=message):
+            greedy(8, 8, 8, **kw)
+
+    @pytest.mark.parametrize("K,L,T,kw", [
+        *(((n, n, n, {}) for n in range(11, 16))),
+        # Slots wider than a byte (L+T >= 256).  Counts pass 255 in all but
+        # the first; byte matches off the slot grid occur in the first and last.
+        (1, 1, 255, {"budget": 300}),
+        (1, 1, 300, {}),
+        (3, 2, 300, {"budget": 400, "beam_width": 2}),
+        (130, 130, 130, {"budget": 5}),
+    ])
+    def test_matches_scan_oracle(self, K, L, T, kw):
+        def outcome(search):
+            try:
+                return search(K, L, T, **kw)
+            except DomainError as err:
+                return str(err)
+
+        assert outcome(greedy) == outcome(greedy_scan)
 
     @pytest.mark.parametrize("K,L,T,kw", [
         *(((n, n, n, {}) for n in range(1, 11))),
