@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .degree_table import DegreeTable, DomainError
+from .degree_table import DegreeTable, DomainError, _require_int
 from .equivalence import is_normal
 
 EntryBound = Union[int, tuple[int, int]]
@@ -31,9 +31,7 @@ class MatrixDims:
     q: int
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be positive")
+        _require_int(a=self.a, b=self.b, c=self.c)
         if self.q < 2:
             raise DomainError("q must be at least 2")
 
@@ -69,8 +67,7 @@ def lower_bounds(K: int, L: int, T: int) -> BoundsReport:
     trades the max(K, L) term for K + L minus a collusion rebate and is the
     strongest of the three exactly when T*T < min(K, L).
     """
-    if min(K, L, T) < 1:
-        raise DomainError("K, L, T must be positive")
+    _require_int(K=K, L=L, T=T)
     m = max(K, L)
     ineq1 = K * L + m + 2 * T - 1
     conditions = []
@@ -105,8 +102,7 @@ def entry_upper_bounds(K: int, L: int, T: int) -> Optional[tuple[int, int]]:
     comparable unconditional bound is available and searches must rely on
     the fixed-prefix route or the threshold).
     """
-    if min(K, L, T) < 1:
-        raise DomainError("K, L, T must be positive")
+    _require_int(K=K, L=L, T=T)
     if 2 * K * L - K - L - min(K, L) + 3 <= T:
         return (2 * K * L + T - 1 - L, 2 * K * L + T - 1 - K)
     return None

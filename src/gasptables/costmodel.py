@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .degree_table import DomainError
+from .degree_table import DomainError, _require_int
 
 
 def _frac(x) -> Fraction:
@@ -79,10 +79,7 @@ def concrete_costs(a: int, b: int, c: int, K: int, L: int, M: int,
     No divisibility is required; non-dividing block counts simply give
     fractional per-server sizes, which is still the right aggregate.
     """
-    for name, v in (("a", a), ("b", b), ("c", c), ("K", K), ("L", L),
-                    ("M", M), ("N_O", n_outer), ("N_I", n_inner)):
-        if not isinstance(v, int) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    _require_int(a=a, b=b, c=c, K=K, L=L, M=M, N_O=n_outer, N_I=n_inner)
     return CostReport(
         u_outer=n_outer * (Fraction(a * b, K) + Fraction(b * c, L)),
         d_outer=n_outer * Fraction(a * c, K * L),

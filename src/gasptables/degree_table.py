@@ -31,6 +31,14 @@ class DomainError(Exception):
     """An argument is outside the domain an operation is defined on."""
 
 
+def _require_int(*, low: int = 1, rule: str = "a positive integer", **values) -> None:
+    """Raise DomainError at the first of ``values`` (name=value) that is not a plain
+    int (so not a bool) of at least ``low``; the message says it must be ``rule``."""
+    for name, v in values.items():
+        if type(v) is not int or v < low:
+            raise DomainError(f"{name} must be {rule}, got {v!r}")
+
+
 class InvalidTableError(DomainError):
     """A degree table failed validation where a valid one is required.
 
@@ -244,22 +252,3 @@ class ScoreBreakdown:
     @property
     def total(self) -> int:
         return sum(self.left) + sum(self.right)
-
-
-def score_bruteforce(table: DegreeTable) -> ScoreBreakdown:
-    """Count suffix-row collisions by direct enumeration.
-
-    Rows are scanned top-down, prefix columns before suffix columns within a
-    row, maintaining the set of values seen so far.  No validity is assumed;
-    on the standard constructions this reproduces the closed-form score.
-    """
-    seen = set(sumset(table.alpha_p, table.beta))
-    left, right = [], []
-    for a in table.alpha_s:
-        row_p = {a + b for b in table.beta_p}
-        left.append(sum(1 for v in row_p if v in seen))
-        seen |= row_p
-        row_s = {a + b for b in table.beta_s}
-        right.append(sum(1 for v in row_s if v in seen))
-        seen |= row_s
-    return ScoreBreakdown(left=tuple(left), right=tuple(right))

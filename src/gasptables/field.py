@@ -1,8 +1,8 @@
 """Prime fields and exact linear algebra, no floating point anywhere.
 
 Matrices are tuples of tuples of ints; the kernels reduce entries mod q
-themselves.  Everything the protocol needs is here: `mat_combine` (a weighted
-sum of matrices, which is what encoding a share is), `mat_mul`, and one
+themselves.  Everything the protocol needs is here: `mat_combine` (weighted
+sums of matrices, which is what encoding the shares is), `mat_mul`, and one
 forward elimination behind both `is_invertible` and `solve`.
 
 The hot loops run on packed rows: a row over GF(q) is one Python int with one
@@ -120,15 +120,15 @@ def _weighted_sums(q: int, weights, rows, width: int, terms: int) -> Matrix:
     return tuple(_unpack(sum(map(mul, [w % q for w in ws], packed)), width, nb, q) for ws in weights)
 
 
-def mat_combine(field: PrimeField, weights: Sequence[int], mats: Sequence[Matrix]) -> Matrix:
-    """sum(w * m for w, m in zip(weights, mats)), each matrix packed as one row."""
+def mat_combine(field: PrimeField, weights: Sequence[Sequence[int]], mats: Sequence[Matrix]) -> tuple[Matrix, ...]:
+    """sum(w * m for w, m in zip(ws, mats)) for each weight vector ws, the matrices packed once, each as one row."""
     shapes = {_shape(m, "a combined matrix") for m in mats}
-    if len(weights) != len(mats) or len(shapes) > 1:
-        raise DomainError(f"mat_combine got {len(weights)} weights for {len(mats)} matrices of shape "
+    if (wrong := {len(ws) for ws in weights} - {len(mats)}) or len(shapes) > 1:
+        raise DomainError(f"mat_combine got {min(wrong, default=len(mats))} weights for {len(mats)} matrices of shape "
                           + " and ".join(f"{r}x{c}" for r, c in sorted(shapes)))
     (rows, cols), = shapes or {(0, 0)}
-    flat, = _weighted_sums(field.q, (weights,), mats, rows * cols, len(mats))
-    return tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+    sums = _weighted_sums(field.q, weights, mats, rows * cols, len(mats))
+    return tuple(tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)) for flat in sums)
 
 
 def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .degree_table import DegreeTable, DomainError, ScoreBreakdown
+from .degree_table import DegreeTable, DomainError, ScoreBreakdown, _require_int
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class GaspParams:
     transposed: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        for name in ("K", "L", "T", "r"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        _require_int(K=self.K, L=self.L, T=self.T, r=self.r)
         if self.L > self.K:
             k, l = self.L, self.K
             object.__setattr__(self, "K", k)
@@ -64,8 +61,7 @@ class GaspParams:
     @classmethod
     def big(cls, K: int, L: int, T: int) -> "GaspParams":
         """The r = min(K, T) member (after normalization)."""
-        kk, ll = (K, L) if L <= K else (L, K)
-        return cls(K=K, L=L, T=T, r=min(kk, T))
+        return cls(K=K, L=L, T=T, r=min(max(K, L), T))
 
 
 def standard_beta(K: int, L: int, T: int) -> tuple[int, ...]:
@@ -227,9 +223,7 @@ class ChainSearchTrace:
 
 
 def _check_klt(K: int, L: int, T: int) -> None:
-    for name, v in (("K", K), ("L", L), ("T", T)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    _require_int(K=K, L=L, T=T)
     if L > K:
         raise DomainError(f"need L <= K, got K={K}, L={L} (swap the roles first)")
 
@@ -322,6 +316,7 @@ def reduction_statistic(k_max: int = 300, t_max: int = 300) -> Fraction:
     uses the block decomposition of floor((T-1)/i), so only the few L with a
     nontrivial range lower end cost a bisect.
     """
+    _require_int(k_max=k_max, t_max=t_max)
     # numerator sums grouped by denominator min(K, T)
     num: dict[int, int] = {}
     triples = 0

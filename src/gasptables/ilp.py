@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bounds import EntryBound, census_bounds
-from .degree_table import DomainError
+from .degree_table import DomainError, _require_int
 from .gasp import standard_beta, suffix_window
 
 Coeffs = tuple[tuple[str, int], ...]
@@ -417,6 +417,8 @@ def naive_solve(model: IlpModel, budget: Optional[int] = None) -> NaiveSolveOutc
     node expansions; exceeding it abandons the search (no incumbent is
     reported since it may not be optimal).
     """
+    if budget is not None:
+        _require_int(budget=budget, low=0, rule=">= 0")
     names = [v.name for v in model.variables]
     index = {n: i for i, n in enumerate(names)}
     lo, hi = [], []

@@ -18,12 +18,12 @@ import heapq
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import mul
 from typing import Optional
 
-from .degree_table import DegreeTable, DomainError, require_valid, sumset
+from .degree_table import DegreeTable, DomainError, _require_int, require_valid, sumset
 from .field import Matrix, PrimeField, _shape, is_invertible, mat_combine, mat_mul, next_prime, solve
 
 DEFAULT_SELECTION_SAMPLES = 50
@@ -36,11 +36,7 @@ MAX_EXHAUSTIVE_SUBSETS = 10**7
 
 @dataclass(frozen=True)
 class SdmmInstance:
-    """Everything one protocol run needs, immutable once assembled.
-
-    ``shares`` and ``responses`` are None while the instance is still being
-    built; :func:`build_instance` returns them filled in.
-    """
+    """Everything one protocol run needs, immutable once assembled."""
 
     field: PrimeField
     dims: tuple[int, int, int]
@@ -50,8 +46,8 @@ class SdmmInstance:
     r_masks: tuple[Matrix, ...]
     s_masks: tuple[Matrix, ...]
     points: tuple[int, ...]
-    shares: Optional[tuple[tuple[Matrix, Matrix], ...]] = None
-    responses: Optional[tuple[Matrix, ...]] = None
+    shares: tuple[tuple[Matrix, Matrix], ...]
+    responses: tuple[Matrix, ...]
 
     @property
     def n_servers(self) -> int:
@@ -214,23 +210,16 @@ def choose_field_and_points(
     )
 
 
-def encode(inst: SdmmInstance) -> tuple[tuple[Matrix, Matrix], ...]:
-    """Evaluate both masked polynomials at every server's point."""
-    fld = inst.field
-    tab = inst.table
-    a_blocks, b_blocks = partition(inst.a_mat, inst.b_mat, tab.K, tab.L)
-    f_mats, g_mats = a_blocks + inst.r_masks, b_blocks + inst.s_masks
-    return tuple(
-        (mat_combine(fld, [fld.pow(x, e) for e in tab.alpha], f_mats),
-         mat_combine(fld, [fld.pow(x, e) for e in tab.beta], g_mats))
-        for x in inst.points
-    )
+def encode(field: PrimeField, table: DegreeTable, points, f_mats, g_mats) -> tuple[tuple[Matrix, Matrix], ...]:
+    """Evaluate both masked polynomials at every point: server i gets
+    (sum_j x_i^alpha_j F_j, sum_j x_i^beta_j G_j), one packed combine per side."""
+    return tuple(zip(mat_combine(field, _powers(field, points, table.alpha), f_mats),
+                     mat_combine(field, _powers(field, points, table.beta), g_mats)))
 
 
-def server_compute(inst: SdmmInstance) -> tuple[Matrix, ...]:
-    if inst.shares is None:
-        raise DomainError("instance has no shares yet")
-    return tuple(mat_mul(inst.field, f_sh, g_sh) for f_sh, g_sh in inst.shares)
+def server_compute(field: PrimeField, shares) -> tuple[Matrix, ...]:
+    """Each server's response: the product of its two shares."""
+    return tuple(mat_mul(field, f_sh, g_sh) for f_sh, g_sh in shares)
 
 
 def build_instance(
@@ -241,7 +230,6 @@ def build_instance(
     seed: int = 0,
     mask_seed: Optional[int] = None,
     zero_masks: bool = False,
-    selection_samples: int = DEFAULT_SELECTION_SAMPLES,
 ) -> SdmmInstance:
     """Assemble a full protocol run: field, points, masks, shares, answers.
 
@@ -249,33 +237,26 @@ def build_instance(
     while leaving the decoded product untouched.  ``zero_masks`` exists for
     tests that want to see the unmasked polynomial.
     """
-    fld, pts = choose_field_and_points(
-        table, base_q=base_q, seed=seed, selection_samples=selection_samples
-    )
+    fld, pts = choose_field_and_points(table, base_q=base_q, seed=seed)
     a_red = tuple(tuple(v % fld.q for v in row) for row in a_mat)
     b_red = tuple(tuple(v % fld.q for v in row) for row in b_mat)
-    partition(a_red, b_red, table.K, table.L)
+    a_blocks, b_blocks = partition(a_red, b_red, table.K, table.L)
     a, b, c = len(a_red), len(b_red), len(b_red[0])
     mrng = random.Random(f"masks:{seed if mask_seed is None else mask_seed}")
     ra, cl = a // table.K, c // table.L
-    if zero_masks:
-        r_masks = (((0,) * b,) * ra,) * table.T
-        s_masks = (((0,) * cl,) * b,) * table.T
-    else:
-        r_masks = tuple(fld.random_matrix(mrng, ra, b) for _ in range(table.T))
-        s_masks = tuple(fld.random_matrix(mrng, b, cl) for _ in range(table.T))
-    inst = SdmmInstance(
+    mask = (lambda r, c: ((0,) * c,) * r) if zero_masks else (lambda r, c: fld.random_matrix(mrng, r, c))
+    r_masks = tuple(mask(ra, b) for _ in range(table.T))
+    s_masks = tuple(mask(b, cl) for _ in range(table.T))
+    shares = encode(fld, table, pts, a_blocks + r_masks, b_blocks + s_masks)
+    return SdmmInstance(
         field=fld, dims=(a, b, c), table=table, a_mat=a_red, b_mat=b_red,
         r_masks=r_masks, s_masks=s_masks, points=pts,
+        shares=shares, responses=server_compute(fld, shares),
     )
-    inst = replace(inst, shares=encode(inst))
-    return replace(inst, responses=server_compute(inst))
 
 
 def decode(inst: SdmmInstance) -> DecodeResult:
     """Interpolate the response polynomial and read off the product blocks."""
-    if inst.responses is None:
-        raise DomainError("instance has no responses yet")
     tab = inst.table
     degrees = _degrees(tab)
     if len(inst.points) != len(degrees):
@@ -322,8 +303,7 @@ def security_check(
     limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}
     if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
-    if sample_size < 1:
-        raise DomainError(f"sample_size must be at least 1, got {sample_size}")
+    _require_int(sample_size=sample_size, rule="at least 1")
     n = inst.n_servers
     t = inst.table.T
     total = math.comb(n, t)

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Optional
 
 from .bounds import EntryBound, census_bounds
-from .degree_table import DegreeTable, DomainError, _mask
+from .degree_table import DegreeTable, DomainError, _mask, _require_int
 from .equivalence import canonical
 from .gasp import fixed_prefix_table, standard_beta, suffix_window
 
@@ -200,10 +200,10 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
 
 
 def _check_limits(budget: Optional[int], beam_width: Optional[int] = None) -> None:
-    if budget is not None and budget < 0:
-        raise DomainError(f"budget must be >= 0, got {budget}")
-    if beam_width is not None and beam_width < 1:
-        raise DomainError(f"beam_width must be >= 1, got {beam_width}")
+    if budget is not None:
+        _require_int(budget=budget, low=0, rule=">= 0")
+    if beam_width is not None:
+        _require_int(beam_width=beam_width, rule=">= 1")
 
 
 def _slots(buf: bytes, key: bytes) -> list[int]:

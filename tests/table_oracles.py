@@ -8,7 +8,9 @@ branch of the canonical form through `negate` and `normal`, and scan the
 beta side for a squeeze gap in a loop of its own, so the differential tests
 in test_degree_table.py and test_equivalence.py compare the bitset pass, the
 one-pass structural check, the direct negated branch and the one-loop
-squeeze over a table and its transpose against them.
+squeeze over a table and its transpose against them.  `score_bruteforce`
+is the direct-enumeration collision score that test_degree_table.py and
+test_gasp.py compare the closed form against.
 The hypothesis strategies below draw the tables those tests share.
 """
 
@@ -23,6 +25,7 @@ from gasptables.degree_table import (
     _SPARSE_RATIO,
     DegreeTable,
     ExponentVector,
+    ScoreBreakdown,
     ValidationReport,
     sumset,
 )
@@ -110,6 +113,25 @@ def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]
             return new, step
 
     return None
+
+
+def score_bruteforce(table: DegreeTable) -> ScoreBreakdown:
+    """Count suffix-row collisions by direct enumeration.
+
+    Rows are scanned top-down, prefix columns before suffix columns within a
+    row, maintaining the set of values seen so far.  No validity is assumed;
+    on the standard constructions this reproduces the closed-form score.
+    """
+    seen = set(sumset(table.alpha_p, table.beta))
+    left, right = [], []
+    for a in table.alpha_s:
+        row_p = {a + b for b in table.beta_p}
+        left.append(sum(1 for v in row_p if v in seen))
+        seen |= row_p
+        row_s = {a + b for b in table.beta_s}
+        right.append(sum(1 for v in row_s if v in seen))
+        seen |= row_s
+    return ScoreBreakdown(left=tuple(left), right=tuple(right))
 
 
 def _table(K: int, L: int, T: int, alpha: list[int], beta: list[int]) -> DegreeTable:

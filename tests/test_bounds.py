@@ -56,6 +56,15 @@ class TestLowerBounds:
         with pytest.raises(DomainError):
             lower_bounds(0, 1, 1)
 
+    @pytest.mark.parametrize("K,L,T,message", [
+        (2.5, 2, 2, "K must be a positive integer, got 2.5"),
+        (2, True, 2, "L must be a positive integer, got True"),
+        (2, 2, 0, "T must be a positive integer, got 0"),
+    ])
+    def test_rejects_non_integers(self, K, L, T, message):
+        with pytest.raises(DomainError, match=message):
+            lower_bounds(K, L, T)
+
     def test_never_exceeds_achievable(self):
         for K in range(1, 9):
             for L in range(1, K + 1):
@@ -110,6 +119,10 @@ class TestEntryBounds:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             entry_upper_bounds(1, 0, 1)
+
+    def test_rejects_float_t(self):
+        with pytest.raises(DomainError, match=r"T must be a positive integer, got 12\.0"):
+            entry_upper_bounds(2, 2, 12.0)
 
 
 class TestCensusBounds:
@@ -174,6 +187,15 @@ class TestOperationalThreshold:
             MatrixDims(0, 1, 1, 2)
         with pytest.raises(DomainError):
             MatrixDims(1, 1, 1, 1)
+
+    @pytest.mark.parametrize("dims,message", [
+        ((2.5, 1, 1, 3), r"a must be a positive integer, got 2\.5"),
+        ((1, False, 1, 3), "b must be a positive integer, got False"),
+        ((1, 1, 0, 3), "c must be a positive integer, got 0"),
+    ])
+    def test_dims_must_be_positive_integers(self, dims, message):
+        with pytest.raises(DomainError, match=message):
+            MatrixDims(*dims)
 
 
 class TestFullReport:

@@ -498,6 +498,14 @@ class TestStatsCommand:
         assert code == 0
         assert out == "1637/660 = 2.480303\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--k-max", "0", "--t-max", "1"), "k_max must be a positive integer, got 0"),
+        (("--k-max", "4", "--t-max", "-2"), "t_max must be a positive integer, got -2"),
+    ])
+    def test_nonpositive_limit_exits_one(self, capsys, argv, message):
+        code, out, err = dispatch(capsys, "stats", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestDispatch:
     def test_no_arguments_is_usage_error(self, capsys):

@@ -87,6 +87,10 @@ class TestConcreteCosts:
         with pytest.raises(DomainError, match="b must be a positive integer"):
             concrete_costs(2, 2.0, 2, 1, 1, 1, 3, 3)
 
+    def test_bool_dimension_rejected(self):
+        with pytest.raises(DomainError, match="a must be a positive integer, got True"):
+            concrete_costs(True, 1, 1, 1, 1, 1, 1, 1)
+
 
 class TestAsymptoticCompare:
     def test_balanced_square_prefers_outer(self):

@@ -17,13 +17,13 @@ from gasptables import (
     InvalidTableError,
     construct,
     count_distinct,
-    score_bruteforce,
     sumset,
     validate,
 )
 from gasptables import degree_table
 from gasptables.cli import cmd_dispatch
 import table_oracles as oracle
+from table_oracles import score_bruteforce
 
 TABLE_III_B = DegreeTable(
     K=4, L=4, T=4,

@@ -78,9 +78,9 @@ class TestMatrixOps:
     def test_add_scale(self):
         a = ((1, 2), (3, 4))
         b = ((12, 12), (1, 1))
-        assert mat_combine(self.F, (1, 1), (a, b)) == ((0, 1), (4, 5))
-        assert mat_combine(self.F, (2,), (a,)) == ((2, 4), (6, 8))
-        assert mat_combine(self.F, (3, 5), (a, b)) == ((11, 1), (1, 4))
+        assert mat_combine(self.F, ((1, 1),), (a, b)) == (((0, 1), (4, 5)),)
+        assert mat_combine(self.F, ((2,),), (a,)) == (((2, 4), (6, 8)),)
+        assert mat_combine(self.F, ((3, 5),), (a, b)) == (((11, 1), (1, 4)),)
 
     def test_mul(self):
         a = ((1, 2), (3, 4))
@@ -90,7 +90,7 @@ class TestMatrixOps:
     def test_zero_matrix(self):
         a = ((1, 2, 3), (4, 5, 6))
         b = ((7, 8, 9), (10, 11, 12))
-        assert mat_combine(self.F, (0, 13), (a, b)) == ((0, 0, 0), (0, 0, 0))
+        assert mat_combine(self.F, ((0, 13),), (a, b)) == (((0, 0, 0), (0, 0, 0)),)
 
 
 class TestSolve:
@@ -227,7 +227,7 @@ class TestAgainstOracle:
             for _ in range(count)
         ]
         weights = data.draw(st.lists(entry, min_size=count, max_size=count))
-        assert mat_combine(f, weights, mats) == oracle.scale_and_add(f, weights, mats, rows, cols)
+        assert mat_combine(f, (weights,), mats) == (oracle.scale_and_add(f, weights, mats, rows, cols),)
 
 
 class TestShapeChecks:
@@ -252,11 +252,11 @@ class TestShapeChecks:
     def test_mat_combine_weight_count(self):
         a = ((1, 2), (3, 4))
         with pytest.raises(DomainError, match="3 weights for 2 matrices"):
-            mat_combine(self.F, (1, 2, 3), (a, a))
+            mat_combine(self.F, ((1, 2, 3),), (a, a))
 
     def test_mat_combine_shapes(self):
         with pytest.raises(DomainError, match="2x2 and 2x3"):
-            mat_combine(self.F, (1, 1), (((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6))))
+            mat_combine(self.F, ((1, 1),), (((1, 2), (3, 4)), ((1, 2, 3), (4, 5, 6))))
 
 
 # Fields for the packed kernels: 1-, 2-, 4- and 8-byte struct slots, and slots
@@ -317,7 +317,17 @@ class TestPackedAgainstOracle:
         f, rng = PrimeField(q), random.Random(seed)
         mats = [tuple(map(tuple, _entries(rng, q, rows, cols, spread))) for _ in range(count)]
         weights = [row[0] for row in _entries(rng, q, count, 1, spread)]
-        assert mat_combine(f, weights, mats) == oracle.mat_combine(f, weights, mats)
+        assert mat_combine(f, (weights,), mats) == (oracle.mat_combine(f, weights, mats),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PACKED_QS), st.sampled_from((0, 1, 2, 17)), st.integers(0, 12),
+           st.integers(0, 8), st.integers(0, 40), st.sampled_from((0, 1, 3)), st.integers(0, 2 ** 32))
+    def test_mat_combine_batched(self, q, vectors, count, rows, cols, spread, seed):
+        # One call with many weight vectors gives, for each, what the oracle gives for it alone.
+        f, rng = PrimeField(q), random.Random(seed)
+        mats = [tuple(map(tuple, _entries(rng, q, rows, cols, spread))) for _ in range(count)]
+        weights = _entries(rng, q, vectors, count, spread)
+        assert mat_combine(f, weights, mats) == tuple(oracle.mat_combine(f, ws, mats) for ws in weights)
 
     @pytest.mark.parametrize("q", PACKED_QS)
     @pytest.mark.parametrize("n", [1, 2, 17, 40])
@@ -327,7 +337,7 @@ class TestPackedAgainstOracle:
         f, top = PrimeField(q), q - 1
         full = ((top,) * n,) * n
         assert mat_mul(f, full, full) == oracle.mat_mul(f, full, full) == ((n * top * top % q,) * n,) * n
-        assert mat_combine(f, (top,) * n, (full,) * n) == oracle.mat_combine(f, (top,) * n, (full,) * n)
+        assert mat_combine(f, ((top,) * n,), (full,) * n) == (oracle.mat_combine(f, (top,) * n, (full,) * n),)
         assert is_invertible(f, full) == oracle.is_invertible(f, full) == (n == 1)
         off_diagonal = tuple(tuple(top * (i != j) for j in range(n)) for i in range(n))
         for m in (full, off_diagonal):

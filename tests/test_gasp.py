@@ -21,10 +21,10 @@ from gasptables import (
     n_theorem1,
     optimal_r,
     reduction_statistic,
-    score_bruteforce,
     score_closed_form,
 )
 from gasptables.gasp import suffix_window
+from table_oracles import score_bruteforce
 
 # Known server counts at K = L = T = 4 for each chain length.
 KLT4 = {1: 41, 2: 36, 3: 37, 4: 39}
@@ -357,3 +357,13 @@ class TestReductionStatistic:
 
     def test_exact_rational(self):
         assert isinstance(reduction_statistic(3, 3), Fraction)
+
+    @pytest.mark.parametrize("k_max,t_max,message", [
+        (0, 3, "k_max must be a positive integer, got 0"),
+        (3, -2, "t_max must be a positive integer, got -2"),
+        (2.5, 3, "k_max must be a positive integer, got 2.5"),
+        (3, True, "t_max must be a positive integer, got True"),
+    ])
+    def test_rejects_bad_limits(self, k_max, t_max, message):
+        with pytest.raises(DomainError, match=message):
+            reduction_statistic(k_max, t_max)

@@ -1,5 +1,7 @@
 """Model construction, LP text serialization, and the toy solver."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +207,11 @@ class TestNaiveSolve:
         assert out.objective is None
         assert out.assignment is None
         assert out.nodes == 4
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, True])
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(DomainError, match=f"budget must be >= 0, got {re.escape(repr(budget))}"):
+            naive_solve(build_ilp_fixed(1, 1, 2), budget=budget)
 
     def test_infeasible(self):
         m = IlpModel(

@@ -81,7 +81,7 @@ class TestExhaustive:
         assert a == b
 
     @pytest.mark.parametrize("K,L,T,bound,message", [
-        (1, 1, 0, 3, "K, L, T must be positive"),
+        (1, 1, 0, 3, "T must be a positive integer, got 0"),
         (1, 1, 1, (3,), "entry bound must be"),
         (1, 1, 1, -1, "entry bound must be"),
         (1, 1, 1, (2, -1), "entry bound must be"),
@@ -246,6 +246,9 @@ class TestGreedy:
         ({"budget": -1}, "budget must be >= 0, got -1"),
         ({"beam_width": 0}, "beam_width must be >= 1, got 0"),
         ({"beam_width": -1}, "beam_width must be >= 1, got -1"),
+        ({"beam_width": 1.5}, r"beam_width must be >= 1, got 1\.5"),
+        ({"beam_width": True}, "beam_width must be >= 1, got True"),
+        ({"budget": 2.5}, r"budget must be >= 0, got 2\.5"),
     ])
     def test_rejects_bad_limits(self, kw, message):
         with pytest.raises(DomainError, match=message):
