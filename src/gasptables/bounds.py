@@ -32,8 +32,7 @@ class MatrixDims:
 
     def __post_init__(self):
         _require_int(a=self.a, b=self.b, c=self.c)
-        if self.q < 2:
-            raise DomainError("q must be at least 2")
+        _require_int(q=self.q, low=2, rule="at least 2")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 Matrices are tuples of tuples of ints; the kernels reduce entries mod q
 themselves.  Everything the protocol needs is here: `mat_combine` (weighted
 sums of matrices, which is what encoding the shares is), `mat_mul`, and one
-forward elimination behind both `is_invertible` and `solve`.
+forward elimination behind `is_invertible`, `solve` and the security audit.
 
 The hot loops run on packed rows: a row over GF(q) is one Python int with one
 byte-aligned slot per column, so a row operation is a few big-int operations
 instead of one ``% q`` per entry.  Products sum weight times packed row in
 slots wide enough for the unreduced sum and reduce each entry once, unpacked.
-Elimination keeps its slots lazily reduced in [0, 2q) by a floor-Barrett step
+Elimination reduces each row once, into [0, 2q), when it becomes the pivot
 (see `_eliminate`).  Shapes are checked before anything is packed.
 """
 
@@ -138,34 +138,38 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
     return _weighted_sums(field.q, a, zip(b), cols, inner_b)
 
 
-def _eliminate(q: int, rows, n: int, width: int) -> Optional[tuple[list[int], int]]:
-    """Forward elimination on the first n columns of ``rows`` (as `_pack` takes
-    them): the n pivot rows, packed with their pivot in slot 0, and the slot
-    bytes; None at the first column with no pivot.
+def _lazy_pack(q: int, rows, n: int, width: int) -> tuple[list[int], tuple[int, ...]]:
+    """``rows`` (as `_pack` takes them) packed for `_eliminate` on up to n of them, with the layout it takes."""
+    k = (q + n * (q - 1) * (2 * q - 1)).bit_length()
+    nb = _slot_bytes(2 * k - q.bit_length() + 2)
+    lowmask = int.from_bytes(((1 << 8 * nb - k) - 1).to_bytes(nb, "little") * width, "little")
+    return _pack(rows, q, nb, width), (q, k, (1 << k) // q, nb, lowmask)
 
-    Slots stay lazily reduced in [0, 2q).  A row operation adds g = -f mod q
-    times the pivot row (each slot is then below q(2q - 1) < 2^k), shifts out
-    the eliminated column, and takes off q times the floor-Barrett estimate
-    (v*m >> k, m = floor(2^k / q)) of floor(v / q), exact or one short.  As
-    v*m < 2q * 2^k fits k + bits(q) + 1 bits, slots never carry into each
-    other, and each estimate, below 2q, fits the bits above k that lowmask keeps.
+
+def _eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[list[int], int]]:
+    """Forward elimination on the first len(rows) columns of ``rows``, packed by
+    `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows,
+    pivot in slot 0 and slots in [0, 2q), and the slot bytes; None at the first
+    column with no pivot.
+
+    A row operation adds g = -f mod q < q times a pivot row and shifts out the
+    eliminated column, so on at most n rows (the n `_lazy_pack` was given) a slot
+    stays below V = q + n(q-1)(2q-1) < 2^k, k = bits(V).  Each row is reduced once, as it becomes the pivot, by q times the
+    floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short.
+    As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never carry, and
+    each estimate, below 2^k / q, fits the bits above k that lowmask keeps.
     """
-    b = q.bit_length()
-    k = 2 * b + 2
-    m = (1 << k) // q
-    nb = _slot_bytes(k + b + 1)
+    q, k, m, nb, lowmask = layout
     w, smask = 8 * nb, (1 << 8 * nb) - 1
-    lowmask = int.from_bytes(((1 << w - k) - 1).to_bytes(nb, "little") * width, "little")
-    rows = _pack(rows, q, nb, width)
     pivots = []
-    for _ in range(n):
+    while rows:
         i = next((i for i, x in enumerate(rows) if (x & smask) % q), None)
         if i is None:
             return None
-        pivots.append(p := rows.pop(i))
+        p = rows.pop(i)
+        pivots.append(p := p - q * ((p * m >> k) & lowmask))
         neg = q - pow(p & smask, -1, q)
-        rows = [(s := (x + (x & smask) * neg % q * p) >> w) - q * ((s * m >> k) & lowmask)
-                for x in rows]
+        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
     return pivots, nb
 
 
@@ -180,7 +184,7 @@ def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
         raise DomainError(f"solve needs a square matrix, got {n}x{cols}")
     if rn != n:
         raise DomainError(f"rhs row count mismatch: the matrix is {n}x{n}, the rhs {rn}x{w}")
-    if (found := _eliminate(q, zip(m, rhs), n, n + w)) is None:
+    if (found := _eliminate(*_lazy_pack(q, zip(m, rhs), n, n + w))) is None:
         return None
     # u[c][j - c] is the entry in column j of the pivot row of column c.
     u = [_unpack(p, n + w - c, found[1], q) for c, p in enumerate(found[0])]
@@ -198,4 +202,4 @@ def is_invertible(field: PrimeField, m: Matrix) -> bool:
     n, cols = _shape(m, "the matrix")
     if n != cols:
         raise DomainError(f"is_invertible needs a square matrix, got {n}x{cols}")
-    return _eliminate(field.q, zip(m), n, n) is not None
+    return _eliminate(*_lazy_pack(field.q, zip(m), n, n)) is not None

@@ -24,7 +24,8 @@ from operator import mul
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, _require_int, require_valid, sumset
-from .field import Matrix, PrimeField, _shape, is_invertible, mat_combine, mat_mul, next_prime, solve
+from .field import (Matrix, PrimeField, _eliminate, _lazy_pack, _shape, is_invertible, mat_combine, mat_mul,
+                    next_prime, solve)
 
 DEFAULT_SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
@@ -159,7 +160,8 @@ def _mask_side(field: PrimeField, points, exps):
         leaks = lambda s: len({y[i] for i in s}) < t
         return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
     rows = _powers(field, points, exps)
-    return (lambda s: not is_invertible(field, tuple(rows[i] for i in s)),
+    packed, layout = _lazy_pack(field.q, zip(rows), t, t)
+    return (lambda s: _eliminate([packed[i] for i in s], layout) is None,
             lambda: _dependent_subsets(field.q, rows, t))
 
 
@@ -189,6 +191,7 @@ def choose_field_and_points(
     are all invertible.
     """
     require_valid(table)
+    _require_int(selection_samples=selection_samples, rule="at least 1")
     degrees = _degrees(table)
     n = len(degrees)
     q = next_prime(max(base_q, degrees[-1] + 2, n + 1))

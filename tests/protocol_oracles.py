@@ -1,7 +1,8 @@
 """Reference kernels for the protocol layer.
 
-These are the original implementations of the field eliminations, the
-scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
+These are the original implementations of the field eliminations (the
+list-of-ints ones and the packed one that reduced every row after every row
+operation), the scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
 that `field.py` replaced with packed-integer rows, point selection and the
 security audit, each with its own copy of the loop that `field.py` and
 `sdmm.py` now share.  The differential tests in test_field.py and
@@ -18,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, require_valid, sumset
-from gasptables.field import Matrix, PrimeField, next_prime
+from gasptables.field import Matrix, PrimeField, _pack, _slot_bytes, next_prime
 from gasptables.sdmm import (
     DEFAULT_SELECTION_SAMPLES,
     EXHAUSTIVE_SUBSET_LIMIT,
@@ -112,6 +113,37 @@ def is_invertible(field: PrimeField, m: Matrix) -> bool:
                 f = a[r][col] * inv % q
                 a[r] = [(v - f * p) % q for v, p in zip(a[r], a[col])]
     return True
+
+
+def barrett_eliminate(q: int, rows, n: int, width: int) -> Optional[tuple[list[int], int]]:
+    """Forward elimination on the first n columns of ``rows`` (as `_pack` takes
+    them): the n pivot rows, packed with their pivot in slot 0, and the slot
+    bytes; None at the first column with no pivot.
+
+    Slots stay lazily reduced in [0, 2q).  A row operation adds g = -f mod q
+    times the pivot row (each slot is then below q(2q - 1) < 2^k), shifts out
+    the eliminated column, and takes off q times the floor-Barrett estimate
+    (v*m >> k, m = floor(2^k / q)) of floor(v / q), exact or one short.  As
+    v*m < 2q * 2^k fits k + bits(q) + 1 bits, slots never carry into each
+    other, and each estimate, below 2q, fits the bits above k that lowmask keeps.
+    """
+    b = q.bit_length()
+    k = 2 * b + 2
+    m = (1 << k) // q
+    nb = _slot_bytes(k + b + 1)
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    lowmask = int.from_bytes(((1 << w - k) - 1).to_bytes(nb, "little") * width, "little")
+    rows = _pack(rows, q, nb, width)
+    pivots = []
+    for _ in range(n):
+        i = next((i for i, x in enumerate(rows) if (x & smask) % q), None)
+        if i is None:
+            return None
+        pivots.append(p := rows.pop(i))
+        neg = q - pow(p & smask, -1, q)
+        rows = [(s := (x + (x & smask) * neg % q * p) >> w) - q * ((s * m >> k) & lowmask)
+                for x in rows]
+    return pivots, nb
 
 
 def _degrees(table: DegreeTable) -> list[int]:

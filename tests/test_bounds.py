@@ -192,6 +192,8 @@ class TestOperationalThreshold:
         ((2.5, 1, 1, 3), r"a must be a positive integer, got 2\.5"),
         ((1, False, 1, 3), "b must be a positive integer, got False"),
         ((1, 1, 0, 3), "c must be a positive integer, got 0"),
+        ((1, 1, 1, 2.5), r"q must be at least 2, got 2\.5"),
+        ((1, 1, 1, True), "q must be at least 2, got True"),
     ])
     def test_dims_must_be_positive_integers(self, dims, message):
         with pytest.raises(DomainError, match=message):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protocol_oracles as oracle
-from gasptables import DomainError, PrimeField, is_prime, next_prime
+from gasptables import DomainError, PrimeField, field, is_prime, next_prime
 from gasptables.field import is_invertible, mat_combine, mat_mul, solve
 
 
@@ -260,8 +260,9 @@ class TestShapeChecks:
 
 
 # Fields for the packed kernels: 1-, 2-, 4- and 8-byte struct slots, and slots
-# wider than 8 bytes that go through int.to_bytes.  At q = 1009 the
-# elimination's slot bound, k + bits(q) + 1 = 33 bits, is one bit past 4 bytes.
+# wider than 8 bytes that go through int.to_bytes.  The elimination's slots,
+# 2k - bits(q) + 2 bits with k = bits(q + n(q-1)(2q-1)), grow with n: at
+# q = 331 they are 31 bits at n = 2 and 33, one past 4 bytes, at n = 3.
 PACKED_QS = (2, 3, 13, 331, 1009, 65537, 1_000_003, next_prime(2 ** 64))
 
 
@@ -343,3 +344,82 @@ class TestPackedAgainstOracle:
         for m in (full, off_diagonal):
             assert is_invertible(f, m) == oracle.is_invertible(f, m)
             assert solve(f, m, full) == oracle.solve(f, m, full)
+
+
+# PACKED_QS and the first primes past 2^62 and 2^118, field sizes a
+# cryptographic instance needs.
+LAZY_QS = PACKED_QS + (next_prime(2 ** 62), next_prime(2 ** 118))
+
+
+def _slots(x, width, nb):
+    """The ``width`` raw slot values of a packed row, unreduced."""
+    b = x.to_bytes(width * nb, "little")
+    return [int.from_bytes(b[i:i + nb], "little") for i in range(0, len(b), nb)]
+
+
+def _packed(values, nb):
+    return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in values), "little")
+
+
+def _every_multiplier_q_minus_1(q, n):
+    """An invertible n x n matrix whose elimination takes q - 1 times the pivot
+    row at every step: row i is q - 1 in column 0 and past column i, and q - 2 in
+    columns 1 to i, so the rows left always agree with the pivot row, mod q, in
+    its pivot column."""
+    return tuple(tuple(q - 1 if j == 0 or j > i else q - 2 for j in range(n)) for i in range(n))
+
+
+class TestLazyBound:
+    """Rows reduced only when they become the pivot, at the bound's worst case."""
+
+    # Every multiplier q - 1 and every pivot slot 2q - 1 (the Barrett estimate
+    # one short): n row operations take a slot from q - 1 to V - 1.
+    @pytest.mark.parametrize("q", LAZY_QS)
+    @pytest.mark.parametrize("n", [1, 2, 12, 40, 246])
+    def test_worst_slots_never_carry(self, q, n):
+        _, (_, k, m, nb, lowmask) = field._lazy_pack(q, (), n, n)
+        top = q - 1 + n * (q - 1) * (2 * q - 1)
+        pivot, row = _packed([2 * q - 1] * n, nb), _packed([q - 1] * n, nb)
+        for _ in range(n):
+            row += (q - 1) * pivot
+        assert top < 1 << k
+        assert _slots(row, n, nb) == [top] * n
+        # Reduced as a pivot, every slot from 0 to V - 1 lands in [0, 2q), congruent.
+        values = [0, q - 1, q, 2 * q - 1, top - q, top][:n] + [top * i // n for i in range(6, n)]
+        row = _packed(values, nb)
+        reduced = _slots(row - q * ((row * m >> k) & lowmask), n, nb)
+        assert all(r < 2 * q and (r - v) % q == 0 for r, v in zip(reduced, values))
+
+    @pytest.mark.parametrize("q", LAZY_QS)
+    @pytest.mark.parametrize("n", [1, 2, 17, 40, 246])
+    def test_every_multiplier_q_minus_1(self, q, n):
+        f, m = PrimeField(q), _every_multiplier_q_minus_1(q, n)
+        rhs = ((q - 1,) * 3,) * n
+        got = solve(f, m, rhs)
+        assert is_invertible(f, m)
+        if n > 40:
+            # The oracles take seconds at this size; m is invertible, so the
+            # solution is unique and equal to theirs iff it solves the system.
+            assert oracle.mat_mul(f, m, got) == rhs
+            return
+        assert oracle.is_invertible(f, m) and got == oracle.solve(f, m, rhs)
+        singular = m[:-1] + m[-2:-1] if n >= 2 else ((0,),)
+        assert is_invertible(f, singular) == oracle.is_invertible(f, singular) is False
+        assert solve(f, singular, rhs) is oracle.solve(f, singular, rhs) is None
+
+    # The pivot rows themselves, reduced mod q, are the parent kernel's, and
+    # every slot of them is below 2q.
+    @settings(max_examples=150, deadline=None)
+    @given(packed_systems())
+    def test_pivot_rows_match_parent_kernel(self, system):
+        q, m, rhs = system
+        n = len(m)
+        width = n + (len(rhs[0]) if rhs else 0)
+        got = field._eliminate(*field._lazy_pack(q, zip(m, rhs), n, width))
+        parent = oracle.barrett_eliminate(q, zip(m, rhs), n, width)
+        assert (got is None) == (parent is None)
+        if got is not None:
+            raw = [_slots(p, width - c, got[1]) for c, p in enumerate(got[0])]
+            assert all(v < 2 * q for row in raw for v in row)
+            assert [[v % q for v in row] for row in raw] == [
+                list(field._unpack(p, width - c, parent[1], q)) for c, p in enumerate(parent[0])]

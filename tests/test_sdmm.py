@@ -117,6 +117,12 @@ class TestFieldAndPoints:
         with pytest.raises(DomainError, match=msg):
             choose_field_and_points(T442, max_retries=0)
 
+    # 0 used to check no subset at all, and 2.5 was taken as given.
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
+    def test_selection_samples_must_be_positive(self, samples):
+        with pytest.raises(DomainError, match=rf"selection_samples must be at least 1, got {re.escape(repr(samples))}"):
+            choose_field_and_points(T222, base_q=13, selection_samples=samples)
+
     def test_points_past_sys_maxsize(self):
         # range(1, q) has no len() here, so the points are drawn one by one.
         fld, pts = choose_field_and_points(T111, base_q=2**63)
@@ -490,6 +496,25 @@ class TestAgainstOracle:
         t = construct(GaspParams(*params))
         n = count_distinct(t)
         pts = data.draw(st.lists(st.integers(0, 2 * q), min_size=n, max_size=n))
+        inst = SdmmInstance(
+            field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
+            r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
+        )
+        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
+        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+
+    # 8^3 tables whose alpha suffix is not an arithmetic progression (1 < r < T),
+    # over small fields where many blocks are singular.  A sampled audit runs
+    # the elimination on packed T x T blocks of each drawn subset; an exhaustive
+    # one, over the first few servers, walks every subset.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.sampled_from([11, 13, 43, 101]), st.sampled_from(["all", "sampled"]),
+           st.integers(1, 400), st.integers(0, 10**6), st.data())
+    def test_gappy_alpha_side_at_8_cubed(self, r, q, mode, sample_size, seed, data):
+        t = construct(GaspParams(8, 8, 8, r))
+        assert len({b - a for a, b in zip(t.alpha_s, t.alpha_s[1:])}) > 1
+        n = count_distinct(t) if mode == "sampled" else data.draw(st.integers(8, 11))
+        pts = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
         inst = SdmmInstance(
             field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
             r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
