@@ -3,20 +3,24 @@
 Matrices are tuples of tuples of ints; the kernels reduce entries mod q
 themselves.  Everything the protocol needs is here: `mat_combine` (weighted
 sums of matrices, which is what encoding the shares is), `mat_mul`, and one
-forward elimination behind `is_invertible`, `solve` and the security audit.
+forward elimination, which factors the matrix of `solve` and `is_invertible`
+and, keeping nothing, tests the security audit's blocks.
 
 The hot loops run on packed rows: a row over GF(q) is one Python int with one
 byte-aligned slot per column, so a row operation is a few big-int operations
 instead of one ``% q`` per entry.  Products sum weight times packed row in
 slots wide enough for the unreduced sum and reduce each entry once, unpacked.
 Elimination reduces each row once, into [0, 2q), when it becomes the pivot
-(see `_eliminate`).  Shapes are checked before anything is packed.
+(see `_factor`).  The last factorisation is kept, so `solve` on the matrix
+`is_invertible` has just accepted only applies it.  Shapes are checked before
+anything is packed.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -139,17 +143,19 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
 
 
 def _lazy_pack(q: int, rows, n: int, width: int) -> tuple[list[int], tuple[int, ...]]:
-    """``rows`` (as `_pack` takes them) packed for `_eliminate` on up to n of them, with the layout it takes."""
+    """``rows`` (as `_pack` takes them) packed for `_factor` on up to n of them, with the layout it takes."""
     k = (q + n * (q - 1) * (2 * q - 1)).bit_length()
     nb = _slot_bytes(2 * k - q.bit_length() + 2)
     lowmask = int.from_bytes(((1 << 8 * nb - k) - 1).to_bytes(nb, "little") * width, "little")
     return _pack(rows, q, nb, width), (q, k, (1 << k) // q, nb, lowmask)
 
 
-def _eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[list[int], int]]:
+def _factor(rows: list[int], layout: tuple[int, ...], keep: bool = True):
     """Forward elimination on the first len(rows) columns of ``rows``, packed by
-    `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows,
-    pivot in slot 0 and slots in [0, 2q), and the slot bytes; None at the first
+    `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows
+    (pivot in slot 0, slots in [0, 2q)), the steps (each pivot's index among the
+    rows left, and the multiplier of every row left after it) and the slot bytes;
+    with ``keep`` false, the audit's block test, just True.  None at the first
     column with no pivot.
 
     A row operation adds g = -f mod q < q times a pivot row and shifts out the
@@ -161,45 +167,65 @@ def _eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[list[
     """
     q, k, m, nb, lowmask = layout
     w, smask = 8 * nb, (1 << 8 * nb) - 1
-    pivots = []
+    pivots, steps = [], []
     while rows:
-        i = next((i for i, x in enumerate(rows) if (x & smask) % q), None)
-        if i is None:
+        for i, x in enumerate(rows):
+            if (x & smask) % q:
+                break
+        else:
             return None
         p = rows.pop(i)
-        pivots.append(p := p - q * ((p * m >> k) & lowmask))
+        p -= q * ((p * m >> k) & lowmask)
         neg = q - pow(p & smask, -1, q)
-        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
-    return pivots, nb
+        if keep:
+            pivots.append(p)
+            steps.append((i, gs := [(x & smask) * neg % q for x in rows]))
+            rows = [(x + g * p) >> w for x, g in zip(rows, gs)]
+        else:
+            rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
+    return (pivots, steps, nb) if keep else True
+
+
+@lru_cache(maxsize=1)
+def _lu(q: int, m: Matrix):
+    """`_factor` of the square matrix m over GF(q), the last one kept: `decode`
+    solves the very matrix that point selection's `is_invertible` just factored."""
+    return _factor(*_lazy_pack(q, zip(m), len(m), len(m)))
 
 
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve m X = rhs over the field; None if m is singular.
 
-    Packed forward elimination on the augmented rows, then back-substitution
-    on the w right-hand-side columns alone, O(n^2 w); exact by construction.
+    m's factorisation is applied to the rhs rows, packed once as `_factor` packs
+    m: the forward pass replays its steps, each pivot reduced into [0, 2q) first,
+    so slots stay below V.  The back pass sums y_c + sum_j (-u_cj) x_j over packed
+    rows x_j < q, below 2q + (n-1)(q-1)^2 <= V, and reduces each entry once.
     """
     q, (n, cols), (rn, w) = field.q, _shape(m, "the matrix"), _shape(rhs, "rhs")
     if n != cols:
-        raise DomainError(f"solve needs a square matrix, got {n}x{cols}")
+        raise DomainError(f"expected a square matrix, got {n}x{cols}")
     if rn != n:
         raise DomainError(f"rhs row count mismatch: the matrix is {n}x{n}, the rhs {rn}x{w}")
-    if (found := _eliminate(*_lazy_pack(q, zip(m, rhs), n, n + w))) is None:
+    if (lu := _lu(q, tuple(map(tuple, m)))) is None:
         return None
-    # u[c][j - c] is the entry in column j of the pivot row of column c.
-    u = [_unpack(p, n + w - c, found[1], q) for c, p in enumerate(found[0])]
-    x = [list(row[n - c:]) for c, row in enumerate(u)]
-    for col in range(n - 1, -1, -1):
-        inv = pow(u[col][0], -1, q)
-        xrow = x[col] = [v * inv % q for v in x[col]]
-        for r in range(col):
-            if f := u[r][col - r]:
-                x[r] = [(v - f * p) % q for v, p in zip(x[r], xrow)]
-    return tuple(map(tuple, x))
+    if not w:  # rows of no columns pack to no ints
+        return ((),) * n
+    pivots, steps, mnb = lu
+    ys, (_, k, bm, nb, lowmask) = _lazy_pack(q, zip(rhs), n, w)
+    y = []
+    for i, gs in steps:
+        p = ys.pop(i)
+        y.append(p := p - q * ((p * bm >> k) & lowmask))
+        ys = [v + g * p for v, g in zip(ys, gs)]
+    x, xs = [], []  # xs: x_{n-1}, x_{n-2}, ... packed
+    for c in range(n - 1, -1, -1):
+        u = _unpack(pivots[c], n - c, mnb, q)
+        inv, acc = pow(u[0], -1, q), y[c] + sum(map(mul, [-v % q for v in u[:0:-1]], xs))
+        x.append(row := tuple([v * inv % q for v in _unpack(acc, w, nb, q)]))
+        xs.append(_pack(((row,),), q, nb, w)[0])
+    return tuple(reversed(x))
 
 
 def is_invertible(field: PrimeField, m: Matrix) -> bool:
-    n, cols = _shape(m, "the matrix")
-    if n != cols:
-        raise DomainError(f"is_invertible needs a square matrix, got {n}x{cols}")
-    return _eliminate(*_lazy_pack(field.q, zip(m), n, n)) is not None
+    """Whether the square matrix m is invertible: `solve` with no right-hand side."""
+    return solve(field, m, ((),) * len(m)) is not None

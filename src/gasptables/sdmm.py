@@ -24,7 +24,8 @@ from operator import mul
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, _require_int, require_valid, sumset
-from .field import (Matrix, PrimeField, _eliminate, _lazy_pack, _shape, is_invertible, mat_combine, mat_mul,
+# perfbench's traced run wraps is_invertible, solve and mat_mul under these names here: keep them.
+from .field import (Matrix, PrimeField, _factor, _lazy_pack, _shape, is_invertible, mat_combine, mat_mul,
                     next_prime, solve)
 
 DEFAULT_SELECTION_SAMPLES = 50
@@ -93,13 +94,9 @@ def partition(a_mat: Matrix, b_mat: Matrix, K: int, L: int) -> tuple[tuple[Matri
         raise DomainError(f"A has {a} rows, not divisible by K={K}")
     if c % L:
         raise DomainError(f"B has {c} columns, not divisible by L={L}")
-    ra = a // K
-    a_blocks = tuple(a_mat[k * ra:(k + 1) * ra] for k in range(K))
-    cl = c // L
-    b_blocks = tuple(
-        tuple(row[l * cl:(l + 1) * cl] for row in b_mat) for l in range(L)
-    )
-    return a_blocks, b_blocks
+    ra, cl = a // K, c // L
+    return (tuple(a_mat[k * ra:(k + 1) * ra] for k in range(K)),
+            tuple(tuple(row[l * cl:(l + 1) * cl] for row in b_mat) for l in range(L)))
 
 
 def _degrees(table: DegreeTable) -> list[int]:
@@ -107,8 +104,11 @@ def _degrees(table: DegreeTable) -> list[int]:
 
 
 def _powers(field: PrimeField, points, exps) -> Matrix:
-    """x^e with one row per point x and one column per exponent e."""
-    return tuple(tuple(field.pow(x, e) for e in exps) for x in points)
+    """x^e with one row per point x and one column per exponent e: where e steps
+    by 1, x times the entry before it, else `PrimeField.pow`."""
+    steps = [d + 1 == e for d, e in zip([-2, *exps], exps)]
+    return tuple(tuple([v := v * x % field.q if step else field.pow(x, e) for e, step in zip(exps, steps)])
+                 for x in points)
 
 
 def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
@@ -161,7 +161,7 @@ def _mask_side(field: PrimeField, points, exps):
         return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
     rows = _powers(field, points, exps)
     packed, layout = _lazy_pack(field.q, zip(rows), t, t)
-    return (lambda s: _eliminate([packed[i] for i in s], layout) is None,
+    return (lambda s: _factor([packed[i] for i in s], layout, keep=False) is None,
             lambda: _dependent_subsets(field.q, rows, t))
 
 
@@ -188,10 +188,10 @@ def choose_field_and_points(
     largest table entry, so exponent arithmetic mod q - 1 cannot merge two
     distinct degrees.  Candidate point sets are rejection-sampled until the
     decode matrix and a batch of randomly selected T x T security submatrices
-    are all invertible.
+    are all invertible; `decode` reuses the accepted decode matrix's factorisation.
     """
     require_valid(table)
-    _require_int(selection_samples=selection_samples, rule="at least 1")
+    _require_int(selection_samples=selection_samples, max_retries=max_retries, rule="at least 1")
     degrees = _degrees(table)
     n = len(degrees)
     q = next_prime(max(base_q, degrees[-1] + 2, n + 1))
@@ -251,11 +251,8 @@ def build_instance(
     r_masks = tuple(mask(ra, b) for _ in range(table.T))
     s_masks = tuple(mask(b, cl) for _ in range(table.T))
     shares = encode(fld, table, pts, a_blocks + r_masks, b_blocks + s_masks)
-    return SdmmInstance(
-        field=fld, dims=(a, b, c), table=table, a_mat=a_red, b_mat=b_red,
-        r_masks=r_masks, s_masks=s_masks, points=pts,
-        shares=shares, responses=server_compute(fld, shares),
-    )
+    return SdmmInstance(field=fld, dims=(a, b, c), table=table, a_mat=a_red, b_mat=b_red, r_masks=r_masks,
+                        s_masks=s_masks, points=pts, shares=shares, responses=server_compute(fld, shares))
 
 
 def decode(inst: SdmmInstance) -> DecodeResult:
@@ -271,16 +268,10 @@ def decode(inst: SdmmInstance) -> DecodeResult:
     a, _, c = inst.dims
     ra, cl = a // tab.K, c // tab.L
     index_of = {d: i for i, d in enumerate(degrees)}
-    blocks = {
-        (k, l): tuple(coeffs[index_of[ak + bl]][i * cl:(i + 1) * cl] for i in range(ra))
-        for k, ak in enumerate(tab.alpha_p)
-        for l, bl in enumerate(tab.beta_p)
-    }
-    product = tuple(
-        tuple(val for l in range(tab.L) for val in blocks[(k, l)][i])
-        for k in range(tab.K)
-        for i in range(ra)
-    )
+    blocks = {(k, l): tuple(coeffs[index_of[ak + bl]][i * cl:(i + 1) * cl] for i in range(ra))
+              for k, ak in enumerate(tab.alpha_p) for l, bl in enumerate(tab.beta_p)}
+    product = tuple(tuple(val for l in range(tab.L) for val in blocks[(k, l)][i])
+                    for k in range(tab.K) for i in range(ra))
     return DecodeResult(product=product, blocks=blocks)
 
 
@@ -307,16 +298,11 @@ def security_check(
     if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
     _require_int(sample_size=sample_size, rule="at least 1")
-    n = inst.n_servers
-    t = inst.table.T
+    n, t = inst.n_servers, inst.table.T
     total = math.comb(n, t)
     if mode == "all" and total > MAX_EXHAUSTIVE_SUBSETS:
         raise DomainError(f"an exhaustive audit would check C({n},{t}) = {total} subsets,"
                           f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
     subsets = _subsets(n, t, limits[mode], sample_size, random.Random(f"security:{seed}"))
-    return SecurityReport(
-        total_subsets=total,
-        checked=total if subsets is None else sample_size,
-        exhaustive=subsets is None,
-        failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)),
-    )
+    return SecurityReport(total_subsets=total, checked=total if subsets is None else sample_size,
+                          exhaustive=subsets is None, failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)))

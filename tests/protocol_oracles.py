@@ -1,8 +1,10 @@
 """Reference kernels for the protocol layer.
 
 These are the original implementations of the field eliminations (the
-list-of-ints ones and the packed one that reduced every row after every row
-operation), the scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
+list-of-ints ones, the packed one that reduced every row after every row
+operation, and the lazily reduced one whose `solve` eliminated the augmented
+rows and back-substituted entry by entry), the decode that solved the decode
+matrix from scratch, the scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
 that `field.py` replaced with packed-integer rows, point selection and the
 security audit, each with its own copy of the loop that `field.py` and
 `sdmm.py` now share.  The differential tests in test_field.py and
@@ -19,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, require_valid, sumset
-from gasptables.field import Matrix, PrimeField, _pack, _slot_bytes, next_prime
+from gasptables.field import Matrix, PrimeField, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
 from gasptables.sdmm import (
     DEFAULT_SELECTION_SAMPLES,
     EXHAUSTIVE_SUBSET_LIMIT,
@@ -144,6 +146,61 @@ def barrett_eliminate(q: int, rows, n: int, width: int) -> Optional[tuple[list[i
         rows = [(s := (x + (x & smask) * neg % q * p) >> w) - q * ((s * m >> k) & lowmask)
                 for x in rows]
     return pivots, nb
+
+
+def lazy_eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[list[int], int]]:
+    """Forward elimination on the first len(rows) columns of ``rows``, packed by
+    `field._lazy_pack`: the pivot rows, pivot in slot 0 and slots in [0, 2q), and
+    the slot bytes; None at the first column with no pivot.  Each row is reduced
+    once, by a floor-Barrett estimate, as it becomes the pivot; nothing else is kept."""
+    q, k, m, nb, lowmask = layout
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    pivots = []
+    while rows:
+        i = next((i for i, x in enumerate(rows) if (x & smask) % q), None)
+        if i is None:
+            return None
+        p = rows.pop(i)
+        pivots.append(p := p - q * ((p * m >> k) & lowmask))
+        neg = q - pow(p & smask, -1, q)
+        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
+    return pivots, nb
+
+
+def lazy_solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
+    """Solve m X = rhs over the field; None if m is singular: `lazy_eliminate` on
+    the augmented rows, then back-substitution entry by entry on the w
+    right-hand-side columns, O(n^2 w)."""
+    q, n = field.q, len(m)
+    w = len(rhs[0]) if rhs else 0
+    if (found := lazy_eliminate(*_lazy_pack(q, zip(m, rhs), n, n + w))) is None:
+        return None
+    # u[c][j - c] is the entry in column j of the pivot row of column c.
+    u = [_unpack(p, n + w - c, found[1], q) for c, p in enumerate(found[0])]
+    x = [list(row[n - c:]) for c, row in enumerate(u)]
+    for col in range(n - 1, -1, -1):
+        inv = pow(u[col][0], -1, q)
+        xrow = x[col] = [v * inv % q for v in x[col]]
+        for r in range(col):
+            if f := u[r][col - r]:
+                x[r] = [(v - f * p) % q for v, p in zip(x[r], xrow)]
+    return tuple(map(tuple, x))
+
+
+def decode(inst: SdmmInstance) -> Optional[dict[tuple[int, int], Matrix]]:
+    """The product blocks, keyed (k, l), interpolated from the responses by a
+    fresh `lazy_solve` of the decode matrix built entry by entry; None when that
+    matrix is singular."""
+    tab, fld = inst.table, inst.field
+    degrees = _degrees(tab)
+    rhs = tuple(tuple(val for row in resp for val in row) for resp in inst.responses)
+    coeffs = lazy_solve(fld, tuple(map(tuple, _suffix_rows(fld, inst.points, degrees))), rhs)
+    if coeffs is None:
+        return None
+    a, _, c = inst.dims
+    ra, cl = a // tab.K, c // tab.L
+    return {(k, l): tuple(coeffs[degrees.index(ak + bl)][i * cl:(i + 1) * cl] for i in range(ra))
+            for k, ak in enumerate(tab.alpha_p) for l, bl in enumerate(tab.beta_p)}
 
 
 def _degrees(table: DegreeTable) -> list[int]:

@@ -273,12 +273,12 @@ def _entries(rng, q, rows, cols, spread):
 
 
 @st.composite
-def packed_systems(draw):
-    """(q, m, rhs) with m square of size 0-40, rhs 0 or more columns wide, and
-    entries reduced, unreduced or negative.  Some rows are replaced by a
-    multiple of another plus multiples of q, so singular inputs, and lazily
-    reduced zeros, turn up at every q and every depth."""
-    q = draw(st.sampled_from(PACKED_QS))
+def packed_systems(draw, qs=PACKED_QS):
+    """(q, m, rhs) with q from ``qs``, m square of size 0-40, rhs 0 or more
+    columns wide, and entries reduced, unreduced or negative.  Some rows are
+    replaced by a multiple of another plus multiples of q, so singular inputs,
+    and lazily reduced zeros, turn up at every q and every depth."""
+    q = draw(st.sampled_from(qs))
     n = draw(st.integers(0, 40))
     w = draw(st.sampled_from((0, 1, 3, n + 2)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
@@ -415,11 +415,68 @@ class TestLazyBound:
         q, m, rhs = system
         n = len(m)
         width = n + (len(rhs[0]) if rhs else 0)
-        got = field._eliminate(*field._lazy_pack(q, zip(m, rhs), n, width))
+        got = field._factor(*field._lazy_pack(q, zip(m, rhs), n, width))
         parent = oracle.barrett_eliminate(q, zip(m, rhs), n, width)
         assert (got is None) == (parent is None)
         if got is not None:
-            raw = [_slots(p, width - c, got[1]) for c, p in enumerate(got[0])]
+            raw = [_slots(p, width - c, got[2]) for c, p in enumerate(got[0])]
             assert all(v < 2 * q for row in raw for v in row)
             assert [[v % q for v in row] for row in raw] == [
                 list(field._unpack(p, width - c, parent[1], q)) for c, p in enumerate(parent[0])]
+            # Recording the steps leaves the elimination exactly as it was.
+            assert got[0] == oracle.lazy_eliminate(*field._lazy_pack(q, zip(m, rhs), n, width))[0]
+
+
+@st.composite
+def square_blocks(draw):
+    """(q, m): a square block of size 1-12 over a field from LAZY_QS, random,
+    rank-deficient (one row a combination of others), with a zero row, or
+    with a repeated row; entries reduced, unreduced or negative."""
+    q = draw(st.sampled_from(LAZY_QS))
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = _entries(rng, q, n, n, draw(st.sampled_from((0, 1, 3))))
+    kind = draw(st.sampled_from(("random", "rank-deficient", "zero row", "repeated row")))
+    i = rng.randrange(n)
+    if kind == "zero row":
+        m[i] = [q * rng.randrange(-2, 3) for _ in range(n)]
+    elif n >= 2 and kind != "random":
+        others = [j for j in range(n) if j != i]
+        used = others if kind == "rank-deficient" else [rng.choice(others)]
+        cs = [rng.randrange(q) if kind == "rank-deficient" else 1 for _ in used]
+        m[i] = [sum(c * m[j][col] for c, j in zip(cs, used)) + q * rng.randrange(-2, 3) for col in range(n)]
+    return q, tuple(map(tuple, m))
+
+
+class TestFactorAgainstParent:
+    """`solve`'s factor-then-apply path and the audit's block test (`_factor`
+    keeping nothing) against the kernels they replaced, past 2^64 and at 2^118."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(packed_systems(LAZY_QS))
+    def test_solve(self, system):
+        q, m, rhs = system
+        f, n = PrimeField(q), len(m)
+        parent = oracle.lazy_solve(f, m, rhs)
+        assert solve(f, m, rhs) == parent
+        assert is_invertible(f, m) == (oracle.lazy_eliminate(*field._lazy_pack(q, zip(m), n, n)) is not None)
+        # The kept factorisation serves a second right-hand side too.
+        assert solve(f, m, rhs[::-1]) == oracle.lazy_solve(f, m, rhs[::-1])
+
+    @settings(max_examples=400, deadline=None)
+    @given(square_blocks())
+    def test_singular_blocks(self, block):
+        q, m = block
+        n = len(m)
+        singular = field._factor(*field._lazy_pack(q, zip(m), n, n), keep=False) is None
+        assert singular == (oracle.barrett_eliminate(q, zip(m), n, n) is None)
+        assert singular == (not oracle.is_invertible(PrimeField(q), m))
+
+    def test_solve_applies_the_kept_factorisation(self):
+        f = PrimeField(next_prime(2 ** 118))
+        m = _every_multiplier_q_minus_1(f.q, 30)
+        assert is_invertible(f, m)
+        before = field._lu.cache_info()
+        assert solve(f, m, ((1,),) * 30) == oracle.lazy_solve(f, m, ((1,),) * 30)
+        after = field._lu.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

@@ -25,12 +25,13 @@ from gasptables import (
     decode,
     encode,
     n_of_r,
+    next_prime,
     partition,
     plain_product,
     security_check,
     server_compute,
 )
-from gasptables import sdmm
+from gasptables import field, sdmm
 from gasptables.sdmm import MAX_EXHAUSTIVE_SUBSETS
 
 T111 = construct(GaspParams(1, 1, 1, 1))
@@ -113,9 +114,16 @@ class TestFieldAndPoints:
         assert choose_field_and_points(T442, seed=4) == choose_field_and_points(T442, seed=4)
 
     def test_retry_exhaustion_reports_field(self):
-        msg = r"no usable evaluation points after 0 attempts over GF\(43\); retry with a larger base_q"
+        # GF(19) has no usable points for (3,2,2,1), so the one attempt fails.
+        msg = r"no usable evaluation points after 1 attempts over GF\(19\); retry with a larger base_q"
         with pytest.raises(DomainError, match=msg):
-            choose_field_and_points(T442, max_retries=0)
+            choose_field_and_points(construct(GaspParams(3, 2, 2, 1)), max_retries=1)
+
+    # 2.5 used to raise a TypeError, and -1 and 0 reported "no usable points after -1 attempts".
+    @pytest.mark.parametrize("retries", [2.5, -1, 0, True])
+    def test_max_retries_must_be_positive(self, retries):
+        with pytest.raises(DomainError, match=rf"max_retries must be at least 1, got {re.escape(repr(retries))}"):
+            choose_field_and_points(T442, max_retries=retries)
 
     # 0 used to check no subset at all, and 2.5 was taken as given.
     @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
@@ -225,6 +233,43 @@ class TestEncodeDecode:
         assert base.points == other.points
         assert base.shares != other.shares
         assert decode(base).product == decode(other).product
+
+    def test_decode_applies_the_factorisation_point_selection_kept(self):
+        rng = random.Random(3)
+        inst = build_instance(rand_matrix(rng, 4, 2), rand_matrix(rng, 2, 4), T442, seed=2)
+        before = field._lu.cache_info()
+        assert decode(inst).product == plain_product(inst)
+        after = field._lu.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    # The factorisation is keyed by the decode matrix, so an instance with other
+    # points or another table of the same size decodes from its own matrix:
+    # what a fresh solve of that matrix gives, or the singular-matrix error.
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["points", "table"]), st.integers(0, 10**6), st.data())
+    def test_edited_instance_never_uses_a_stale_factorisation(self, edit, seed, data):
+        rng = random.Random(seed)
+        inst = build_instance(rand_matrix(rng, 4, 2), rand_matrix(rng, 2, 4), T222, base_q=101, seed=seed)
+        decode(inst)
+        if edit == "points":
+            pts = data.draw(st.lists(st.integers(0, 2 * inst.field.q), min_size=11, max_size=11))
+            other = dataclasses.replace(inst, points=tuple(pts))
+        else:
+            other = dataclasses.replace(inst, table=construct(GaspParams(2, 2, 2, 2)))
+        want = oracle.decode(other)
+        if want is None:
+            with pytest.raises(DomainError, match="decode matrix is singular"):
+                decode(other)
+        else:
+            assert decode(other).blocks == want
+
+    def test_instance_equality_ignores_decoding(self):
+        rng = random.Random(4)
+        inst = build_instance(rand_matrix(rng, 4, 2), rand_matrix(rng, 2, 4), T222)
+        same = SdmmInstance(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
+        key = hash(inst)
+        assert decode(inst) == decode(same)
+        assert inst == same and hash(inst) == hash(same) == key
 
     def test_decode_checks_point_count(self):
         inst = build_instance(((1,),), ((1,),), T111)
@@ -408,6 +453,32 @@ class TestAgainstOracle:
         kw = dict(seed=seed, selection_samples=samples)
         assert _outcome(choose_field_and_points, t, **kw) == _outcome(
             oracle.choose_field_and_points, t, **kw)
+
+    # Exponents unsorted, repeated and with gaps; points zero (0^0 = 1), at or past q.
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 5, 13, 331, next_prime(2 ** 64), next_prime(2 ** 118)]), st.data())
+    def test_powers(self, q, data):
+        f = PrimeField(q)
+        pts = data.draw(st.lists(st.one_of(st.integers(0, 3 * q), st.sampled_from([0, 1, q, q + 1])), max_size=8))
+        exps = data.draw(st.lists(st.integers(0, 40), max_size=12)
+                         | st.lists(st.integers(0, 12), max_size=8).map(lambda es: sorted(set(es))))
+        assert sdmm._powers(f, pts, exps) == tuple(map(tuple, oracle._suffix_rows(f, pts, exps)))
+
+    # Decoded blocks against a fresh solve of the decode matrix, past 2^64 and at 2^118.
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(1, 1, 1, 1), (2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 2), (4, 4, 4, 2)]),
+           st.sampled_from([2, 65537, 2 ** 64, 2 ** 118]), st.integers(0, 10**6))
+    def test_decode(self, params, base_q, seed):
+        t = construct(GaspParams(*params))
+        rng = random.Random(seed)
+        try:
+            inst = build_instance(rand_matrix(rng, 2 * t.K, 3, 1 << 20), rand_matrix(rng, 3, t.L, 1 << 20), t,
+                                  base_q=base_q, seed=seed)
+        except DomainError:
+            return  # the smallest fields have no usable points for some tables and seeds
+        res = decode(inst)
+        assert res.blocks == oracle.decode(inst)
+        assert res.product == plain_product(inst)
 
     def test_points_on_a_run_of_seeds(self):
         t = construct(GaspParams(2, 2, 2, 1))
