@@ -199,7 +199,7 @@ def _params(args) -> GaspParams:
 
 def _handle_gasp(args) -> None:
     if args.action == "optimal-r":
-        r_star, n, trace = optimal_r(args.K, args.L, args.T, mode=args.mode)
+        r_star, n, trace = optimal_r(args.K, args.L, args.T)
         _emit(args, {"r_star": r_star, "N": n, "trace": _payload(trace)})
         return
     p = _params(args)
@@ -392,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         grp = pa.add_mutually_exclusive_group(required=True)
         grp.add_argument("--r", type=int, help="chain length")
         grp.add_argument("--big", action="store_true", help="use r = min(K, T)")
-    po = gs.add_parser("optimal-r", parents=[common, klt], help="best chain length")
-    po.add_argument("--mode", choices=("reduced", "full_scan"), default="reduced")
+    gs.add_parser("optimal-r", parents=[common, klt], help="best chain length")
 
     p_table = sub.add_parser("table", help="squeeze / normalize / canonicalize tables")
     ts = p_table.add_subparsers(dest="action", required=True)

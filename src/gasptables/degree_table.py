@@ -214,8 +214,14 @@ def validate(table: DegreeTable) -> ValidationReport:
     return _check(table)[0]
 
 
-def require_valid(table: DegreeTable) -> int:
-    """The distinct-entry count of a table that satisfies D1 to D3; raises otherwise."""
+def count_distinct(table: DegreeTable) -> int:
+    """Number of distinct entries of a valid degree table.
+
+    This is the number of servers the scheme needs.  Invalid tables are
+    rejected with an InvalidTableError because the count is only
+    operationally meaningful under D1 to D3; use sumset() directly to size
+    an arbitrary table.
+    """
     report, distinct = _check(table)
     if not report.ok:
         flags = (("D1", report.d1_ok), ("D2", report.d2_ok), ("D3", report.d3_ok))
@@ -223,16 +229,6 @@ def require_valid(table: DegreeTable) -> int:
         detail = f" (witness sum {report.d3_witness})" if report.d3_witness is not None else ""
         raise InvalidTableError(f"degree table violates {', '.join(broken)}{detail}", report)
     return distinct
-
-
-def count_distinct(table: DegreeTable) -> int:
-    """Number of distinct entries of a valid degree table.
-
-    This is the number of servers the scheme needs.  Invalid tables are
-    rejected because the count is only operationally meaningful under
-    D1 to D3; use sumset() directly to size an arbitrary table.
-    """
-    return require_valid(table)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ ever has to look at one representative per class.
 
 Squeezing closes oversized gaps: whenever the alpha values split into a low
 group and a high group so far apart that no table entry from the low rows can
-collide with the high rows, the whole high group can slide down one step
-without changing the entry count.  Repeating until no gap qualifies gives a
-table whose consecutive sorted gaps are bounded by the other side's spread,
-which is what makes exhaustive searches finite.
+collide with the high rows, the whole high group can slide down until the gap
+no longer qualifies, without changing the entry count.  Repeating until no gap
+qualifies gives a table whose consecutive sorted gaps are bounded by the other
+side's spread, which is what makes exhaustive searches finite.
 """
 
 from __future__ import annotations
@@ -35,34 +35,37 @@ class SqueezeStep:
     sorted value list of the squeezed side whose gap to position i+1
     triggered; threshold is that i-th smallest value; affected lists the
     0-based positions (into the concatenated prefix|suffix vector) whose
-    entries got decremented.
+    entries got decreased, each by ``by``.
     """
 
     kind: str
     index: int
     threshold: int
     affected: tuple[int, ...]
+    by: int
 
 
 def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]]:
-    """Apply one gap-closing step if any is feasible, smallest index first.
+    """Close the first feasible gap, smallest index first, in one move.
 
     The alpha side is scanned before the beta side, which is the alpha side
     of the transpose; at most one side can have a feasible gap at a time, so
     the order only fixes determinism, not the outcome.  Entries strictly
-    above the gap's low endpoint are decremented, wherever they sit in the
-    vector.
+    above the gap's low endpoint drop by the gap's whole excess, wherever
+    they sit in the vector: the same table as that many unit slides, since
+    a slide leaves the smaller gaps and the other side alone.
     """
     for kind, t in (("alpha_op", table), ("beta_op", transpose(table))):
         alpha, beta = t.alpha, t.beta
         vals = sorted(alpha)
         b, big_b = min(beta), max(beta)
         for i in range(len(vals) - 1):
-            if vals[i] + big_b < vals[i + 1] - 1 + b:
-                new_alpha = tuple(v - 1 if v > vals[i] else v for v in alpha)
+            by = vals[i + 1] - 1 + b - vals[i] - big_b
+            if by > 0:
+                new_alpha = tuple(v - by if v > vals[i] else v for v in alpha)
                 new = replace(t, alpha_p=new_alpha[: t.K], alpha_s=new_alpha[t.K:])
                 affected = tuple(j for j, v in enumerate(alpha) if v > vals[i])
-                step = SqueezeStep(kind=kind, index=i, threshold=vals[i], affected=affected)
+                step = SqueezeStep(kind=kind, index=i, threshold=vals[i], affected=affected, by=by)
                 return (new if kind == "alpha_op" else transpose(new)), step
     return None
 

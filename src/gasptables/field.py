@@ -57,6 +57,9 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
+    # A float past 2**53 would loop forever: c += 1 leaves it unchanged.
+    if type(n) is not int:
+        raise DomainError(f"n must be an integer, got {n!r}")
     c = max(n, 2)
     while not is_prime(c):
         c += 1
@@ -68,6 +71,8 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        if type(self.q) is not int:
+            raise DomainError(f"q must be an integer, got {self.q!r}")
         if not is_prime(self.q):
             raise DomainError(f"{self.q} is not prime")
 

@@ -273,25 +273,19 @@ def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:
     )
 
 
-def optimal_r(K: int, L: int, T: int, mode: str = "reduced") -> tuple[int, int, ChainSearchTrace]:
+def optimal_r(K: int, L: int, T: int) -> tuple[int, int, ChainSearchTrace]:
     """Best chain length r for (K, L, T) and the threshold it achieves.
 
-    mode "reduced" evaluates N(r) only on the candidate set Q''; "full_scan"
-    sweeps every r in 1..min(K, T).  Ties go to the smallest r; the trace
-    keeps all evaluated (r, N(r)) pairs so other minimizers stay visible.
+    N(r) is evaluated only on the candidate set Q''.  Ties go to the
+    smallest r; the trace keeps all evaluated (r, N(r)) pairs so other
+    minimizers stay visible.
     """
     if L > K:
         K, L = L, K
     trace = candidate_set(K, L, T)
-    if mode == "reduced":
-        candidates = list(trace.Q_dprime)
-    elif mode == "full_scan":
-        candidates = list(range(1, min(K, T) + 1))
-    else:
-        raise DomainError(f"unknown mode {mode!r}, expected 'reduced' or 'full_scan'")
     # Candidates ascend, so min keeps the smallest r among ties; only the
     # winner is built as a validated GaspParams and read through n_of_r.
-    trace.evaluated = tuple((r, _n_of_r(K, L, T, r)) for r in candidates)
+    trace.evaluated = tuple((r, _n_of_r(K, L, T, r)) for r in trace.Q_dprime)
     best_r = min(trace.evaluated, key=itemgetter(1))[0]
     trace.r_star, trace.n_star = best_r, n_of_r(GaspParams(K=K, L=L, T=T, r=best_r))
     return best_r, trace.n_star, trace

@@ -21,14 +21,15 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import mul
-from typing import Optional
 
-from .degree_table import DegreeTable, DomainError, _require_int, require_valid, sumset
+from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
 # perfbench's traced run wraps is_invertible, solve and mat_mul under these names here: keep them.
 from .field import (Matrix, PrimeField, _factor, _lazy_pack, _shape, is_invertible, mat_combine, mat_mul,
                     next_prime, solve)
 
-DEFAULT_SELECTION_SAMPLES = 50
+# Point selection audits this many T-subsets per attempt and gives up after
+# MAX_POINT_RETRIES attempts; both are read at call time, so tests can patch them.
+SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 SAMPLED_SUBSET_COUNT = 10_000
@@ -179,36 +180,34 @@ def choose_field_and_points(
     table: DegreeTable,
     base_q: int = 2,
     seed: int = 0,
-    selection_samples: int = DEFAULT_SELECTION_SAMPLES,
-    max_retries: int = MAX_POINT_RETRIES,
 ) -> tuple[PrimeField, tuple[int, ...]]:
     """Pick a prime field and N distinct nonzero evaluation points.
 
     q is the smallest prime at least max(base_q, M + 2, N + 1) where M is the
     largest table entry, so exponent arithmetic mod q - 1 cannot merge two
     distinct degrees.  Candidate point sets are rejection-sampled until the
-    decode matrix and a batch of randomly selected T x T security submatrices
-    are all invertible; `decode` reuses the accepted decode matrix's factorisation.
+    decode matrix and SELECTION_SAMPLES randomly selected T x T security
+    submatrices are all invertible, at most MAX_POINT_RETRIES times; `decode`
+    reuses the accepted decode matrix's factorisation.
     """
-    require_valid(table)
-    _require_int(selection_samples=selection_samples, max_retries=max_retries, rule="at least 1")
+    _require_int(base_q=base_q, low=2, rule="at least 2")
+    n = count_distinct(table)
     degrees = _degrees(table)
-    n = len(degrees)
     q = next_prime(max(base_q, degrees[-1] + 2, n + 1))
     fld = PrimeField(q)
     rng = random.Random(f"points:{seed}")
-    for _ in range(max_retries):
+    for _ in range(MAX_POINT_RETRIES):
         # range(1, q) has no len() past sys.maxsize; there a rare repeat costs a retry.
         pts = tuple(sorted(rng.sample(range(1, q), n) if q - 1 <= sys.maxsize
                            else {rng.randrange(1, q) for _ in range(n)}))
         if len(pts) < n or not is_invertible(fld, _powers(fld, pts, degrees)):
             continue
         # Drawn with replacement as always, so every seed keeps its points.
-        subsets = _subsets(n, table.T, selection_samples, selection_samples, rng, distinct=False)
+        subsets = _subsets(n, table.T, SELECTION_SAMPLES, SELECTION_SAMPLES, rng, distinct=False)
         if next(_leaks(fld, pts, table, subsets), None) is None:
             return fld, pts
     raise DomainError(
-        f"no usable evaluation points after {max_retries} attempts over GF({q});"
+        f"no usable evaluation points after {MAX_POINT_RETRIES} attempts over GF({q});"
         " retry with a larger base_q"
     )
 
@@ -231,25 +230,17 @@ def build_instance(
     table: DegreeTable,
     base_q: int = 2,
     seed: int = 0,
-    mask_seed: Optional[int] = None,
-    zero_masks: bool = False,
 ) -> SdmmInstance:
-    """Assemble a full protocol run: field, points, masks, shares, answers.
-
-    ``mask_seed`` defaults to ``seed``; varying it alone changes every share
-    while leaving the decoded product untouched.  ``zero_masks`` exists for
-    tests that want to see the unmasked polynomial.
-    """
+    """Assemble a full protocol run: field, points, masks, shares, answers."""
     fld, pts = choose_field_and_points(table, base_q=base_q, seed=seed)
     a_red = tuple(tuple(v % fld.q for v in row) for row in a_mat)
     b_red = tuple(tuple(v % fld.q for v in row) for row in b_mat)
     a_blocks, b_blocks = partition(a_red, b_red, table.K, table.L)
     a, b, c = len(a_red), len(b_red), len(b_red[0])
-    mrng = random.Random(f"masks:{seed if mask_seed is None else mask_seed}")
+    mrng = random.Random(f"masks:{seed}")
     ra, cl = a // table.K, c // table.L
-    mask = (lambda r, c: ((0,) * c,) * r) if zero_masks else (lambda r, c: fld.random_matrix(mrng, r, c))
-    r_masks = tuple(mask(ra, b) for _ in range(table.T))
-    s_masks = tuple(mask(b, cl) for _ in range(table.T))
+    r_masks = tuple(fld.random_matrix(mrng, ra, b) for _ in range(table.T))
+    s_masks = tuple(fld.random_matrix(mrng, b, cl) for _ in range(table.T))
     shares = encode(fld, table, pts, a_blocks + r_masks, b_blocks + s_masks)
     return SdmmInstance(field=fld, dims=(a, b, c), table=table, a_mat=a_red, b_mat=b_red, r_masks=r_masks,
                         s_masks=s_masks, points=pts, shares=shares, responses=server_compute(fld, shares))

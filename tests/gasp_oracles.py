@@ -1,11 +1,15 @@
 """Reference kernels for the chain-length candidate set and the construction.
 
+`optimal_r_full_scan` is the slow reference for `gasp.optimal_r`: it
+evaluates N(r) at every r in 1..min(K, T) instead of only on Q''.
+test_gasp.py, test_cli.py and ACCEPTANCE 3 compare the two.
+
 `construct` below is the original `gasp.construct`, which fills the alpha
 suffix chain by chain in a while loop; `gasp.construct` now writes suffix
 value i as KL + K*(i // r) + i % r, and test_gasp.py compares the two over a
 grid.
 
-This is the original `gasp.candidate_set`, which builds `set(range(...))`
+`candidate_set` is the original `gasp.candidate_set`, which builds `set(range(...))`
 over the whole feasible i-range for W, for each block's interior kinks and
 for the final clip, so it costs O(K) where the block walk in `gasp.py` costs
 O(sqrt(T)).  The differential tests in test_gasp.py compare the two traces
@@ -24,7 +28,15 @@ gives 53), and a larger tied r on 21 more.
 from __future__ import annotations
 
 from gasptables.degree_table import DegreeTable
-from gasptables.gasp import ChainSearchTrace, GaspParams, _check_klt, standard_beta
+from gasptables.gasp import ChainSearchTrace, GaspParams, _check_klt, _n_of_r, standard_beta
+
+
+def optimal_r_full_scan(K: int, L: int, T: int) -> tuple[int, int]:
+    """(r, N(r)) minimising N over every r in 1..min(K, T), the smallest r among ties."""
+    if L > K:
+        K, L = L, K
+    n, r = min((_n_of_r(K, L, T, r), r) for r in range(1, min(K, T) + 1))
+    return r, n
 
 
 def construct(params: GaspParams) -> DegreeTable:

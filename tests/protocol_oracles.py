@@ -20,13 +20,13 @@ import random
 from itertools import combinations
 from typing import Optional, Sequence
 
-from gasptables.degree_table import DegreeTable, DomainError, require_valid, sumset
+from gasptables.degree_table import DegreeTable, DomainError, count_distinct, sumset
 from gasptables.field import Matrix, PrimeField, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
 from gasptables.sdmm import (
-    DEFAULT_SELECTION_SAMPLES,
     EXHAUSTIVE_SUBSET_LIMIT,
     MAX_POINT_RETRIES,
     SAMPLED_SUBSET_COUNT,
+    SELECTION_SAMPLES,
     SdmmInstance,
     SecurityReport,
 )
@@ -219,7 +219,7 @@ def choose_field_and_points(
     table: DegreeTable,
     base_q: int = 2,
     seed: int = 0,
-    selection_samples: int = DEFAULT_SELECTION_SAMPLES,
+    selection_samples: int = SELECTION_SAMPLES,
     max_retries: int = MAX_POINT_RETRIES,
 ) -> tuple[PrimeField, tuple[int, ...]]:
     """Pick a prime field and N distinct nonzero evaluation points.
@@ -230,7 +230,7 @@ def choose_field_and_points(
     decode matrix and a batch of randomly selected T x T security submatrices
     are all invertible.
     """
-    require_valid(table)
+    count_distinct(table)
     degrees = _degrees(table)
     n = len(degrees)
     m_big = degrees[-1]

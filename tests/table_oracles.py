@@ -5,10 +5,11 @@ These are the earlier implementations of `degree_table._check`,
 `equivalence.squeeze_step`.  They count every cell of Set(alpha) x Set(beta)
 in a Counter, check each entry of a block one at a time, build the negated
 branch of the canonical form through `negate` and `normal`, and scan the
-beta side for a squeeze gap in a loop of its own, so the differential tests
-in test_degree_table.py and test_equivalence.py compare the bitset pass, the
-one-pass structural check, the direct negated branch and the one-loop
-squeeze over a table and its transpose against them.  `score_bruteforce`
+beta side for a squeeze gap in a loop of its own, sliding the high group down
+one unit per step, so the differential tests in test_degree_table.py and
+test_equivalence.py compare the bitset pass, the one-pass structural check,
+the direct negated branch and the one-loop, whole-gap squeeze over a table
+and its transpose against them.  `score_bruteforce`
 is the direct-enumeration collision score that test_degree_table.py and
 test_gasp.py compare the closed form against.
 The hypothesis strategies below draw the tables those tests share.
@@ -91,7 +92,7 @@ def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]
     for i in range(len(vals) - 1):
         if vals[i] + big_b < vals[i + 1] - 1 + b:
             new_alpha, affected = _decrement_above(alpha, vals[i])
-            step = SqueezeStep(kind="alpha_op", index=i, threshold=vals[i], affected=affected)
+            step = SqueezeStep(kind="alpha_op", index=i, threshold=vals[i], affected=affected, by=1)
             new = DegreeTable(
                 K=table.K, L=table.L, T=table.T,
                 alpha_p=new_alpha[: table.K], alpha_s=new_alpha[table.K:],
@@ -104,7 +105,7 @@ def squeeze_step(table: DegreeTable) -> Optional[tuple[DegreeTable, SqueezeStep]
     for i in range(len(vals) - 1):
         if vals[i] + big_a < vals[i + 1] - 1 + a:
             new_beta, affected = _decrement_above(beta, vals[i])
-            step = SqueezeStep(kind="beta_op", index=i, threshold=vals[i], affected=affected)
+            step = SqueezeStep(kind="beta_op", index=i, threshold=vals[i], affected=affected, by=1)
             new = DegreeTable(
                 K=table.K, L=table.L, T=table.T,
                 alpha_p=table.alpha_p, alpha_s=table.alpha_s,

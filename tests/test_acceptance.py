@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import gasp_oracles
 from gasptables import (
     CostExponents,
     EquivalenceTransform,
@@ -102,7 +103,7 @@ def test_acceptance_03_optimal_chain_length_on_squares(capsys):
         if (r_star, best) != (n, want_n):
             problems.append(f"n={n}: reduced gave (r*={r_star}, N={best}), want ({n}, {want_n})")
         if n <= 3:
-            r_full, best_full, _ = optimal_r(k, k, k, mode="full_scan")
+            r_full, best_full = gasp_oracles.optimal_r_full_scan(k, k, k)
             if (r_full, best_full) != (n, want_n):
                 problems.append(f"n={n}: full scan gave ({r_full}, {best_full})")
             brute = count_distinct(construct(GaspParams(k, k, k, r_star)))

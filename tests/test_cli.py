@@ -5,9 +5,11 @@ import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gasp_oracles
 from gasptables import (
     GaspParams,
     SearchResult,
@@ -18,7 +20,7 @@ from gasptables import (
     n_of_r,
     parse_lp_text,
 )
-from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series
+from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series, figure1b_series
 from gasptables.gasp import ChainSearchTrace
 
 MESSY = {
@@ -95,6 +97,16 @@ class TestGaspCommands:
         assert doc["trace"]["W"] == [1, 2, 4, 8]
         assert set(doc["trace"]) == {f.name for f in dataclasses.fields(ChainSearchTrace)}
 
+    # The full scan over every r is the test oracle now, not a CLI mode.
+    @pytest.mark.parametrize("mode", ["full_scan", "reduced"])
+    def test_optimal_r_has_no_mode_flag(self, capsys, mode):
+        argv = ["gasp", "optimal-r", "--K", "9", "--L", "6", "--T", "30", "--format", "json"]
+        code, _, err = dispatch(capsys, *argv, "--mode", mode)
+        assert code == 2 and "unrecognized arguments: --mode" in err
+        code, out, _ = dispatch(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and (doc["r_star"], doc["N"]) == gasp_oracles.optimal_r_full_scan(9, 6, 30)
+
     def test_r_and_big_are_mutually_exclusive(self, capsys):
         code, _, _ = dispatch(
             capsys, "gasp", "n", "--K", "2", "--L", "2", "--T", "2", "--r", "1", "--big"
@@ -130,10 +142,7 @@ class TestTableCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["table"]["alpha_s"] == [7, 8]
-        assert doc["steps"] == [
-            {"kind": "alpha_op", "index": 1, "threshold": 1, "affected": [2, 3]},
-            {"kind": "alpha_op", "index": 1, "threshold": 1, "affected": [2, 3]},
-        ]
+        assert doc["steps"] == [{"kind": "alpha_op", "index": 1, "threshold": 1, "affected": [2, 3], "by": 2}]
 
     def test_squeeze_out_writes_file(self, capsys, tmp_path):
         src = tmp_path / "in.json"
@@ -346,6 +355,13 @@ class TestSdmmCommand:
         assert doc["q"] > sys.maxsize
         assert doc["decode_matches_plain"] is True and doc["security"]["ok"] is True
 
+    # --q 1 and below used to be accepted and raised to the table's own minimum.
+    @pytest.mark.parametrize("q", ["1", "0", "-7"])
+    def test_field_size_below_two_exits_one(self, capsys, q):
+        code, out, err = dispatch(capsys, "sdmm", "run", "--dims", "1,1,1", "--q", q,
+                                  "--K", "1", "--L", "1", "--T", "1", "--r", "1")
+        assert (code, out, err) == (1, "", f"error: base_q must be at least 2, got {q}\n")
+
     def test_dump_shares_writes_one_file_per_server(self, capsys, tmp_path):
         dest = tmp_path / "shares"
         code, _, _ = dispatch(
@@ -465,6 +481,19 @@ class TestFigureCommands:
         assert code == 0
         assert out == "x\tr=1\tr=n\tr=n^2\n2\t1.464285714\t1.285714286\t1.392857143\n"
 
+    def test_readme_figure_1b_rows(self):
+        # The README's six rows, as `figure 1b --n-max 300 --format tsv` prints them.
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        section = text.split("## Figure 1b\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip("|").split("|") for line in section.splitlines() if line[2:3].isdigit()]
+        readme = {int(n): [cell.strip() for cell in cells] for n, *cells in rows}
+        assert sorted(readme) == [2, 5, 10, 30, 100, 300]
+        series = figure1b_series(300)
+        want = {n: [format(float(dict(s.rows)[n]), ".10g") for s in series] for n in readme}
+        assert readme == want
+        r_1, r_n, r_n2 = (float(dict(s.rows)[300]) for s in series)
+        assert r_n < 1.007 and min(r_1, r_n2) > 1.9999
+
     def test_figure_1b_needs_two_points(self, capsys):
         code, _, err = dispatch(capsys, "figure", "1b", "--n-max", "1")
         assert code == 1
@@ -547,7 +576,6 @@ EVERY_COMMAND = [
     "gasp score --K 4 --L 4 --T 4 --r 2",
     "gasp n --K 4 --L 4 --T 4 --big",
     "gasp optimal-r --K 9 --L 6 --T 9",
-    "gasp optimal-r --K 9 --L 6 --T 30 --mode full_scan",
     "table squeeze --trace --in {gappy}",
     "table normal --in {messy}",
     "table canonical --in {messy}",

@@ -1,6 +1,8 @@
 """Gap squeezing, transforms, and canonical forms."""
 
+import dataclasses
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from gasptables import (
     squeeze,
     transpose,
 )
-from gasptables.equivalence import squeeze_step
+from gasptables.equivalence import SqueezeStep, squeeze_step
 import table_oracles as oracle
 
 
@@ -66,36 +68,38 @@ class TestSqueeze:
         got = squeeze_step(GAPPY)
         assert got is not None
         new, step = got
-        assert new.alpha == (0, 1, 8, 9)
+        assert new.alpha == (0, 1, 7, 8)
         assert new.beta == GAPPY.beta
         assert step.kind == "alpha_op"
         assert step.index == 1
         assert step.threshold == 1
         assert step.affected == (2, 3)
+        assert step.by == 2
 
     def test_single_beta_step_on_transpose(self):
         half = table(2, 2, 2, (0, 2), (4, 5), (0, 1), (8, 9))
         new, step = squeeze_step(half)
-        assert step.kind == "beta_op"
+        assert step.kind == "beta_op" and step.by == 1
         assert new.beta == (0, 1, 7, 8)
         assert new.alpha == half.alpha
 
     def test_full_squeeze(self):
         out, steps = squeeze(GAPPY)
         assert out == SQUEEZED
-        assert len(steps) == 2
-        assert all(s.kind == "alpha_op" for s in steps)
+        assert steps == (SqueezeStep(kind="alpha_op", index=1, threshold=1, affected=(2, 3), by=2),)
 
     def test_squeezed_is_fixed_point(self):
         assert squeeze_step(SQUEEZED) is None
         out, steps = squeeze(SQUEEZED)
         assert out == SQUEEZED and steps == ()
 
-    def test_long_chain_one_decrement_at_a_time(self):
-        t = table(1, 1, 1, (0,), (100,), (0,), (1,))
+    # A gap of g took g - 2 unit steps, and at 10**9 hours and gigabytes.
+    @pytest.mark.parametrize("gap", [100, 10**9])
+    def test_long_gap_closes_in_one_step(self, gap):
+        t = table(1, 1, 1, (0,), (gap,), (0,), (1,))
         out, steps = squeeze(t)
         assert out.alpha == (0, 2)
-        assert len(steps) == 98
+        assert steps == (SqueezeStep(kind="alpha_op", index=0, threshold=0, affected=(1,), by=gap - 2),)
 
     def test_preserves_distinct_count(self):
         rng = random.Random(404)
@@ -115,13 +119,14 @@ class TestSqueeze:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(oracle.tables(st.integers(0, 40)), oracle.tables(st.integers(0, 6))))
     def test_each_step_matches_oracle(self, t):
-        # Squeeze to a fixpoint and compare every step, beta_op steps included.
-        while True:
-            got, want = squeeze_step(t), oracle.squeeze_step(t)
-            assert got == want
-            if got is None:
-                return
-            t = got[0]
+        # The oracle slides one unit per step: squeeze reaches the same fixpoint,
+        # and its trace is the run-length encoding of the oracle's, beta_op steps included.
+        want, units = t, []
+        while (nxt := oracle.squeeze_step(want)) is not None:
+            want, unit = nxt
+            units.append(unit)
+        runs = tuple(dataclasses.replace(unit, by=len(list(run))) for unit, run in groupby(units))
+        assert squeeze(t) == (want, runs)
 
     def test_gasp_tables_are_already_squeezed(self):
         for K in range(1, 7):

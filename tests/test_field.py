@@ -1,6 +1,7 @@
 """Prime-field arithmetic and small linear algebra."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,23 @@ def test_next_prime(n, p):
     assert next_prime(n) == p
 
 
+# A float past 2**53 made next_prime loop forever, since c += 1 leaves it unchanged.
+@pytest.mark.parametrize("n", [1e40, 7.0, True, "7", None])
+def test_next_prime_rejects_non_integers(n):
+    with pytest.raises(DomainError, match=rf"n must be an integer, got {re.escape(repr(n))}"):
+        next_prime(n)
+
+
 class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(DomainError, match="not prime"):
             PrimeField(10)
+
+    # PrimeField(7.0) used to be accepted and fail later inside mat_mul.
+    @pytest.mark.parametrize("q", [7.0, True, "7", None])
+    def test_rejects_non_integers(self, q):
+        with pytest.raises(DomainError, match=rf"q must be an integer, got {re.escape(repr(q))}"):
+            PrimeField(q)
 
     def test_inverse_of_zero(self):
         # the inverse is a 1x1 solve; 0 and 14 are zero in GF(7), so singular

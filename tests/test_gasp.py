@@ -308,25 +308,23 @@ class TestOptimalR:
             k = n * n
             assert optimal_r(k, k, k)[:2] == (n, n ** 4 + 2 * n ** 3 + 2 * n ** 2 - n - 2)
 
-    def test_modes_agree(self):
+    def test_matches_full_scan(self):
         # Every L <= K <= 40, T <= 60; optimal_r maps L > K onto these.
         for K in range(1, 41):
             for L in range(1, K + 1):
                 for T in range(1, 61):
-                    red = optimal_r(K, L, T, mode="reduced")
-                    full = optimal_r(K, L, T, mode="full_scan")
-                    assert red[:2] == full[:2], (K, L, T)
+                    assert optimal_r(K, L, T)[:2] == oracle.optimal_r_full_scan(K, L, T), (K, L, T)
 
     def test_reduced_reaches_the_end_of_the_range(self):
         # T > K: the corner min(K, T) = 4 is a candidate; r = 3 gives 55.
         r_star, best, trace = optimal_r(4, 4, 11)
-        assert (r_star, best) == (4, 53) == optimal_r(4, 4, 11, mode="full_scan")[:2]
+        assert (r_star, best) == (4, 53) == oracle.optimal_r_full_scan(4, 4, 11)
         assert trace.Q_prime == (2, 3, 4)
 
     def test_reduced_reads_the_first_step_of_a_block(self):
         # mu = 3 starts the block [3, 4]; N(4) - N(3) = 0, so both tie and
         # the smaller r must be a candidate.
-        assert optimal_r(5, 4, 9)[:2] == (3, 57) == optimal_r(5, 4, 9, mode="full_scan")[:2]
+        assert optimal_r(5, 4, 9)[:2] == (3, 57) == oracle.optimal_r_full_scan(5, 4, 9)
 
     def test_tie_breaks_to_smallest(self):
         # (9, 6, 9) has two minimizers, 3 and 5; the smaller wins.
@@ -335,11 +333,13 @@ class TestOptimalR:
         assert n_of_r(GaspParams(9, 6, 9, 5)) == best
 
     def test_accepts_l_greater_than_k(self):
-        assert optimal_r(6, 9, 9)[:2] == optimal_r(9, 6, 9)[:2]
+        assert optimal_r(6, 9, 9)[:2] == optimal_r(9, 6, 9)[:2] == oracle.optimal_r_full_scan(6, 9, 9)
 
-    def test_bad_mode(self):
-        with pytest.raises(DomainError):
-            optimal_r(2, 2, 2, mode="guess")
+    # Q'' is the only search: the full scan is the test oracle, not a mode.
+    @pytest.mark.parametrize("mode", ["guess", "full_scan", "reduced"])
+    def test_bad_mode(self, mode):
+        with pytest.raises(TypeError):
+            optimal_r(2, 2, 2, mode=mode)
 
 
 class TestReductionStatistic:

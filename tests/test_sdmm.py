@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,15 @@ T442 = construct(GaspParams(4, 4, 4, 2))
 
 def rand_matrix(rng, rows, cols, bound=100):
     return tuple(tuple(rng.randrange(bound) for _ in range(cols)) for _ in range(rows))
+
+
+def _remasked(inst, mask):
+    """``inst`` with every mask replaced by ``mask(old_mask)``, re-encoded and re-answered."""
+    r_masks, s_masks = tuple(map(mask, inst.r_masks)), tuple(map(mask, inst.s_masks))
+    a_blocks, b_blocks = partition(inst.a_mat, inst.b_mat, inst.table.K, inst.table.L)
+    shares = encode(inst.field, inst.table, inst.points, a_blocks + r_masks, b_blocks + s_masks)
+    return dataclasses.replace(inst, r_masks=r_masks, s_masks=s_masks, shares=shares,
+                               responses=server_compute(inst.field, shares))
 
 
 class TestPartition:
@@ -113,23 +123,11 @@ class TestFieldAndPoints:
     def test_same_seed_same_draw(self):
         assert choose_field_and_points(T442, seed=4) == choose_field_and_points(T442, seed=4)
 
-    def test_retry_exhaustion_reports_field(self):
-        # GF(19) has no usable points for (3,2,2,1), so the one attempt fails.
-        msg = r"no usable evaluation points after 1 attempts over GF\(19\); retry with a larger base_q"
-        with pytest.raises(DomainError, match=msg):
-            choose_field_and_points(construct(GaspParams(3, 2, 2, 1)), max_retries=1)
-
-    # 2.5 used to raise a TypeError, and -1 and 0 reported "no usable points after -1 attempts".
-    @pytest.mark.parametrize("retries", [2.5, -1, 0, True])
-    def test_max_retries_must_be_positive(self, retries):
-        with pytest.raises(DomainError, match=rf"max_retries must be at least 1, got {re.escape(repr(retries))}"):
-            choose_field_and_points(T442, max_retries=retries)
-
-    # 0 used to check no subset at all, and 2.5 was taken as given.
-    @pytest.mark.parametrize("samples", [0, -3, 2.5, True])
-    def test_selection_samples_must_be_positive(self, samples):
-        with pytest.raises(DomainError, match=rf"selection_samples must be at least 1, got {re.escape(repr(samples))}"):
-            choose_field_and_points(T222, base_q=13, selection_samples=samples)
+    # 1e40 hung in next_prime, "7" and None raised a TypeError, and 1 or 0 were raised silently.
+    @pytest.mark.parametrize("base_q", [1e40, 7.0, "7", None, True, 1, 0, -5])
+    def test_base_q_must_be_an_integer_of_at_least_two(self, base_q):
+        with pytest.raises(DomainError, match=rf"base_q must be at least 2, got {re.escape(repr(base_q))}"):
+            build_instance(((1,),), ((1,),), T111, base_q=base_q)
 
     def test_points_past_sys_maxsize(self):
         # range(1, q) has no len() here, so the points are drawn one by one.
@@ -151,7 +149,8 @@ class TestFieldAndPoints:
         # GF(19) has only 18 nonzero points for this table's 14 servers and
         # none of the retried draws gives invertible decode/security minors.
         t = construct(GaspParams(3, 2, 2, 1))
-        with pytest.raises(DomainError, match=r"GF\(19\)"):
+        msg = r"no usable evaluation points after 64 attempts over GF\(19\); retry with a larger base_q"
+        with pytest.raises(DomainError, match=msg):
             choose_field_and_points(t)
         fld, _ = choose_field_and_points(t, base_q=23)
         assert fld.q == 23
@@ -161,7 +160,7 @@ class TestEncodeDecode:
     def test_zero_masks_give_constant_shares(self):
         a = ((1, 2, 3), (4, 0, 1))
         b = ((2, 0), (1, 3), (0, 4))
-        inst = build_instance(a, b, T111, zero_masks=True)
+        inst = _remasked(build_instance(a, b, T111), lambda m: tuple((0,) * len(row) for row in m))
         for f_sh, g_sh in inst.shares:
             assert f_sh == inst.a_mat
             assert g_sh == inst.b_mat
@@ -225,11 +224,12 @@ class TestEncodeDecode:
         assert inst.b_mat == ((4,),)
         assert decode(inst).product == ((2,),)
 
-    def test_mask_seed_changes_shares_not_product(self):
+    def test_other_masks_change_shares_not_product(self):
         a = ((1, 2), (3, 4))
         b = ((5, 6), (7, 8))
         base = build_instance(a, b, T222, seed=0)
-        other = build_instance(a, b, T222, seed=0, mask_seed=99)
+        rng = random.Random(99)
+        other = _remasked(base, lambda m: base.field.random_matrix(rng, len(m), len(m[0])))
         assert base.points == other.points
         assert base.shares != other.shares
         assert decode(base).product == decode(other).product
@@ -450,9 +450,9 @@ class TestAgainstOracle:
            st.integers(0, 10**6), st.sampled_from([2, 50]))
     def test_points(self, params, seed, samples):
         t = construct(GaspParams(*params))
-        kw = dict(seed=seed, selection_samples=samples)
-        assert _outcome(choose_field_and_points, t, **kw) == _outcome(
-            oracle.choose_field_and_points, t, **kw)
+        with mock.patch.object(sdmm, "SELECTION_SAMPLES", samples):
+            got = _outcome(choose_field_and_points, t, seed=seed)
+        assert got == _outcome(oracle.choose_field_and_points, t, seed=seed, selection_samples=samples)
 
     # Exponents unsorted, repeated and with gaps; points zero (0^0 = 1), at or past q.
     @settings(max_examples=200, deadline=None)
@@ -486,17 +486,17 @@ class TestAgainstOracle:
         assert outcomes == [_outcome(oracle.choose_field_and_points, t, seed=s) for s in range(20)]
         assert 5 <= sum(isinstance(o, str) for o in outcomes) <= 15
 
-    # At C(N,T) == selection_samples every subset is checked; one below, the
+    # At C(N,T) == SELECTION_SAMPLES every subset is checked; one below, the
     # subsets are sampled from the shared RNG.
     @pytest.mark.parametrize("params", [(2, 2, 2, 1), (3, 2, 2, 1)])
     @pytest.mark.parametrize("below", [0, 1])
-    def test_points_at_the_enumeration_boundary(self, params, below):
+    def test_points_at_the_enumeration_boundary(self, monkeypatch, params, below):
         t = construct(GaspParams(*params))
         samples = math.comb(n_of_r(GaspParams(*params)), t.T) - below
+        monkeypatch.setattr(sdmm, "SELECTION_SAMPLES", samples)
         for seed in range(8):
-            kw = dict(seed=seed, selection_samples=samples)
-            assert _outcome(choose_field_and_points, t, **kw) == _outcome(
-                oracle.choose_field_and_points, t, **kw)
+            assert _outcome(choose_field_and_points, t, seed=seed) == _outcome(
+                oracle.choose_field_and_points, t, seed=seed, selection_samples=samples)
 
     @pytest.mark.parametrize("below", [0, 1])
     def test_audit_at_the_enumeration_boundary(self, monkeypatch, below):
