@@ -109,27 +109,6 @@ class DegreeTable:
     def beta(self) -> ExponentVector:
         return self.beta_p + self.beta_s
 
-    def set_alpha(self) -> set[int]:
-        return set(self.alpha)
-
-    def set_beta(self) -> set[int]:
-        return set(self.beta)
-
-    def entries_matrix(self) -> list[list[int]]:
-        """The full (K+T) x (L+T) table of degree sums, row major."""
-        return [[a + b for b in self.beta] for a in self.alpha]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "L": self.L,
-            "T": self.T,
-            "alpha_p": list(self.alpha_p),
-            "alpha_s": list(self.alpha_s),
-            "beta_p": list(self.beta_p),
-            "beta_s": list(self.beta_s),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "DegreeTable":
         if not isinstance(d, dict):

@@ -18,6 +18,7 @@ anything is packed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,11 +29,64 @@ from .degree_table import DomainError
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is exact below psi_13 (Sorenson and
+# Webster, 2015); above it is_prime adds a strong Lucas test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd n
+    without a factor below 42: D is the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4, and with n + 1 = d * 2^s, n passes when
+    U_d = 0 or V_(d*2^r) = 0 for some r < s (all mod n)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # D shares a factor with n, and |D| < n
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # index 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index k to 2k
+        if bit == "1":  # index 2k to 2k + 1, with P = 1
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime.  Exact below psi_13 = 3,317,044,064,679,887,385,961,981,
+    where Miller-Rabin to the bases 2 to 41 decides.  At or above it n must also
+    pass a strong Lucas test; with base 2 that is the Baillie-PSW test, which no
+    composite is known to pass."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -52,7 +106,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
 
 
 def next_prime(n: int) -> int:

@@ -55,7 +55,7 @@ def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
     """
     d1 = len(set(table.alpha)) == len(table.alpha)
     d2 = len(set(table.beta)) == len(table.beta)
-    sa, sb = table.set_alpha(), table.set_beta()
+    sa, sb = set(table.alpha), set(table.beta)
     reps = Counter(x + y for x in sa for y in sb)
     witness = None
     for n in sorted(sumset(table.alpha_p, table.beta_p)):

@@ -18,10 +18,10 @@ from gasptables import (
     construct,
     count_distinct,
     n_of_r,
-    parse_lp_text,
 )
 from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series, figure1b_series
 from gasptables.gasp import ChainSearchTrace
+from ilp_oracles import parse_lp_text
 
 MESSY = {
     "K": 3, "L": 2, "T": 1,

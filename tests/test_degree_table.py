@@ -1,5 +1,6 @@
 """Tests for table construction, validation, counting, and scores."""
 
+import dataclasses
 import json
 import random
 import time
@@ -20,7 +21,7 @@ from gasptables import (
     sumset,
     validate,
 )
-from gasptables import degree_table
+from gasptables import cli, degree_table
 from gasptables.cli import cmd_dispatch
 import table_oracles as oracle
 from table_oracles import score_bruteforce
@@ -72,18 +73,18 @@ class TestConstruction:
         t = TABLE_III_B
         assert t.alpha == (0, 1, 2, 3, 16, 17, 20, 21)
         assert t.beta == (0, 4, 8, 12, 16, 17, 18, 19)
-        assert t.set_alpha() == set(t.alpha)
-        m = t.entries_matrix()
+        assert set(t.alpha) == set(range(4)) | {16, 17, 20, 21}
+        m = [[a + b for b in t.beta] for a in t.alpha]
         assert len(m) == 8 and all(len(row) == 8 for row in m)
         assert m[0][0] == 0 and m[7][7] == 40
 
     def test_json_roundtrip(self):
-        d = TABLE_III_B.to_json_dict()
+        d = json.loads(json.dumps(cli._payload(TABLE_III_B)))
         assert d["alpha_s"] == [16, 17, 20, 21]
         assert DegreeTable.from_json_dict(d) == TABLE_III_B
 
     def test_json_missing_key(self):
-        d = TABLE_III_B.to_json_dict()
+        d = cli._payload(TABLE_III_B)
         del d["beta_p"]
         with pytest.raises(ValueError, match="beta_p"):
             DegreeTable.from_json_dict(d)
@@ -217,7 +218,7 @@ class TestCheckAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((0, 1)).flatmap(oracle.guard_tables))
     def test_at_and_above_the_sparse_guard(self, t):
-        rows = max(len(t.set_alpha()), len(t.set_beta()))
+        rows = max(len(set(t.alpha)), len(set(t.beta)))
         over = max(t.alpha) + max(t.beta) - degree_table._SPARSE_RATIO * rows
         assert over in (0, 1)
         _assert_matches_oracle(t)
@@ -243,7 +244,7 @@ class TestCheckAgainstOracle:
         assert time.perf_counter() - start < 1
         assert got == oracle._check(t) == (validate(t), 15)
         src = tmp_path / "big.json"
-        src.write_text(json.dumps(t.to_json_dict()))
+        src.write_text(json.dumps(dataclasses.asdict(t)))
         code = cmd_dispatch(["sdmm", "run", "--dims", "2,2,2", "--table", str(src)])
         assert code == 0, capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Prime-field arithmetic and small linear algebra."""
 
+import math
 import random
 import re
 
@@ -13,20 +14,43 @@ from gasptables.field import is_invertible, mat_combine, mat_mul, solve
 
 
 def test_is_prime_small():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in primes), n
+    n_max = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n_max - 1)
+    for i in range(2, math.isqrt(n_max) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n_max + 1, i)))
+    assert [n for n in range(n_max + 1) if is_prime(n) != sieve[n]] == []
 
 
 def test_is_prime_larger():
     assert is_prime(1_000_003)
     assert not is_prime(1_000_001)  # 101 * 9901
-    assert is_prime(2 ** 61 - 1)
-    assert not is_prime(2 ** 67 - 1)  # Mersenne composite, 193707721 * ...
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to the bases 2 to 37 and 2 to 41,
+# then Mersenne composites (2^67 - 1 = 193707721 * 761838257287).
+@pytest.mark.parametrize("n", [318665857834031151167461, 3317044064679887385961981,
+                               2 ** 67 - 1, 2 ** 101 - 1, 2 ** 257 - 1])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("e", [61, 89, 107, 127, 521, 607])
+def test_is_prime_accepts_mersenne_primes(e):
+    assert is_prime(2 ** e - 1)
+
+
+def test_strong_lucas_alone():
+    # OEIS A217255: the strong Lucas pseudoprimes (Selfridge's parameters) below 20,000
+    passing = [n for n in range(43, 20_000, 2) if field._strong_lucas(n) and not is_prime(n)]
+    assert passing == [5459, 5777, 10877, 16109, 18971]
+    assert all(field._strong_lucas(n) for n in range(43, 20_000, 2) if is_prime(n))
 
 
 @pytest.mark.parametrize("n,p", [(0, 2), (2, 2), (3, 3), (4, 5), (14, 17),
-                                 (43, 43), (44, 47), (1_000_000, 1_000_003)])
+                                 (43, 43), (44, 47), (1_000_000, 1_000_003),
+                                 (332306998946228968225951765070086144,
+                                  332306998946228968225951765070086169)])
 def test_next_prime(n, p):
     assert next_prime(n) == p
 
@@ -42,6 +66,8 @@ class TestPrimeField:
     def test_rejects_composite(self):
         with pytest.raises(DomainError, match="not prime"):
             PrimeField(10)
+        with pytest.raises(DomainError, match="not prime"):
+            PrimeField(318665857834031151167461)
 
     # PrimeField(7.0) used to be accepted and fail later inside mat_mul.
     @pytest.mark.parametrize("q", [7.0, True, "7", None])

@@ -1,5 +1,7 @@
-"""Model construction, LP text serialization, and the toy solver."""
+"""Model construction, LP text serialization, and the test-side reader and solver."""
 
+import itertools
+import operator
 import re
 
 import pytest
@@ -14,10 +16,9 @@ from gasptables import (
     build_ilp_fixed,
     emit_lp_text,
     exhaustive_fixed_prefix,
-    naive_solve,
-    parse_lp_text,
 )
 from gasptables.ilp import IlpModel, LinearConstraint, Variable
+from ilp_oracles import NaiveSolveOutcome, naive_solve, parse_lp_text
 
 
 def var_count_formula(K, L, T):
@@ -75,12 +76,6 @@ class TestModelValidation:
         with pytest.raises(DomainError, match="collides"):
             IlpModel("m", (), (Variable("x", "binary"),),
                      (LinearConstraint("x", (("x", 1),), "<=", 1),))
-
-    def test_variable_accessor(self):
-        m = build_ilp_fixed(1, 1, 1)
-        assert m.variable("N").kind == "integer"
-        with pytest.raises(KeyError):
-            m.variable("nope")
 
 
 class TestFixedModel:
@@ -236,6 +231,16 @@ class TestNaiveSolve:
         assert out.status == "optimal"
         assert out.assignment == {"x": 0} and out.objective == 0
 
+    def test_termless_row_is_decided_by_its_rhs(self):
+        # x - x merges to no terms; no assignment meets 0 >= 1
+        m = IlpModel("m", (), (Variable("a", "binary"),),
+                     (LinearConstraint("r0", (("a", 1), ("a", -1)), ">=", 1),))
+        assert m.constraints[0].coeffs == ()
+        assert naive_solve(m) == NaiveSolveOutcome(status="infeasible", nodes=0)
+        m = IlpModel("m", (("a", -1),), (Variable("a", "binary"),),
+                     (LinearConstraint("r0", (("a", 1), ("a", -1)), "<=", 0),))
+        assert naive_solve(m).objective == -1
+
     def test_requires_finite_bounds(self):
         m = IlpModel("m", (("x", 1),), (Variable("x", "integer", 0, None),), ())
         with pytest.raises(DomainError, match="finite bounds"):
@@ -253,6 +258,12 @@ class TestLpText:
 
     def test_roundtrip_blp(self):
         m = build_blp(1, 1, 2, (2, 2))
+        assert parse_lp_text(emit_lp_text(m)) == m
+
+    def test_roundtrip_binary_short_form(self):
+        # the reader declares Variable("a", "binary", 0, 1)
+        m = IlpModel("m", (("a", 1),), (Variable("a", "binary"),),
+                     (LinearConstraint("c", (("a", 1),), ">=", 0),))
         assert parse_lp_text(emit_lp_text(m)) == m
 
     def test_sections_present(self):
@@ -301,6 +312,47 @@ def builder_models():
     return models + [build_blp(1, 1, 1, (1, 1)), build_blp(1, 1, 1, (1, 2))]
 
 
+SENSES = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+
+
+def total(coeffs, assignment):
+    return sum(c * assignment[n] for n, c in coeffs)
+
+
+def meets(model, assignment):
+    return all(SENSES[c.sense](total(c.coeffs, assignment), c.rhs) for c in model.constraints)
+
+
+def assert_attains(model, assignment, objective):
+    """The assignment is in bounds, meets every row and has the given objective."""
+    assert set(assignment) == {v.name for v in model.variables}
+    assert all(v.lower <= assignment[v.name] <= v.upper for v in model.variables)
+    assert meets(model, assignment)
+    assert total(model.objective, assignment) == objective
+
+
+def brute_force(model):
+    """The least objective over every assignment that meets every row, or None."""
+    names = [v.name for v in model.variables]
+    best = None
+    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables)):
+        a = dict(zip(names, values))
+        if meets(model, a):
+            obj = total(model.objective, a)
+            best = obj if best is None else min(best, obj)
+    return best
+
+
+def assert_budget(model, budget, out):
+    """With budget b the outcome is the unbudgeted `out` if that took at most b
+    nodes; otherwise the search stops at node b + 1 with no objective."""
+    got = naive_solve(model, budget)
+    if out.nodes <= budget:
+        assert got == out, budget
+    else:
+        assert got == NaiveSolveOutcome(status="budget_exceeded", nodes=budget + 1), budget
+
+
 def oracle_text(model):
     """emit_lp_text with the reference term writer."""
     with pytest.MonkeyPatch.context() as patch:
@@ -319,7 +371,7 @@ def small_models(draw):
     variables = []
     for name in NAMES[:n]:
         if draw(st.booleans()):
-            variables.append(Variable(name, "binary", 0, 1))
+            variables.append(Variable(name, "binary"))
         else:
             lo = draw(st.integers(-2, 2))
             variables.append(Variable(name, "integer", lo, lo + draw(st.integers(0, 3))))
@@ -342,12 +394,12 @@ class TestAgainstOracle:
     def test_builder_models(self, model):
         out = naive_solve(model)
         assert out.status == "optimal"
-        assert out == oracle.naive_solve(model)
+        assert_attains(model, out.assignment, out.objective)
         for budget in (0, 1, 2, 5, out.nodes // 2, out.nodes - 1, out.nodes):
-            assert naive_solve(model, budget) == oracle.naive_solve(model, budget), budget
+            assert_budget(model, budget, out)
         text = emit_lp_text(model)
         assert text == oracle_text(model)
-        assert parse_lp_text(text) == oracle.parse_lp_text(text) == model
+        assert parse_lp_text(text) == model
 
     def test_node_counts_pinned(self):
         # ACCEPTANCE 9's six tiny solves
@@ -356,9 +408,17 @@ class TestAgainstOracle:
         assert nodes == [10, 151, 19, 43, 31, 1738]
 
     @settings(max_examples=400, deadline=None)
-    @given(small_models(), st.one_of(st.none(), st.integers(0, 12)))
+    @given(small_models(), st.integers(0, 12))
     def test_drawn_models(self, model, budget):
-        assert naive_solve(model, budget) == oracle.naive_solve(model, budget)
+        # at most 4**5 assignments, so enumeration is the exact reference
+        out = naive_solve(model)
+        best = brute_force(model)
+        if best is None:
+            assert out.status == "infeasible" and out.objective is None
+        else:
+            assert out.status == "optimal" and out.objective == best
+            assert_attains(model, out.assignment, best)
+        assert_budget(model, budget, out)
 
     @settings(max_examples=200, deadline=None)
     @given(small_models(), st.integers(0, 40))
@@ -371,7 +431,7 @@ class TestAgainstOracle:
             model.constraints + (LinearConstraint("wide", tuple((n, -2) for n in names), ">=", 1),))
         text = emit_lp_text(model)
         assert text == oracle_text(model)
-        assert parse_lp_text(text) == oracle.parse_lp_text(text) == model
+        assert parse_lp_text(text) == model
 
     @given(st.lists(st.tuples(st.sampled_from(NAMES), st.integers(-12, 12)), max_size=6))
     def test_term_writer(self, coeffs):
