@@ -344,9 +344,11 @@ def _handle_cost(args) -> None:
 
 def _handle_figure(args) -> None:
     if args.which == "1a":
+        if args.n_max is not None:
+            raise DomainError("--n-max applies to figure 1b only")
         series = figure1a_series()
     else:
-        series = figure1b_series(args.n_max)
+        series = figure1b_series(20 if args.n_max is None else args.n_max)
     tsv = _series_tsv(series)
     _emit(args, {"series": _payload(series)}, tsv=tsv, pretty=tsv)
 
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", parents=[common], help="plot data for the two figures")
     p_fig.add_argument("which", choices=("1a", "1b"))
-    p_fig.add_argument("--n-max", type=int, default=20, dest="n_max")
+    p_fig.add_argument("--n-max", type=int, dest="n_max", help="figure 1b only: largest n (default 20)")
 
     p_stats = sub.add_parser("stats", parents=[common], help="candidate-set reduction statistic")
     p_stats.add_argument("--k-max", type=int, default=300, dest="k_max")

@@ -161,27 +161,29 @@ def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
     """validate()'s report and the table's distinct-entry count, in one pass.
 
     Each row, the larger side's value set shifted by a value of the other, is
-    ORed into `once` after its overlap with `once` is ORed into `twice`.  Each
-    prefix sum occurs at least once, so D3 fails exactly at the prefix sums in
-    `twice`; the least is the witness.  Rows are bitsets, or sets when the
-    largest sum exceeds _SPARSE_RATIO times the row size (measured crossover).
+    ORed into `once` after its overlap with `once` is ORed into `twice`; the
+    prefix sumset's rows pair the two prefixes the same way.  Each prefix sum
+    occurs at least once, so D3 fails exactly at the prefix sums in `twice`;
+    the least is the witness.  Rows are bitsets, or sets when the largest sum
+    exceeds _SPARSE_RATIO times the row size (measured crossover).
     """
     sa, sb = set(table.alpha), set(table.beta)
     d1, d2 = len(sa) == len(table.alpha), len(sb) == len(table.beta)
     shifts, values = sorted((sa, sb), key=len)
+    p_shifts, p_values = sorted((set(table.alpha_p), set(table.beta_p)), key=len)
     sparse = max(shifts) + max(values) > _SPARSE_RATIO * len(values)
     if sparse:
-        row, base, bp = (lambda s, a: {a + v for v in s}), values, set(table.beta_p)
+        row, base, p_base = (lambda s, a: {a + v for v in s}), values, p_values
         once, twice, prefix = set(), set(), set()
     else:
-        row, base, bp = int.__lshift__, _mask(values), _mask(table.beta_p)
+        row, base, p_base = int.__lshift__, _mask(values), _mask(p_values)
         once = twice = prefix = 0
     for a in shifts:
         r = row(base, a)
         twice |= once & r
         once |= r
-    for a in set(table.alpha_p):
-        prefix |= row(bp, a)
+    for a in p_shifts:
+        prefix |= row(p_base, a)
     bad = prefix & twice
     witness = min(bad, default=None) if sparse else ((bad & -bad).bit_length() - 1 if bad else None)
     distinct = len(once) if sparse else once.bit_count()

@@ -211,12 +211,15 @@ def canonical(table: DegreeTable) -> DegreeTable:
     This is a class invariant: any two equivalent tables (including through
     negation) canonicalize to the same table, and canonical is idempotent.
     Comparison key is alpha_p|alpha_s|beta_p|beta_s.  The negated branch maps
-    each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept).
+    each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept);
+    its key is compared entry by entry as it is generated, and its blocks are
+    built only when it wins.
     """
     n = table if is_normal(table) else normal(table)
     ma, mb = max(n.alpha), max(n.beta)
-    ap, as_, bp, bs = (tuple(m - v for v in reversed(block)) for m, block in
-                       ((ma, n.alpha_p), (ma, n.alpha_s), (mb, n.beta_p), (mb, n.beta_s)))
-    if _lex_key(n) <= ap + as_ + bp + bs:
+    blocks = ((ma, n.alpha_p), (ma, n.alpha_s), (mb, n.beta_p), (mb, n.beta_s))
+    negated = (m - v for m, block in blocks for v in reversed(block))
+    first = next(((v, u) for v, u in zip(_lex_key(n), negated) if v != u), None)
+    if first is None or first[0] < first[1]:
         return n
-    return DegreeTable(K=n.K, L=n.L, T=n.T, alpha_p=ap, alpha_s=as_, beta_p=bp, beta_s=bs)
+    return DegreeTable(n.K, n.L, n.T, *(tuple(m - v for v in reversed(block)) for m, block in blocks))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 from .degree_table import DegreeTable, DomainError, ScoreBreakdown, _require_int
@@ -136,46 +135,43 @@ def n_of_r(params: GaspParams) -> int:
     over r <= K consecutive values, so its floor by K is q on c0 rows and
     q + 1 on the rest; (T-1)//r rows i in 2..T satisfy i = 1 mod r.
     """
-    return _n_of_r(params.K, params.L, params.T, params.r)
+    return _n_of_r(params.K, params.L, params.T, (params.r,))[0]
 
 
-def _n_of_r(K: int, L: int, T: int, r: int) -> int:
-    """n_of_r on plain integers, for callers that have already range-checked r."""
-    q, m = divmod(T - 1 - r, K)
-    c0 = min(r, K - m)
-    left = c0 * min(L, 2 + q) + (r - c0) * min(L, 3 + q) + (T - r) * L
-    c = (T - 1) // r
-    right = max(0, K + T - K * L - 1) + c * max(0, T - K + r - 1) + (T - 1 - c) * (T - 1)
-    return K * L + K + T - 1 + T * (L + T) - left - right
+def _n_of_r(K: int, L: int, T: int, rs) -> list[int]:
+    """n_of_r at each r of rs, already range-checked.  The terms of the count
+    and the score free of r and of c = (T-1)//r are summed once, into base."""
+    base = K * L + K + 3 * T - 2 - max(0, K + T - K * L - 1)
+    ns = []
+    for r in rs:
+        q, m = divmod(T - 1 - r, K)
+        c0 = min(r, K - m)
+        ns.append(base + r * L - c0 * min(L, 2 + q) - (r - c0) * min(L, 3 + q)
+                  + (T - 1) // r * (T - 1 - max(0, T - K + r - 1)))
+    return ns
 
 
 def n_theorem1(params: GaspParams) -> int:
     """Distinct-entry count of GASP_r from the standalone closed form.
 
     Independent of n_of_r (no score detour); kept as a cross-check since the
-    expression is easy to transcribe wrongly.  Intermediate arithmetic is
-    exact rational, and the result is asserted to be an integer.
+    expression is easy to transcribe wrongly.  The rational terms are carried
+    as integers over 2K, and the result is asserted to be an integer.
     """
     K, L, T, r = params.K, params.L, params.T, params.r
     phi = T - 1 - K * L + 2 * K
     mu = (T - 1) % K
     x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
-    n = Fraction(
-        K * L + 2 * K + 3 * T - 2
-        - max(K, phi)
-        + (L - 2) * max(0, min(r, r - phi))
-        + ((T - 1) // r) * min(T - 1, K - r)
-    )
+    n = 2 * K * (K * L + 2 * K + 3 * T - 2 - max(K, phi) + (L - 2) * max(0, min(r, r - phi))
+                 + ((T - 1) // r) * min(T - 1, K - r))
     if phi < r:
-        n -= (
-            min(0, mu - r)
-            + Fraction(r * (T - 1 - mu), K)
-            + Fraction(-K * x * x + (-K - 2 * max(0, phi) + 2 * T - 2) * x + (T - 1 - mu), 2)
-            - Fraction(T - 1 - mu, K) * Fraction(T - 1 + mu, 2)
-        )
-    if n.denominator != 1:
-        raise AssertionError(f"closed form gave non-integer {n} at {params}")
-    return int(n)
+        n -= (2 * K * min(0, mu - r) + 2 * r * (T - 1 - mu)
+              + K * (-K * x * x + (-K - 2 * max(0, phi) + 2 * T - 2) * x + (T - 1 - mu))
+              - (T - 1 - mu) * (T - 1 + mu))
+    n, rem = divmod(n, 2 * K)
+    if rem:
+        raise AssertionError(f"closed form gave non-integer {2 * K * n + rem}/{2 * K} at {params}")
+    return n
 
 
 def h_function(K: int, L: int, T: int, r: int) -> int:
@@ -242,33 +238,29 @@ def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:
     mu = (T - 1) % K
     x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
     i_lo, i_hi = max(1, phi + 1), min(K, T - 1)
-    # floor((T-1)/i) on [i_lo, i_hi]: i_lo's block, then each later block start.
-    starts = [i for i in _w_block_starts(T, i_hi) if i > i_lo]
-    W = [(T - 1) // i for i in reversed([i_lo] + starts)] if i_lo <= i_hi else []
-
-    step = L - 2 - (T - 1 - mu) // K
-
-    def slope(r: int, w: int) -> int:  # N(r) - N(r - 1) inside the block of w
-        return step + (1 if mu < r else 0) - (w if K - T + 1 < r else 0)
-
+    # The blocks [l_w, r_w] of floor((T-1)/i) that meet [i_lo, i_hi].  In one,
+    # N(r) - N(r-1) is step, plus 1 once r > mu, minus w once r > c: only the
+    # at most two blocks with mu or c inside can change the slope's sign.
+    starts = _w_block_starts(T, i_hi) if i_lo <= i_hi else []
+    step, c = L - 2 - (T - 1 - mu) // K, K - T + 1
     q_w: dict[int, tuple[int, ...]] = {}
-    for w in W:
-        l_w = (T - 1) // (w + 1) + 1
+    Q: list[int] = []
+    for l_w in starts[bisect.bisect_right(starts, i_lo) - 1:]:
+        w = (T - 1) // l_w
         r_w = (T - 1) // w
-        a_w = tuple(sorted(v for v in {mu, K - T + 1} if l_w < v < r_w))
-        up_l, up_r = slope(l_w + 1, w) >= 0, slope(r_w, w) >= 0
-        if a_w and up_l != up_r:
-            # the slope changes sign inside the block: both ends, or the kinks
-            q_w[w] = (l_w, r_w) if up_l else a_w
+        up = step + (mu <= l_w) - (w if c <= l_w else 0) >= 0  # N(l_w + 1) >= N(l_w)
+        if (l_w < mu < r_w or l_w < c < r_w) and up != (step + (mu < r_w) - (w if c < r_w else 0) >= 0):
+            # the sign changes inside the block: both ends, or the kinks
+            q_w[w] = (l_w, r_w) if up else tuple(sorted(v for v in {mu, c} if l_w < v < r_w))
         else:
-            q_w[w] = (l_w,) if up_l or l_w == r_w else (r_w,)
-
-    Q = sorted(set().union(*q_w.values()))
+            q_w[w] = (l_w,) if up or l_w == r_w else (r_w,)
+        Q += q_w[w]
+    q_w = dict(reversed(q_w.items()))
     Q_prime = sorted({max(1, min(K, T, phi)), max(1, phi + 1), min(K, T)})
     Q_dprime = sorted(v for v in set(Q_prime) | set(Q) if 1 <= v <= min(K, T))
     return ChainSearchTrace(
         K=K, L=L, T=T, phi=phi, mu=mu, x=x,
-        W=tuple(W), q_w=q_w, Q=tuple(Q),
+        W=tuple(q_w), q_w=q_w, Q=tuple(Q),
         Q_prime=tuple(Q_prime), Q_dprime=tuple(Q_dprime),
     )
 
@@ -283,10 +275,11 @@ def optimal_r(K: int, L: int, T: int) -> tuple[int, int, ChainSearchTrace]:
     if L > K:
         K, L = L, K
     trace = candidate_set(K, L, T)
-    # Candidates ascend, so min keeps the smallest r among ties; only the
+    # Candidates ascend, so index keeps the smallest r among ties; only the
     # winner is built as a validated GaspParams and read through n_of_r.
-    trace.evaluated = tuple((r, _n_of_r(K, L, T, r)) for r in trace.Q_dprime)
-    best_r = min(trace.evaluated, key=itemgetter(1))[0]
+    ns = _n_of_r(K, L, T, trace.Q_dprime)
+    trace.evaluated = tuple(zip(trace.Q_dprime, ns))
+    best_r = trace.Q_dprime[ns.index(min(ns))]
     trace.r_star, trace.n_star = best_r, n_of_r(GaspParams(K=K, L=L, T=T, r=best_r))
     return best_r, trace.n_star, trace
 

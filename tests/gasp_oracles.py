@@ -4,6 +4,10 @@
 evaluates N(r) at every r in 1..min(K, T) instead of only on Q''.
 test_gasp.py, test_cli.py and ACCEPTANCE 3 compare the two.
 
+`n_theorem1` is the original `gasp.n_theorem1`, which sums the closed form
+in `Fraction`s; `gasp.n_theorem1` carries the same terms as integers over
+2K, and test_gasp.py compares the two on every r of a grid and at scale.
+
 `construct` below is the original `gasp.construct`, which fills the alpha
 suffix chain by chain in a while loop; `gasp.construct` now writes suffix
 value i as KL + K*(i // r) + i % r, and test_gasp.py compares the two over a
@@ -27,6 +31,8 @@ gives 53), and a larger tied r on 21 more.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from gasptables.degree_table import DegreeTable
 from gasptables.gasp import ChainSearchTrace, GaspParams, _check_klt, _n_of_r, standard_beta
 
@@ -35,8 +41,38 @@ def optimal_r_full_scan(K: int, L: int, T: int) -> tuple[int, int]:
     """(r, N(r)) minimising N over every r in 1..min(K, T), the smallest r among ties."""
     if L > K:
         K, L = L, K
-    n, r = min((_n_of_r(K, L, T, r), r) for r in range(1, min(K, T) + 1))
-    return r, n
+    ns = _n_of_r(K, L, T, range(1, min(K, T) + 1))
+    n = min(ns)
+    return ns.index(n) + 1, n
+
+
+def n_theorem1(params: GaspParams) -> int:
+    """Distinct-entry count of GASP_r from the standalone closed form.
+
+    Independent of n_of_r (no score detour); kept as a cross-check since the
+    expression is easy to transcribe wrongly.  Intermediate arithmetic is
+    exact rational, and the result is asserted to be an integer.
+    """
+    K, L, T, r = params.K, params.L, params.T, params.r
+    phi = T - 1 - K * L + 2 * K
+    mu = (T - 1) % K
+    x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
+    n = Fraction(
+        K * L + 2 * K + 3 * T - 2
+        - max(K, phi)
+        + (L - 2) * max(0, min(r, r - phi))
+        + ((T - 1) // r) * min(T - 1, K - r)
+    )
+    if phi < r:
+        n -= (
+            min(0, mu - r)
+            + Fraction(r * (T - 1 - mu), K)
+            + Fraction(-K * x * x + (-K - 2 * max(0, phi) + 2 * T - 2) * x + (T - 1 - mu), 2)
+            - Fraction(T - 1 - mu, K) * Fraction(T - 1 + mu, 2)
+        )
+    if n.denominator != 1:
+        raise AssertionError(f"closed form gave non-integer {n} at {params}")
+    return int(n)
 
 
 def construct(params: GaspParams) -> DegreeTable:

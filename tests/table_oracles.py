@@ -150,6 +150,20 @@ def tables(draw, entries=st.integers(0, 30), dims=st.integers(1, 4)):
 
 
 @st.composite
+def mirrored_tables(draw, entries=st.integers(0, 30)):
+    """Tables whose blocks each hold drawn values and their reflections
+    through the side's center, so a table and its negation normalise alike."""
+    K, L, T = (2 * draw(st.integers(1, 3)) for _ in range(3))
+    ma, mb = draw(entries), draw(entries)
+
+    def block(m: int, n: int) -> list[int]:
+        half = draw(st.lists(st.integers(0, m), min_size=n // 2, max_size=n // 2))
+        return sorted(half + [m - v for v in half])
+
+    return _table(K, L, T, block(ma, K) + block(ma, T), block(mb, L) + block(mb, T))
+
+
+@st.composite
 def guard_tables(draw, over: int):
     """Tables whose largest entry sum is _SPARSE_RATIO times the larger of
     |Set(alpha)| and |Set(beta)|, plus over.

@@ -499,6 +499,18 @@ class TestFigureCommands:
         assert code == 1
         assert "n_max must be at least 2" in err
 
+    def test_figure_1a_refuses_n_max(self, capsys):
+        code, out, err = dispatch(capsys, "figure", "1a", "--n-max", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --n-max applies to figure 1b only\n"
+
+    def test_figure_1b_defaults_to_n_max_20(self, capsys):
+        _, default_out, _ = dispatch(capsys, "figure", "1b", "--format", "json")
+        _, twenty_out, _ = dispatch(capsys, "figure", "1b", "--n-max", "20", "--format", "json")
+        assert default_out == twenty_out
+        assert [x for x, _ in json.loads(default_out)["series"][0]["rows"]] == list(range(2, 21))
+
     def test_series_x_must_increase(self):
         with pytest.raises(ValueError, match="x values must be increasing"):
             PlotSeries(name="bad", rows=((2, 1), (1, 1)))

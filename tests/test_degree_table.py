@@ -19,6 +19,7 @@ from gasptables import (
     construct,
     count_distinct,
     sumset,
+    transpose,
     validate,
 )
 from gasptables import cli, degree_table
@@ -234,6 +235,29 @@ class TestCheckAgainstOracle:
     def test_prefix_collisions(self, t):
         assert not validate(t).d3_ok
         _assert_matches_oracle(t)
+
+    @pytest.mark.parametrize("K,L,T", [(1000, 2, 8), (1000, 1, 3), (300, 3, 40), (60, 60, 80)])
+    def test_gasp_tables_and_transposes(self, K, L, T):
+        # GASP's alpha_p is the larger prefix, its transpose's beta_p.
+        for r in sorted({1, 2, min(K, T) // 2 or 1, min(K, T)}):
+            t = construct(GaspParams(K, L, T, r))
+            _assert_matches_oracle(t)
+            _assert_matches_oracle(transpose(t))
+
+    def test_gasp_tables_and_transposes_on_a_grid(self):
+        for K in range(1, 7):
+            for L in range(1, K + 1):
+                for T in range(1, 7):
+                    for r in range(1, min(K, T) + 1):
+                        t = construct(GaspParams(K, L, T, r))
+                        _assert_matches_oracle(t)
+                        _assert_matches_oracle(transpose(t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle.tables(SPARSE, dims=st.integers(1, 8)))
+    def test_sparse_either_prefix_larger(self, t):
+        _assert_matches_oracle(t)
+        _assert_matches_oracle(transpose(t))
 
     def test_entries_near_1e15_validate_at_once(self, capsys, tmp_path):
         big = 10**15

@@ -5,7 +5,7 @@ import random
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gasptables import (
@@ -24,7 +24,7 @@ from gasptables import (
     squeeze,
     transpose,
 )
-from gasptables.equivalence import SqueezeStep, squeeze_step
+from gasptables.equivalence import SqueezeStep, _lex_key, squeeze_step
 import table_oracles as oracle
 
 
@@ -306,6 +306,31 @@ class TestCanonical:
     ))
     def test_equals_oracle(self, t):
         assert canonical(t) == oracle.canonical(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(oracle.tables(), oracle.tables(st.integers(0, 10**15))))
+    def test_equals_oracle_where_the_negated_branch_wins(self, t):
+        n = normal(t)
+        if oracle.canonical(n) == n:
+            t = negate(n)
+        assume(oracle.canonical(t) != normal(t))
+        assert canonical(t) == oracle.canonical(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle.mirrored_tables())
+    def test_equals_oracle_where_the_keys_tie(self, t):
+        n = normal(t)
+        assert _lex_key(normal(negate(n))) == _lex_key(n)
+        assert canonical(t) == oracle.canonical(t) == n
+
+    def test_equals_oracle_on_gasp_tables_and_negations(self):
+        for K in range(1, 6):
+            for L in range(1, K + 1):
+                for T in range(1, 6):
+                    for r in range(1, min(K, T) + 1):
+                        t = construct(GaspParams(K, L, T, r))
+                        for u in (t, negate(t), transpose(t)):
+                            assert canonical(u) == oracle.canonical(u)
 
     @pytest.mark.parametrize("t", [
         table(1, 1, 1, (0,), (0,), (0,), (0,)),

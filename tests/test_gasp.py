@@ -23,7 +23,7 @@ from gasptables import (
     reduction_statistic,
     score_closed_form,
 )
-from gasptables.gasp import suffix_window
+from gasptables.gasp import _n_of_r, suffix_window
 from table_oracles import score_bruteforce
 
 # Known server counts at K = L = T = 4 for each chain length.
@@ -197,6 +197,23 @@ class TestServerCount:
         p = GaspParams(K, L, T, data.draw(st.integers(1, min(K, T))))
         assert n_of_r(p) == _n_from_score(p) == n_theorem1(p)
 
+    def test_theorem1_matches_fraction_oracle(self):
+        for K in range(1, 31):
+            for L in range(1, K + 1):
+                for T in range(1, 31):
+                    for r in range(1, min(K, T) + 1):
+                        p = GaspParams(K, L, T, r)
+                        assert n_theorem1(p) == oracle.n_theorem1(p), (K, L, T, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_theorem1_matches_fraction_oracle_at_scale(self, data):
+        K = data.draw(st.integers(1, 10**6))
+        L = data.draw(st.integers(1, K))
+        T = data.draw(st.integers(1, 10**6))
+        p = GaspParams(K, L, T, data.draw(st.integers(1, min(K, T))))
+        assert n_theorem1(p) == oracle.n_theorem1(p)
+
     def test_large_t_in_constant_time(self):
         # GASP(2, 1, T, 1) needs 3T + 2 servers (count_distinct agrees for
         # small T); the per-row score lists would hold 2 * 10^9 items here.
@@ -314,6 +331,22 @@ class TestOptimalR:
             for L in range(1, K + 1):
                 for T in range(1, 61):
                     assert optimal_r(K, L, T)[:2] == oracle.optimal_r_full_scan(K, L, T), (K, L, T)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_trace_matches_oracle_at_scale(self, data):
+        # The whole trace, evaluated pairs and winner included, against the
+        # oracle candidate set with N(r) read one r at a time.
+        K = data.draw(st.integers(1, 10**6))
+        L = data.draw(st.integers(1, K))
+        T = data.draw(st.integers(1, 10**6))
+        r_star, n_star, tr = optimal_r(K, L, T)
+        want = oracle.candidate_set(K, L, T)
+        evaluated = tuple((r, _n_of_r(K, L, T, (r,))[0]) for r in want.Q_dprime)
+        n_want, r_want = min((n, r) for r, n in evaluated)
+        assert _trace_fields(tr) == _trace_fields(want)
+        assert (tr.evaluated, tr.r_star, tr.n_star) == (evaluated, r_want, n_want)
+        assert (r_star, n_star) == (r_want, n_want)
 
     def test_reduced_reaches_the_end_of_the_range(self):
         # T > K: the corner min(K, T) = 4 is a candidate; r = 3 gives 55.
