@@ -10,6 +10,7 @@ seed wherever randomness is involved.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -475,10 +476,16 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_for(seed_env: Optional[str]) -> argparse.ArgumentParser:
+    """build_parser() under this GASPTABLES_SEED, kept: building it costs
+    more than most commands."""
+    return build_parser()
+
+
 def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(os.environ.get("GASPTABLES_SEED")).parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

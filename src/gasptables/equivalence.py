@@ -177,12 +177,20 @@ def normal(table: DegreeTable) -> DegreeTable:
 
 
 def is_normal(table: DegreeTable) -> bool:
-    blocks = (table.alpha_p, table.alpha_s, table.beta_p, table.beta_s)
-    if any(list(b) != sorted(b) for b in blocks):
+    ap, as_, bp, bs = table.alpha_p, table.alpha_s, table.beta_p, table.beta_s
+    # sorted() runs in C and is linear on a sorted block: faster than any
+    # pairwise scan in Python over the blocks seen in practice
+    for b in (ap, as_, bp, bs):
+        if list(b) != sorted(b):
+            return False
+    if min(ap[0], as_[0]) != 0 or min(bp[0], bs[0]) != 0:
         return False
-    if min(table.alpha) != 0 or min(table.beta) != 0:
-        return False
-    return math.gcd(*table.alpha, *table.beta) in (0, 1)
+    g = math.gcd(*ap)
+    for b in (as_, bp, bs):
+        if g == 1:
+            return True
+        g = math.gcd(g, *b)
+    return g in (0, 1)
 
 
 def negate(table: DegreeTable) -> DegreeTable:

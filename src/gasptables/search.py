@@ -16,23 +16,32 @@ Three strategies at three price points:
 Both heavy kernels work on integers used as bitsets.  The census is a join
 on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
-gcd, and each alpha side reads its valid partners off as one mask.  Greedy
-keeps the entries in use as one integer and every row's overlap with them
-as a counter in another, updated by one shifted add per new entry; the
-argmax is a search of the counters' bytes.
+gcd, and each alpha side reads its valid partners off as one mask; all of
+it is worked out once per value set, not once per prefix/suffix split.
+Greedy keeps the entries in use as one integer and every row's overlap with
+them as a counter in another, updated by one shifted add per new entry
+below the cover's top and one precomputed block for those above it; the
+argmax is a search of the counters' bytes, or a max over two-byte counters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional
 
 from .bounds import EntryBound, census_bounds
 from .degree_table import DegreeTable, DomainError, _mask, _require_int
 from .equivalence import canonical
 from .gasp import fixed_prefix_table, standard_beta, suffix_window
+
+# Unsigned array typecodes by item size: the argmax reads counters this wide.
+_UNSIGNED = {array(c).itemsize: c for c in "QLIH"}
 
 
 @dataclass(frozen=True)
@@ -61,22 +70,36 @@ def _dedupe_canonical(optima) -> tuple[DegreeTable, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _side_candidates(p_len: int, s_len: int, bound: int):
+def _picker(idx: tuple[int, ...]):
+    """A getter for the positions idx (ascending) that always returns a tuple."""
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return itemgetter(slice(idx[0], idx[-1] + 1))
+    return itemgetter(*idx)
+
+
+def _splits(p_len: int, s_len: int) -> list:
+    """Every split of p_len + s_len sorted positions into a prefix and a
+    suffix, suffix positions in lexicographic order, as (prefix positions,
+    prefix getter, suffix getter)."""
+    n = p_len + s_len
+    splits = []
+    for suf in combinations(range(n), s_len):
+        pre = tuple(i for i in range(n) if i not in suf)
+        splits.append((pre, _picker(pre), _picker(suf)))
+    return splits
+
+
+def _side_candidates(p_len: int, s_len: int, bound: int) -> list:
     """All sorted-block sides with distinct entries in [0, bound] and 0 present.
 
-    Yields (prefix, suffix, gcd, values), values being the sorted entry set.
+    Lists (prefix, suffix, gcd, values), values being the sorted entry set:
+    value sets in lexicographic order, each followed through all of _splits.
     """
-    n = p_len + s_len
-    if bound < n - 1:
-        return
-    for rest in combinations(range(1, bound + 1), n - 1):
-        values = (0,) + rest
-        g = math.gcd(*values)
-        for suffix_idx in combinations(range(n), s_len):
-            taken = set(suffix_idx)
-            suffix = tuple(values[i] for i in suffix_idx)
-            prefix = tuple(values[i] for i in range(n) if i not in taken)
-            yield prefix, suffix, g, values
+    splits = _splits(p_len, s_len)
+    return [(pre(values), suf(values), g, values)
+            for rest in combinations(range(1, bound + 1), p_len + s_len - 1)
+            for values, g in (((0,) + rest, math.gcd(*rest)),)
+            for _, pre, suf in splits]
 
 
 def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None) -> SearchResult:
@@ -89,51 +112,75 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     """
     bound_a, bound_b = census_bounds(K, L, T, entry_bound)
 
-    alphas = list(_side_candidates(K, T, bound_a))
-    betas = list(_side_candidates(L, T, bound_b))
+    alphas = _side_candidates(K, T, bound_a)
+    betas = alphas if (K, bound_a) == (L, bound_b) else _side_candidates(L, T, bound_b)
+    # Side i0 + s of a list is split s of the value set at i0, a multiple of
+    # the number of splits, so everything that depends on the value set
+    # alone is worked out once per set.
+    a_pos = [pos for pos, *_ in _splits(K, T)]
+    b_pos = [pos for pos, *_ in _splits(L, T)]
 
     # Bitsets over beta indices, keyed by each nonzero difference in
-    # B - B_p and by the gcd of the entries.
+    # B - B_p and by the gcd of the entries.  Within one value set, the
+    # difference v - y marks the splits with y's position in the prefix.
+    in_prefix = [sum(1 << s for s, pos in enumerate(b_pos) if p in pos) for p in range(L + T)]
     by_diff: dict[int, int] = {}
     by_gcd: dict[int, int] = {}
-    for j, (pre, _, g, vals) in enumerate(betas):
-        bit = 1 << j
-        for d in {v - y for y in pre for v in vals if v != y}:
-            by_diff[d] = by_diff.get(d, 0) | bit
-        by_gcd[g] = by_gcd.get(g, 0) | bit
-    value_masks = [_mask(vals) for *_, vals in betas]
+    value_masks = []
+    for j0 in range(0, len(betas), len(b_pos)):
+        *_, g, vals = betas[j0]
+        marks: dict[int, int] = {}
+        for p, y in enumerate(vals):
+            for v in vals:
+                if v != y:
+                    marks[v - y] = marks.get(v - y, 0) | in_prefix[p]
+        for d, m in marks.items():
+            by_diff[d] = by_diff.get(d, 0) | m << j0
+        by_gcd[g] = by_gcd.get(g, 0) | ((1 << len(b_pos)) - 1) << j0
+        value_masks.append(_mask(vals))
     coprime: dict[int, int] = {}
 
     best_n: Optional[int] = None
     optima: list[DegreeTable] = []
     valid = 0
-    for a_pre, a_suf, ga, a_vals in alphas:
+    for i0 in range(0, len(alphas), len(a_pos)):
+        *_, ga, a_vals = alphas[i0]
         if ga not in coprime:
             coprime[ga] = sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
         # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
-        # i.e. iff (A_p - A)\{0} and (B - B_p)\{0} share a difference.
-        clash = 0
-        for d in {x - v for x in a_pre for v in a_vals if v != x}:
-            clash |= by_diff.get(d, 0)
-        ok = coprime[ga] & ~clash
-        while ok:
-            low = ok & -ok
-            ok ^= low
-            j = low.bit_length() - 1
-            valid += 1
-            mask = value_masks[j]
-            cover = 0
-            for a in a_vals:
-                cover |= mask << a
-            n = cover.bit_count()
-            if best_n is None or n <= best_n:
-                b_pre, b_suf = betas[j][:2]
-                table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
-                                    beta_p=b_pre, beta_s=b_suf)
-                if best_n is None or n < best_n:
-                    best_n, optima = n, [table]
-                else:
-                    optima.append(table)
+        # i.e. iff (A_p - A)\{0} and (B - B_p)\{0} share a difference; the
+        # clashes of A_p are those of its values x, each x - A (by_diff has
+        # no key 0).
+        clashes = []
+        for x in a_vals:
+            clash = 0
+            for v in a_vals:
+                clash |= by_diff.get(x - v, 0)
+            clashes.append(clash)
+        for s, pos in enumerate(a_pos):
+            clash = 0
+            for p in pos:
+                clash |= clashes[p]
+            ok = coprime[ga] & ~clash
+            while ok:
+                low = ok & -ok
+                ok ^= low
+                j = low.bit_length() - 1
+                valid += 1
+                mask = value_masks[j // len(b_pos)]
+                cover = 0
+                for a in a_vals:
+                    cover |= mask << a
+                n = cover.bit_count()
+                if best_n is None or n <= best_n:
+                    a_pre, a_suf = alphas[i0 + s][:2]
+                    b_pre, b_suf = betas[j][:2]
+                    table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
+                                        beta_p=b_pre, beta_s=b_suf)
+                    if best_n is None or n < best_n:
+                        best_n, optima = n, [table]
+                    else:
+                        optima.append(table)
     if best_n is None:
         raise DomainError(f"no valid table found within bounds ({bound_a}, {bound_b})")
     return SearchResult(
@@ -162,29 +209,29 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
     examined = 0
     exhausted = False
 
-    # DFS over suffix positions; stack holds (next candidate floor, chosen, mask).
+    # DFS over suffix positions; the last position's candidates are scored
+    # in one loop, with the budget cut applied before the loop.
     def rec(prev: int, chosen: list[int], cover: int):
         nonlocal best_n, optima, examined, exhausted
-        if exhausted:
-            return
-        if len(chosen) == T:
-            if budget is not None and examined >= budget:
-                exhausted = True
-                return
-            examined += 1
-            n = cover.bit_count()
-            if best_n is None or n < best_n:
-                best_n = n
-                optima[:] = [tuple(chosen)]
-            elif n == best_n:
-                optima.append(tuple(chosen))
-            return
         lo = max(v_lo, prev + 1)
         hi = min(v_hi, prev + max_gap)
+        if len(chosen) < T - 1:
+            for a in range(lo, hi + 1):
+                chosen.append(a)
+                rec(a, chosen, cover | (beta_mask << a))
+                chosen.pop()
+                if exhausted:
+                    return
+            return
+        if budget is not None and examined + hi + 1 - lo > budget:
+            hi, exhausted = lo + budget - examined - 1, True
+        examined += max(0, hi + 1 - lo)
         for a in range(lo, hi + 1):
-            chosen.append(a)
-            rec(a, chosen, cover | (beta_mask << a))
-            chosen.pop()
+            n = (cover | beta_mask << a).bit_count()
+            if best_n is None or n < best_n:
+                best_n, optima = n, [(*chosen, a)]
+            elif n == best_n:
+                optima.append((*chosen, a))
 
     rec(K - 1, [], (1 << (top + 1)) - 1)
     if best_n is None:
@@ -206,16 +253,6 @@ def _check_limits(budget: Optional[int], beam_width: Optional[int] = None) -> No
         _require_int(beam_width=beam_width, rule=">= 1")
 
 
-def _slots(buf: bytes, key: bytes) -> list[int]:
-    """Indices of the len(key)-byte slots of buf that equal key, ascending."""
-    found, p = [], buf.find(key)
-    while p >= 0:
-        if p % len(key) == 0:
-            found.append(p // len(key))
-        p = buf.find(key, p + 1)
-    return found
-
-
 @dataclass(frozen=True)
 class GreedyResult:
     alpha_s: tuple[int, ...]
@@ -230,13 +267,13 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
 
     Row i overlaps the table in the columns b of beta with i + b an entry in
     use.  Every row's overlap is a counter in one packed integer (a byte per
-    row while L+T <= 255, more bytes past it); a child that adds row r adds
-    one to rows e - b, b in beta, for each new entry e: one shifted add per
-    entry.  Rows with maximal overlap add the fewest new entries, and all of
-    them are branched on in increasing order, depth first.  A branch is cut
-    when even one new entry per remaining row cannot beat the incumbent.
-    beam_width, if set, caps how many argmax candidates are expanded per
-    node; budget caps total node expansions and flags the result when hit.
+    row while L+T <= 255, two bytes past it); a child that adds row r adds
+    one to rows e - b, b in beta, for each new entry e.  Rows with maximal
+    overlap add the fewest new entries, and all of them are branched on in
+    increasing order, depth first.  A branch is cut when even one new entry
+    per remaining row cannot beat the incumbent.  beam_width, if set, caps
+    how many argmax candidates are expanded per node; budget caps total node
+    expansions and flags the result when hit.
     """
     v_lo, _, _, top = suffix_window(K, L, T)
     _check_limits(budget, beam_width)
@@ -245,49 +282,73 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     width = L + T
     # Slot j of `over` counts row v_lo - max(beta) + j, so that entry e >= v_lo
     # adds rev_beta at slot e - v_lo.  A slot holds any count up to L+T.
-    step = (width.bit_length() + 7) // 8
+    step = 1 if width < 256 else next(s for s in (2, 4, 8) if width < 1 << 8 * s)
     slot = 8 * step
+    ones = (1 << slot) - 1
     rev_beta = sum(1 << slot * (beta[-1] - b) for b in beta)
+    # The entries r + b above the cover's top are r + beta[k:], all new:
+    # together they add suffix_add[k] << slot * (r - v_lo).
+    suffix_add = [0] * (width + 1)
+    for k in range(width - 1, -1, -1):
+        suffix_add[k] = suffix_add[k + 1] + (rev_beta << slot * beta[k])
     below = slot * beta[-1]
 
     best_n: Optional[int] = None
     best_suffix: tuple[int, ...] = ()
-    nodes = 0
-    exhausted = False
+    nodes, exhausted = 1, budget == 0  # the root
     chosen: list[int] = []
 
     def rec(cover: int, over: int, used: int, size: int):
+        # Expands a node that is counted, within budget, uncut and not a leaf;
+        # each child is counted, budget-checked and cut before it is built.
         nonlocal best_n, best_suffix, nodes, exhausted
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        if best_n is not None and size + (T - len(chosen)) > best_n:
-            return
-        if len(chosen) == T:
-            if best_n is None or size < best_n:
-                best_n = size
-                best_suffix = tuple(sorted(chosen))
-            return
         # Rows above cover's top bit overlap nothing, so only the rows below
         # it are read; at depth < T that bit is below the window's end.  The
         # maximum is at least 1: each of the K+T-1 rows in [KL, top] meets
         # cover in column beta = 0, and at most T-1 of them are used.
-        counts = ((over >> below) & ~used).to_bytes(step * (cover.bit_length() - v_lo), "little")
-        for best in range(width, 0, -1):
-            cands = _slots(counts, best.to_bytes(step, "little"))
-            if cands:
-                break
-        for i in cands[:beam_width]:
+        end = cover.bit_length()
+        counts = ((over >> below) & ~used).to_bytes(step * (end - v_lo), "little")
+        if step == 1:
+            best = width
+            while best not in counts:
+                best -= 1
+        else:
+            counts = array(_UNSIGNED[step], counts)
+            if sys.byteorder == "big":
+                counts.byteswap()
+            best = max(counts)
+        n_cands = counts.count(best)
+        if beam_width is not None:
+            n_cands = min(n_cands, beam_width)
+        child_size = size + width - best
+        left = T - len(chosen) - 1
+        holes = cover ^ ((1 << end) - 1)
+        i = -1
+        for n_left in range(n_cands, 0, -1):
+            # Siblings share child_size and a cut child changes nothing, so
+            # once one is cut, it and all after it are counted and dropped.
+            cut = best_n is not None and child_size + left > best_n
+            nodes += n_left if cut else 1
+            if budget is not None and nodes > budget:
+                nodes, exhausted = budget + 1, True
+                return
+            if cut:
+                return
+            i = counts.index(best, i + 1)
             r = v_lo + i
-            new = (beta_mask << r) & ~cover
-            child, rest = over, new
-            while rest:
-                e = rest & -rest
-                rest ^= e
+            if not left:  # a leaf child is scored without building it
+                if best_n is None or child_size < best_n:
+                    best_n = child_size
+                    best_suffix = tuple(sorted(chosen + [r]))
+                continue
+            child = over + (suffix_add[bisect_left(beta, end - r)] << slot * i)
+            low = (beta_mask << r) & holes
+            while low:
+                e = low & -low
+                low ^= e
                 child += rev_beta << slot * (e.bit_length() - 1 - v_lo)
             chosen.append(r)
-            rec(cover | new, child, used | ((1 << slot) - 1) << slot * i, size + width - best)
+            rec(cover | beta_mask << r, child, used | ones << slot * i, child_size)
             chosen.pop()
             if exhausted:
                 return
@@ -296,7 +357,8 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     cover = (1 << (top + 1)) - 1
     over = sum(((cover >> i) & beta_mask).bit_count() << slot * (i - v_lo)
                for i in range(v_lo, top + 1))
-    rec(cover, over << below, 0, top + 1)
+    if not exhausted:
+        rec(cover, over << below, 0, top + 1)
     if best_n is None:
         raise DomainError("greedy found no complete suffix (budget too small)")
     return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)

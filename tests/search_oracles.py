@@ -1,11 +1,13 @@
-"""Reference kernels for the census and greedy searches.
+"""Reference kernels for the census, fixed-prefix and greedy searches.
 
-These are the original, slower implementations of `search.exhaustive` and
-`search.greedy`.  They compute D3 and the entry count by another route (a
-packed big-integer multiplication; per-node lists of column masks; a rescan
-of every row's overlap at every node), so the differential tests in
-test_search.py compare the bitset and counter kernels against them result
-for result, including the optima order and greedy's node count.
+These are the original, slower implementations of `search.exhaustive`,
+`search.exhaustive_fixed_prefix` and `search.greedy`.  They compute D3 and
+the entry count by another route (a packed big-integer multiplication over
+sides split by a set and two generators each; a DFS that calls itself once
+per scored leaf; per-node lists of column masks; a rescan of every row's
+overlap at every node), so the differential tests in test_search.py
+compare the bitset and counter kernels against them result for result,
+including the optima order, `tables_examined` and greedy's node count.
 `greedy_lists` builds a list over the whole suffix window at every node, so
 only `greedy_scan` reaches the wide shapes (L+T >= 256, or K=L=T=130).
 """
@@ -13,12 +15,86 @@ only `greedy_scan` reaches the wide shapes (L+T >= 256, or K=L=T=130).
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import Optional
 
 from gasptables.bounds import entry_upper_bounds
 from gasptables.degree_table import DegreeTable, DomainError, _mask
-from gasptables.gasp import standard_beta, suffix_window
-from gasptables.search import GreedyResult, SearchResult, _dedupe_canonical, _side_candidates
+from gasptables.gasp import fixed_prefix_table, standard_beta, suffix_window
+from gasptables.search import GreedyResult, SearchResult, _check_limits, _dedupe_canonical
+
+
+def _side_candidates(p_len: int, s_len: int, bound: int):
+    """All sorted-block sides with distinct entries in [0, bound] and 0 present.
+
+    Yields (prefix, suffix, gcd, values), values being the sorted entry set.
+    """
+    n = p_len + s_len
+    if bound < n - 1:
+        return
+    for rest in combinations(range(1, bound + 1), n - 1):
+        values = (0,) + rest
+        g = math.gcd(*values)
+        for suffix_idx in combinations(range(n), s_len):
+            taken = set(suffix_idx)
+            suffix = tuple(values[i] for i in suffix_idx)
+            prefix = tuple(values[i] for i in range(n) if i not in taken)
+            yield prefix, suffix, g, values
+
+
+def fixed_prefix_dfs(K: int, L: int, T: int, budget: Optional[int] = None) -> SearchResult:
+    """Optimal alpha suffix given the standard prefix and beta.
+
+    Suffix values live in gasp.suffix_window's [KL, T(KL+T)+K-1] with
+    consecutive sorted gaps of at most KL+T (tables outside that frame are
+    equivalent to ones inside).  Every candidate is a usable table: suffix
+    values clear the prefix block's sum range, so the uniqueness condition
+    cannot break; the prefix rows alone cover [0, top].  budget caps the
+    number of complete candidates scored; exceeding it flags the result.
+    """
+    v_lo, v_hi, max_gap, top = suffix_window(K, L, T)
+    _check_limits(budget)
+    beta_mask = _mask(standard_beta(K, L, T))
+    best_n: Optional[int] = None
+    optima: list[DegreeTable] = []
+    examined = 0
+    exhausted = False
+
+    # DFS over suffix positions; stack holds (next candidate floor, chosen, mask).
+    def rec(prev: int, chosen: list[int], cover: int):
+        nonlocal best_n, optima, examined, exhausted
+        if exhausted:
+            return
+        if len(chosen) == T:
+            if budget is not None and examined >= budget:
+                exhausted = True
+                return
+            examined += 1
+            n = cover.bit_count()
+            if best_n is None or n < best_n:
+                best_n = n
+                optima[:] = [tuple(chosen)]
+            elif n == best_n:
+                optima.append(tuple(chosen))
+            return
+        lo = max(v_lo, prev + 1)
+        hi = min(v_hi, prev + max_gap)
+        for a in range(lo, hi + 1):
+            chosen.append(a)
+            rec(a, chosen, cover | (beta_mask << a))
+            chosen.pop()
+
+    rec(K - 1, [], (1 << (top + 1)) - 1)
+    if best_n is None:
+        raise DomainError("fixed-prefix search scored no suffix (budget too small)")
+    tables = tuple(fixed_prefix_table(K, L, T, suf) for suf in optima)
+    return SearchResult(
+        K=K, L=L, T=T, best_n=best_n,
+        optima=tables, canonical_optima=_dedupe_canonical(tables),
+        tables_examined=examined, valid_tables=examined,
+        entry_bound=(v_hi, max_gap - 1),
+        budget_exhausted=exhausted,
+    )
 
 
 def exhaustive_packed(K: int, L: int, T: int, entry_bound=None) -> SearchResult:

@@ -1,15 +1,16 @@
 """Reference kernels for the table calculus.
 
 These are the earlier implementations of `degree_table._check`,
-`degree_table._as_exponent_vector`, `equivalence.canonical` and
-`equivalence.squeeze_step`.  They count every cell of Set(alpha) x Set(beta)
-in a Counter, check each entry of a block one at a time, build the negated
-branch of the canonical form through `negate` and `normal`, and scan the
+`degree_table._as_exponent_vector`, `equivalence.canonical`,
+`equivalence.is_normal` and `equivalence.squeeze_step`.  They count every
+cell of Set(alpha) x Set(beta) in a Counter, check each entry of a block one
+at a time, build the negated branch of the canonical form through `negate`
+and `normal`, take min and gcd over both sides concatenated, and scan the
 beta side for a squeeze gap in a loop of its own, sliding the high group down
 one unit per step, so the differential tests in test_degree_table.py and
 test_equivalence.py compare the bitset pass, the one-pass structural check,
-the direct negated branch and the one-loop, whole-gap squeeze over a table
-and its transpose against them.  `score_bruteforce`
+the direct negated branch, the block-wise normal check and the one-loop,
+whole-gap squeeze over a table and its transpose against them.  `score_bruteforce`
 is the direct-enumeration collision score that test_degree_table.py and
 test_gasp.py compare the closed form against.
 The hypothesis strategies below draw the tables those tests share.
@@ -17,6 +18,7 @@ The hypothesis strategies below draw the tables those tests share.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable, Optional
 
@@ -75,6 +77,15 @@ def canonical(table: DegreeTable) -> DegreeTable:
     n = normal(table)
     m = normal(negate(n))
     return n if _lex_key(n) <= _lex_key(m) else m
+
+
+def is_normal(table: DegreeTable) -> bool:
+    blocks = (table.alpha_p, table.alpha_s, table.beta_p, table.beta_s)
+    if any(list(b) != sorted(b) for b in blocks):
+        return False
+    if min(table.alpha) != 0 or min(table.beta) != 0:
+        return False
+    return math.gcd(*table.alpha, *table.beta) in (0, 1)
 
 
 def _decrement_above(vec: tuple[int, ...], threshold: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -19,6 +19,7 @@ from gasptables import (
     count_distinct,
     n_of_r,
 )
+from gasptables import cli
 from gasptables.cli import PlotSeries, build_parser, cmd_dispatch, figure1a_series, figure1b_series
 from gasptables.gasp import ChainSearchTrace
 from ilp_oracles import parse_lp_text
@@ -39,6 +40,29 @@ def dispatch(capsys, *argv):
     code = cmd_dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_two_dispatches_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        cli._parser_for.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        argv = ("gasp", "n", "--K", "4", "--L", "4", "--T", "4", "--r", "2")
+        first = dispatch(capsys, *argv)
+        bad = dispatch(capsys, "gasp", "n", "--K", "x")
+        second = dispatch(capsys, *argv)
+        assert built == [1]
+        assert first == second == (0, "36\n", "")
+        assert bad[0] == 2 and "invalid" in bad[2]
+        # the seed default is read from the environment when the parser is built
+        monkeypatch.setenv("GASPTABLES_SEED", "junk")
+        assert dispatch(capsys, *argv) == first
+        assert built == [1, 1]
 
 
 class TestGaspCommands:

@@ -240,6 +240,33 @@ class TestNormal:
         assert not is_normal(table(1, 1, 1, (0,), (2,), (0,), (4,)))
         assert not is_normal(table(1, 1, 1, (1,), (2,), (0,), (1,)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(oracle.tables(), st.sampled_from(["drawn", "normal", "shifted", "scaled"]),
+           st.integers(1, 5))
+    def test_is_normal_matches_oracle(self, t, form, k):
+        # Drawn tables are mostly unsorted; a normal table shifted on one
+        # side or scaled by k + 1 keeps its order and loses normality.
+        if form != "drawn":
+            t = normal(t)
+        if form == "shifted":
+            t = dataclasses.replace(t, beta_p=tuple(v + k for v in t.beta_p),
+                                    beta_s=tuple(v + k for v in t.beta_s))
+        elif form == "scaled":
+            t = table(t.K, t.L, t.T, *(tuple(v * (k + 1) for v in b)
+                                       for b in (t.alpha_p, t.alpha_s, t.beta_p, t.beta_s)))
+        assert is_normal(t) == oracle.is_normal(t)
+
+    @pytest.mark.parametrize("blocks,want", [
+        (((1,), (0,), (0,), (1,)), True),     # 0 only in the suffix block
+        (((0, 2), (4, 6), (0, 4), (6, 8)), False),
+        (((0, 2), (4, 6), (0, 4), (6, 9)), True),   # gcd 1 only with the last entry
+        (((0, 0), (0, 0), (0,), (0, 0)), True),
+        (((0, 1), (3, 2), (0,), (1, 2)), False),
+    ])
+    def test_is_normal_block_cases(self, blocks, want):
+        t = table(len(blocks[0]), len(blocks[2]), len(blocks[1]), *blocks)
+        assert is_normal(t) is oracle.is_normal(t) is want
+
     def test_gasp_tables_are_normal(self):
         for K in range(1, 6):
             for L in range(1, K + 1):

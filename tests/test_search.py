@@ -21,7 +21,17 @@ from gasptables import (
     optimal_r,
     validate,
 )
-from search_oracles import exhaustive_packed, greedy_lists, greedy_scan
+from gasptables.search import _side_candidates
+from search_oracles import _side_candidates as side_candidates_oracle
+from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_lists, greedy_scan
+
+
+def _outcome(search, *args, **kw):
+    """The search's result, or its DomainError message."""
+    try:
+        return search(*args, **kw)
+    except DomainError as err:
+        return str(err)
 
 
 def _brute_census(K, L, T, bound):
@@ -47,6 +57,14 @@ def _brute_census(K, L, T, bound):
             if n == best:
                 optima.add((a_pre, a_suf, b_pre, b_suf))
     return valid, best, optima
+
+
+class TestSideCandidates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 9))
+    def test_matches_parent_split(self, p_len, s_len, bound):
+        # same sides in the same order: the census's optima order rests on it
+        assert _side_candidates(p_len, s_len, bound) == list(side_candidates_oracle(p_len, s_len, bound))
 
 
 class TestExhaustive:
@@ -195,6 +213,22 @@ class TestFixedPrefix:
         with pytest.raises(DomainError, match="budget must be >= 0"):
             exhaustive_fixed_prefix(2, 2, 2, budget=-1)
 
+    @pytest.mark.parametrize("budget", [None, 0, 1, 7, 12_345, 63_999, 64_000, 64_001])
+    def test_matches_dfs_oracle_at_4_cube(self, budget):
+        # 64,000 leaves; 7 and 12,345 stop inside a last-position loop
+        got = _outcome(exhaustive_fixed_prefix, 4, 4, 4, budget=budget)
+        assert got == _outcome(fixed_prefix_dfs, 4, 4, 4, budget=budget)
+        if budget is not None and 0 < budget < 64_000:
+            assert (got.tables_examined, got.budget_exhausted) == (budget, True)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.one_of(st.none(), st.integers(0, 300)))
+    def test_matches_dfs_oracle(self, K, L, T, budget):
+        L = min(K, L)
+        got = _outcome(exhaustive_fixed_prefix, K, L, T, budget=budget)
+        assert got == _outcome(fixed_prefix_dfs, K, L, T, budget=budget)
+
 
 class TestGreedy:
     def test_tiny(self):
@@ -262,15 +296,25 @@ class TestGreedy:
         (1, 1, 300, {}),
         (3, 2, 300, {"budget": 400, "beam_width": 2}),
         (130, 130, 130, {"budget": 5}),
+        # two-byte counters read as an array: a full run, and one cut by the budget
+        (256, 1, 255, {}),
+        (300, 2, 254, {"budget": 300}),
     ])
     def test_matches_scan_oracle(self, K, L, T, kw):
-        def outcome(search):
-            try:
-                return search(K, L, T, **kw)
-            except DomainError as err:
-                return str(err)
+        assert _outcome(greedy, K, L, T, **kw) == _outcome(greedy_scan, K, L, T, **kw)
 
-        assert outcome(greedy) == outcome(greedy_scan)
+    def test_two_byte_counters_reach_n_of_r_star(self):
+        res = greedy(256, 1, 255)
+        assert (res.n, res.nodes, res.budget_exhausted) == (1021, 256, False)
+        assert res.n == optimal_r(256, 1, 255)[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
+           st.one_of(st.none(), st.integers(0, 80)), st.one_of(st.none(), st.integers(1, 3)))
+    def test_matches_scan_oracle_on_any_shape(self, K, L, T, budget, beam_width):
+        L = min(K, L)
+        kw = {"budget": budget, "beam_width": beam_width}
+        assert _outcome(greedy, K, L, T, **kw) == _outcome(greedy_scan, K, L, T, **kw)
 
     @pytest.mark.parametrize("K,L,T,kw", [
         *(((n, n, n, {}) for n in range(1, 11))),
@@ -288,7 +332,7 @@ class TestGreedy:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
-           st.one_of(st.none(), st.integers(3, 60)), st.one_of(st.none(), st.integers(1, 3)))
+           st.one_of(st.none(), st.integers(0, 60)), st.one_of(st.none(), st.integers(1, 3)))
     def test_matches_list_oracle_on_any_shape(self, K, L, T, budget, beam_width):
         L = min(K, L)
         try:
