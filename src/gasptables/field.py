@@ -218,9 +218,12 @@ def _factor(rows: list[int], layout: tuple[int, ...], keep: bool = True):
     column with no pivot.
 
     A row operation adds g = -f mod q < q times a pivot row and shifts out the
-    eliminated column, so on at most n rows (the n `_lazy_pack` was given) a slot
-    stays below V = q + n(q-1)(2q-1) < 2^k, k = bits(V).  Each row is reduced once, as it becomes the pivot, by q times the
-    floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short.
+    eliminated column.  Rows enter below q, or with ``keep`` false below 2q on at most
+    n - 1 rows (the audit takes each block's first step itself), so on at most n rows
+    (the n `_lazy_pack` was given) a slot stays below 2q + (n-1)(q-1)(2q-1) <= V =
+    q + n(q-1)(2q-1) < 2^k, k = bits(V).  Each row is reduced once, as it becomes
+    the pivot, by q times the floor-Barrett estimate v*m >> k (m = 2^k // q) of
+    v // q, exact or one short.
     As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never carry, and
     each estimate, below 2^k / q, fits the bits above k that lowmask keeps.
     """

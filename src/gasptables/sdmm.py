@@ -24,8 +24,8 @@ from operator import mul
 
 from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
 # perfbench's traced run wraps is_invertible, solve and mat_mul under these names here: keep them.
-from .field import (Matrix, PrimeField, _factor, _lazy_pack, _shape, is_invertible, mat_combine, mat_mul,
-                    next_prime, solve)
+from .field import (Matrix, PrimeField, _factor, _lazy_pack, _pack, _shape, _slot_bytes, _unpack, is_invertible,
+                    mat_combine, mat_mul, next_prime, solve)
 
 # Point selection audits this many T-subsets per attempt and gives up after
 # MAX_POINT_RETRIES attempts; both are read at call time, so tests can patch them.
@@ -115,12 +115,19 @@ def _powers(field: PrimeField, points, exps) -> Matrix:
 def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
     """None (every t-subset of range(n)) if there are at most max(limit, samples),
     else ``samples`` sorted random draws, all made before the caller checks any;
-    ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged."""
+    ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged.
+    Each draw is ``rng.sample(range(n), t)``'s; where sample keeps a set (n above 21, plus
+    4^ceil(log4(3t)) when t > 5), its getrandbits(bits(n)) stream is replayed inline."""
     if math.comb(n, t) <= max(limit, samples):
         return None
-    drawn = {}
+    pool = n <= 21 + (4 ** math.ceil(math.log(3 * t, 4)) if t > 5 else 0)
+    gb, k, drawn = rng.getrandbits, n.bit_length(), {}
     while len(drawn) < samples:
-        s = tuple(sorted(rng.sample(range(n), t)))
+        sel = rng.sample(range(n), t) if pool else set()
+        while len(sel) < t:
+            if (x := gb(k)) < n:
+                sel.add(x)
+        s = tuple(sorted(sel))
         drawn[s if distinct else len(drawn)] = s
     return list(drawn.values())
 
@@ -128,17 +135,24 @@ def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, disti
 def _dependent_subsets(q: int, rows, t: int):
     """Every linearly dependent t-subset of ``rows``, in lexicographic order, from
     one DFS that carries a basis of the vectors orthogonal to the prefix's rows: a
-    row is in their span iff orthogonal to all of them, so a leaf costs one dot
-    product, and the completions of a dependent prefix need no work at all."""
+    row is in their span iff orthogonal to all of them, and the completions of a
+    dependent prefix need no work at all.  At the last level the basis is one vector w:
+    sum(w_j * column j of all rows, packed once in slots of t(q-1)^2) holds every leaf's dot."""
     n = len(rows)
+    nb = _slot_bytes((t * (q - 1) ** 2).bit_length())
+    cols = _pack([(col,) for col in zip(*rows)], q, nb, n)
 
     def walk(prefix, basis, lo):
+        if len(basis) == 1:
+            dots = _unpack(sum(map(mul, basis[0], cols)) >> 8 * nb * lo, n - lo, nb, q)
+            yield from (prefix + (i,) for i, d in enumerate(dots, lo) if not d)
+            return
         for i in range(lo, n - t + len(prefix) + 1):
             dots = [sum(map(mul, rows[i], w)) % q for w in basis]
             if not any(dots):
                 s = prefix + (i,)
                 yield from (s + rest for rest in combinations(range(i + 1, n), t - len(s)))
-            elif len(basis) > 1:
+            else:
                 # Clear row i's dot from the other basis vectors with the first nonzero one.
                 j = next(k for k, d in enumerate(dots) if d)
                 f = pow(dots[j], q - 2, q)
@@ -153,17 +167,29 @@ def _mask_side(field: PrimeField, points, exps):
     """None when no T x T block of this side can be singular, else (leaks, every):
     leaks(s) tests one subset, every() yields the singular ones in lexicographic
     order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular iff
-    two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated."""
-    t, n = len(exps), len(points)
+    two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated.
+    Otherwise a block is diag(x^e0) times the rows x^(e - e0), e0 the least exponent,
+    packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a
+    zero point, whose row sinks every block when e0 > 0.  So leaks(s) takes the first
+    step free: with c = q in every slot minus the first row, each other row x goes to
+    (x + c) >> slot, below 2q, for `_factor`.  every() walks the absolute rows."""
+    q, t, n = field.q, len(exps), len(points)
     steps = {b - a for a, b in zip(exps, exps[1:])}
-    if len(steps) <= 1 and all(x % field.q for x in points):
+    if len(steps) <= 1 and all(x % q for x in points):
         y = [field.pow(x, max(steps, default=1)) for x in points]
         leaks = lambda s: len({y[i] for i in s}) < t
         return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
-    rows = _powers(field, points, exps)
-    packed, layout = _lazy_pack(field.q, zip(rows), t, t)
-    return (lambda s: _factor([packed[i] for i in s], layout, keep=False) is None,
-            lambda: _dependent_subsets(field.q, rows, t))
+    e0 = min(exps)
+    zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
+    packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t)
+    w = 8 * layout[3]
+    qs = q * sum(1 << w * j for j in range(t))
+
+    def leaks(s):
+        c = qs - packed[s[0]]
+        return not zeros.isdisjoint(s) or _factor([(packed[i] + c) >> w for i in s[1:]], layout, keep=False) is None
+
+    return leaks, lambda: _dependent_subsets(q, _powers(field, points, exps), t)
 
 
 def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
@@ -279,10 +305,10 @@ def security_check(
 ) -> SecurityReport:
     """Verify the T x T mask submatrices are invertible for server subsets.
 
-    Every subset is tried when there are at most 100000 of them, at most
-    ``sample_size``, or when ``mode="all"`` forces it (up to
-    MAX_EXHAUSTIVE_SUBSETS); otherwise ``sample_size`` distinct random subsets
-    are drawn.  A failure names the offending subset and which side leaked.
+    ``mode="all"`` tries every subset (refusing past MAX_EXHAUSTIVE_SUBSETS), "auto"
+    every one when there are at most max(EXHAUSTIVE_SUBSET_LIMIT, ``sample_size``),
+    "sampled" when there are at most ``sample_size``; otherwise ``sample_size`` distinct
+    random subsets drawn from ``seed``.  A failure names the subset and the side that leaked.
     """
     # The most subsets each mode enumerates; above that it samples instead.
     limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}

@@ -7,10 +7,15 @@ rows and back-substituted entry by entry), the decode that solved the decode
 matrix from scratch, the scale-and-add encoding fold, the list-of-ints `mat_combine` and `mat_mul`
 that `field.py` replaced with packed-integer rows, point selection and the
 security audit, each with its own copy of the loop that `field.py` and
-`sdmm.py` now share.  The differential tests in test_field.py and
-test_sdmm.py compare the shared kernels against them result for result: the
-same products and solutions, the same points (so the same RNG draws) and the
-same audit reports.
+`sdmm.py` now share.  Three more are the audit's kernels as they were
+before the audit replayed `random.sample` inline, took each block's first
+elimination step on relative exponents and packed the DFS leaves: `_subsets`
+drawing through `rng.sample`, `_dependent_subsets` with one dot product per
+leaf, and `_mask_side` eliminating the absolute rows of each block.  The
+differential tests in test_field.py and test_sdmm.py compare the shared
+kernels against them result for result: the same products and solutions, the
+same points (so the same RNG draws), the same draws, subsets and verdicts, and
+the same audit reports.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, count_distinct, sumset
-from gasptables.field import Matrix, PrimeField, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
+from gasptables.field import Matrix, PrimeField, _factor, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
 from gasptables.sdmm import (
     EXHAUSTIVE_SUBSET_LIMIT,
     MAX_POINT_RETRIES,
@@ -29,6 +35,7 @@ from gasptables.sdmm import (
     SELECTION_SAMPLES,
     SdmmInstance,
     SecurityReport,
+    _powers,
 )
 
 
@@ -313,3 +320,57 @@ def security_check(
         exhaustive=exhaustive,
         failures=tuple(failures),
     )
+
+
+def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
+    """None (every t-subset of range(n)) if there are at most max(limit, samples),
+    else ``samples`` sorted random draws, all made before the caller checks any;
+    ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged."""
+    if math.comb(n, t) <= max(limit, samples):
+        return None
+    drawn = {}
+    while len(drawn) < samples:
+        s = tuple(sorted(rng.sample(range(n), t)))
+        drawn[s if distinct else len(drawn)] = s
+    return list(drawn.values())
+
+
+def _dependent_subsets(q: int, rows, t: int):
+    """Every linearly dependent t-subset of ``rows``, in lexicographic order, from
+    one DFS that carries a basis of the vectors orthogonal to the prefix's rows: a
+    row is in their span iff orthogonal to all of them, so a leaf costs one dot
+    product, and the completions of a dependent prefix need no work at all."""
+    n = len(rows)
+
+    def walk(prefix, basis, lo):
+        for i in range(lo, n - t + len(prefix) + 1):
+            dots = [sum(map(mul, rows[i], w)) % q for w in basis]
+            if not any(dots):
+                s = prefix + (i,)
+                yield from (s + rest for rest in combinations(range(i + 1, n), t - len(s)))
+            elif len(basis) > 1:
+                # Clear row i's dot from the other basis vectors with the first nonzero one.
+                j = next(k for k, d in enumerate(dots) if d)
+                f = pow(dots[j], q - 2, q)
+                rest = [[(a - d * f * b) % q for a, b in zip(w, basis[j])]
+                        for k, (w, d) in enumerate(zip(basis, dots)) if k != j]
+                yield from walk(prefix + (i,), rest, i + 1)
+
+    return walk((), [[int(i == j) for j in range(t)] for i in range(t)], 0)
+
+
+def _mask_side(field: PrimeField, points, exps):
+    """None when no T x T block of this side can be singular, else (leaks, every):
+    leaks(s) tests one subset, every() yields the singular ones in lexicographic
+    order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular iff
+    two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated."""
+    t, n = len(exps), len(points)
+    steps = {b - a for a, b in zip(exps, exps[1:])}
+    if len(steps) <= 1 and all(x % field.q for x in points):
+        y = [field.pow(x, max(steps, default=1)) for x in points]
+        leaks = lambda s: len({y[i] for i in s}) < t
+        return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
+    rows = _powers(field, points, exps)
+    packed, layout = _lazy_pack(field.q, zip(rows), t, t)
+    return (lambda s: _factor([packed[i] for i in s], layout, keep=False) is None,
+            lambda: _dependent_subsets(field.q, rows, t))

@@ -512,6 +512,19 @@ class TestFactorAgainstParent:
         assert singular == (oracle.barrett_eliminate(q, zip(m), n, n) is None)
         assert singular == (not oracle.is_invertible(PrimeField(q), m))
 
+    # The audit hands the block test the n - 1 rows left after its own first
+    # step, with slots below 2q: each slot lifted by q at random, or every one.
+    @settings(max_examples=200, deadline=None)
+    @given(square_blocks(), st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32))
+    def test_singular_blocks_below_2q(self, block, lift, seed):
+        q, m = block
+        n, rng = len(m), random.Random(seed)
+        _, layout = field._lazy_pack(q, (), n + 1, n)
+        rows = [_packed([v % q + q * (rng.randrange(2) if lift is None else lift) for v in row], layout[3])
+                for row in m]
+        singular = field._factor(rows, layout, keep=False) is None
+        assert singular == (not oracle.is_invertible(PrimeField(q), m))
+
     def test_solve_applies_the_kept_factorisation(self):
         f = PrimeField(next_prime(2 ** 118))
         m = _every_multiplier_q_minus_1(f.q, 30)

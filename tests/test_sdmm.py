@@ -614,3 +614,79 @@ class TestAgainstOracle:
         # the subsets holding both, which a sample may miss.
         if rep.exhaustive or edit != "repeat":
             assert rep.failures
+
+
+# Wide primes put the packed DFS columns in slots past 8 bytes: 16 bytes at
+# 2^61 and 30 at 2^118, both read back through int.from_bytes.
+WIDE_Q = (next_prime(2 ** 61), next_prime(2 ** 118))
+
+
+def _points(data, q, n):
+    """n points with zeros (0, q, 2q), repeats and unreduced values (at or past q)."""
+    return data.draw(st.lists(st.integers(0, 2 * q) | st.sampled_from([0, 1, q - 1, q, q + 1, 2 * q]),
+                              min_size=n, max_size=n))
+
+
+class TestAuditKernels:
+    """The audit's kernels against their parents in protocol_oracles: the same
+    draws from the same stream, the same dependent subsets in the same order, and
+    the same verdict for every block."""
+
+    # n <= 21 (t <= 5) and n <= 85 (6 <= t <= 21) take sample's pool branch, the
+    # rest its set branch; both sides must also leave the stream where it was.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300), st.data(), st.integers(1, 60), st.booleans(), st.integers(0, 10**6))
+    def test_draws(self, n, data, samples, distinct, seed):
+        t = data.draw(st.integers(1, min(n, 14)))
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert sdmm._subsets(n, t, -1, samples, rng, distinct) == oracle._subsets(n, t, -1, samples, ref, distinct)
+        assert rng.getstate() == ref.getstate()
+
+    # Each side of both boundaries, and the 8^3 and 12^3 audits' sizes.
+    @pytest.mark.parametrize("n, t", [(21, 3), (22, 3), (21, 5), (22, 5), (85, 6), (86, 6), (85, 14), (86, 14),
+                                      (122, 8), (246, 12)])
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_draws_at_the_branch_boundary(self, n, t, distinct):
+        for seed in range(5):
+            rng, ref = random.Random(f"security:{seed}"), random.Random(f"security:{seed}")
+            got = sdmm._subsets(n, t, -1, 200, rng, distinct)
+            assert got == oracle._subsets(n, t, -1, 200, ref, distinct)
+            assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]), st.integers(1, 4), st.integers(0, 10), st.data())
+    def test_dependent_subsets(self, q, t, n, data):
+        # Entries from a small set (wide q) or a small field, so that zero,
+        # repeated and dependent rows are common; unreduced entries included.
+        entry = st.sampled_from([0, 1, 2, q - 1, q, q + 1]) if q in WIDE_Q else st.integers(0, 2 * q)
+        rows = data.draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=n, max_size=n))
+        got = list(sdmm._dependent_subsets(q, rows, t))
+        assert got == list(oracle._dependent_subsets(q, rows, t))
+
+    # Exponents sorted with or without 0 (so e0 = 0 or e0 > 0), gappy or an
+    # arithmetic progression, and unsorted with repeats.
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]),
+           st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(sorted)
+           | st.lists(st.integers(0, 12), min_size=1, max_size=4) | st.just([0, 2, 3]),
+           st.integers(1, 9), st.data())
+    def test_block_verdicts(self, q, exps, n, data):
+        f, t = PrimeField(q), len(exps)
+        pts = _points(data, q, n)
+        got, want = sdmm._mask_side(f, pts, exps), oracle._mask_side(f, pts, exps)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [got[0](s) for s in combinations(range(n), t)] == [want[0](s) for s in combinations(range(n), t)]
+            assert list(got[1]()) == list(want[1]())
+
+    @pytest.mark.parametrize("exps", [(0, 2, 3), (1, 3, 4), (0, 1, 3, 7)])
+    def test_block_verdicts_with_zero_points(self, exps):
+        # e0 = 0: a zero point's row is (1, 0, ...); e0 > 0: it is zero.
+        f = PrimeField(13)
+        pts = (0, 1, 2, 3, 5, 13, 12, 2, 7)
+        got, want = sdmm._mask_side(f, pts, exps), oracle._mask_side(f, pts, exps)
+        subsets = list(combinations(range(len(pts)), len(exps)))
+        verdicts = [got[0](s) for s in subsets]
+        assert verdicts == [want[0](s) for s in subsets]
+        assert any(verdicts) and not all(verdicts)
+        assert list(got[1]()) == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
