@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import MatrixDims, full_report
+from .bounds import MatrixDims, full_report, lower_bounds
 from .costmodel import CostExponents, asymptotic_compare, concrete_costs
 from .degree_table import DegreeTable, DomainError
 from .equivalence import canonical, normal, squeeze, transpose
@@ -53,7 +53,7 @@ def figure1a_series() -> list[PlotSeries]:
             if r <= min(4, t)
         )
         out.append(PlotSeries(name=f"r={r}", rows=rows))
-    out.append(PlotSeries(name="bound", rows=tuple((t, 2 * t + 19) for t in range(1, 11))))
+    out.append(PlotSeries(name="ineq1", rows=tuple((t, lower_bounds(4, 4, t).ineq1) for t in range(1, 11))))
     return out
 
 
@@ -246,6 +246,10 @@ def _handle_bounds(args) -> None:
 
 def _handle_search(args) -> None:
     if args.action == "exhaustive":
+        if args.budget is not None and not args.fixed_prefix:
+            raise DomainError("--budget applies to --fixed-prefix only")
+        if args.entry_bound is not None and args.fixed_prefix:
+            raise DomainError("--entry-bound applies to the full census only, not --fixed-prefix")
         if args.fixed_prefix:
             res = exhaustive_fixed_prefix(args.K, args.L, args.T, budget=args.budget)
         else:
@@ -263,6 +267,10 @@ def _handle_search(args) -> None:
         }
         _emit(args, payload)
     else:
+        if args.kind == "census" and args.tight_link:
+            raise DomainError("--tight-link applies to --kind fixed only")
+        if args.kind == "fixed" and args.entry_bound is not None:
+            raise DomainError("--entry-bound applies to --kind census only")
         if args.kind == "fixed":
             model = build_ilp_fixed(args.K, args.L, args.T, tight_link=args.tight_link)
         else:

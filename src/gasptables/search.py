@@ -16,8 +16,10 @@ Three strategies at three price points:
 Both heavy kernels work on integers used as bitsets.  The census is a join
 on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
-gcd, and each alpha side reads its valid partners off as one mask; all of
-it is worked out once per value set, not once per prefix/suffix split.
+gcd, and each alpha side reads its valid partners off as one mask.  A side
+is a value set plus a split of its positions into prefix and suffix; the
+sets are listed once, the splits once per shape, and the blocks are built
+only for a table that reaches the best count.
 Greedy keeps the entries in use as one integer and every row's overlap with
 them as a counter in another, updated by one shifted add per new entry
 below the cover's top and one precomputed block for those above it; the
@@ -89,17 +91,9 @@ def _splits(p_len: int, s_len: int) -> list:
     return splits
 
 
-def _side_candidates(p_len: int, s_len: int, bound: int) -> list:
-    """All sorted-block sides with distinct entries in [0, bound] and 0 present.
-
-    Lists (prefix, suffix, gcd, values), values being the sorted entry set:
-    value sets in lexicographic order, each followed through all of _splits.
-    """
-    splits = _splits(p_len, s_len)
-    return [(pre(values), suf(values), g, values)
-            for rest in combinations(range(1, bound + 1), p_len + s_len - 1)
-            for values, g in (((0,) + rest, math.gcd(*rest)),)
-            for _, pre, suf in splits]
+def _value_sets(size: int, bound: int) -> list:
+    """(gcd, values) for each sorted set of size entries in [0, bound] holding 0, in order."""
+    return [(math.gcd(*rest), (0,) + rest) for rest in combinations(range(1, bound + 1), size - 1)]
 
 
 def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None) -> SearchResult:
@@ -112,23 +106,20 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     """
     bound_a, bound_b = census_bounds(K, L, T, entry_bound)
 
-    alphas = _side_candidates(K, T, bound_a)
-    betas = alphas if (K, bound_a) == (L, bound_b) else _side_candidates(L, T, bound_b)
-    # Side i0 + s of a list is split s of the value set at i0, a multiple of
-    # the number of splits, so everything that depends on the value set
-    # alone is worked out once per set.
-    a_pos = [pos for pos, *_ in _splits(K, T)]
-    b_pos = [pos for pos, *_ in _splits(L, T)]
+    # Side j of a list is split j % len(splits) of value set j // len(splits).
+    a_sets = _value_sets(K + T, bound_a)
+    b_sets = a_sets if (K, bound_a) == (L, bound_b) else _value_sets(L + T, bound_b)
+    a_splits, b_splits = _splits(K, T), _splits(L, T)
+    nb = len(b_splits)
 
     # Bitsets over beta indices, keyed by each nonzero difference in
     # B - B_p and by the gcd of the entries.  Within one value set, the
     # difference v - y marks the splits with y's position in the prefix.
-    in_prefix = [sum(1 << s for s, pos in enumerate(b_pos) if p in pos) for p in range(L + T)]
+    in_prefix = [sum(1 << s for s, (pos, *_) in enumerate(b_splits) if p in pos) for p in range(L + T)]
     by_diff: dict[int, int] = {}
     by_gcd: dict[int, int] = {}
     value_masks = []
-    for j0 in range(0, len(betas), len(b_pos)):
-        *_, g, vals = betas[j0]
+    for j0, (g, vals) in zip(range(0, nb * len(b_sets), nb), b_sets):
         marks: dict[int, int] = {}
         for p, y in enumerate(vals):
             for v in vals:
@@ -136,15 +127,14 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
                     marks[v - y] = marks.get(v - y, 0) | in_prefix[p]
         for d, m in marks.items():
             by_diff[d] = by_diff.get(d, 0) | m << j0
-        by_gcd[g] = by_gcd.get(g, 0) | ((1 << len(b_pos)) - 1) << j0
+        by_gcd[g] = by_gcd.get(g, 0) | ((1 << nb) - 1) << j0
         value_masks.append(_mask(vals))
     coprime: dict[int, int] = {}
 
     best_n: Optional[int] = None
     optima: list[DegreeTable] = []
     valid = 0
-    for i0 in range(0, len(alphas), len(a_pos)):
-        *_, ga, a_vals = alphas[i0]
+    for ga, a_vals in a_sets:
         if ga not in coprime:
             coprime[ga] = sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
         # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
@@ -157,7 +147,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
             for v in a_vals:
                 clash |= by_diff.get(x - v, 0)
             clashes.append(clash)
-        for s, pos in enumerate(a_pos):
+        for pos, a_pre, a_suf in a_splits:
             clash = 0
             for p in pos:
                 clash |= clashes[p]
@@ -165,29 +155,29 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
             while ok:
                 low = ok & -ok
                 ok ^= low
-                j = low.bit_length() - 1
+                jv, js = divmod(low.bit_length() - 1, nb)
                 valid += 1
-                mask = value_masks[j // len(b_pos)]
+                mask = value_masks[jv]
                 cover = 0
                 for a in a_vals:
                     cover |= mask << a
                 n = cover.bit_count()
                 if best_n is None or n <= best_n:
-                    a_pre, a_suf = alphas[i0 + s][:2]
-                    b_pre, b_suf = betas[j][:2]
-                    table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
-                                        beta_p=b_pre, beta_s=b_suf)
+                    (_, b_vals), (_, b_pre, b_suf) = b_sets[jv], b_splits[js]
+                    table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre(a_vals), alpha_s=a_suf(a_vals),
+                                        beta_p=b_pre(b_vals), beta_s=b_suf(b_vals))
                     if best_n is None or n < best_n:
                         best_n, optima = n, [table]
                     else:
                         optima.append(table)
     if best_n is None:
         raise DomainError(f"no valid table found within bounds ({bound_a}, {bound_b})")
+    sides = (len(a_sets) * len(a_splits), len(b_sets) * nb)
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,
         optima=tuple(optima), canonical_optima=_dedupe_canonical(optima),
-        tables_examined=len(alphas) * len(betas), valid_tables=valid,
-        entry_bound=(bound_a, bound_b), side_candidates=(len(alphas), len(betas)),
+        tables_examined=sides[0] * sides[1], valid_tables=valid,
+        entry_bound=(bound_a, bound_b), side_candidates=sides,
     )
 
 
@@ -308,7 +298,7 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
         # cover in column beta = 0, and at most T-1 of them are used.
         end = cover.bit_length()
         counts = ((over >> below) & ~used).to_bytes(step * (end - v_lo), "little")
-        if step == 1:
+        if step == 1:  # a byte search: one max for both widths measured ~2x slower
             best = width
             while best not in counts:
                 best -= 1

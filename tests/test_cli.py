@@ -312,6 +312,17 @@ class TestSearchCommands:
         code, out, err = dispatch(capsys, "search", *argv, "--K", "2", "--L", "2", "--T", "2")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("exhaustive", "--budget", "5"), "--budget"),
+        (("exhaustive", "--fixed-prefix", "--entry-bound", "9"), "--entry-bound"),
+        (("emit-lp", "--kind", "census", "--entry-bound", "9", "--tight-link"), "--tight-link"),
+        (("emit-lp", "--kind", "fixed", "--entry-bound", "9"), "--entry-bound"),
+    ])
+    def test_search_refuses_flags_its_mode_ignores(self, capsys, argv, flag):
+        code, out, err = dispatch(capsys, "search", *argv, "--K", "2", "--L", "2", "--T", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} applies to ") and err.count("\n") == 1
+
     def test_emit_lp_fixed_roundtrips(self, capsys, tmp_path):
         dst = tmp_path / "model.lp"
         code, out, _ = dispatch(
@@ -473,7 +484,7 @@ class TestFigureCommands:
         code, out, _ = dispatch(capsys, "figure", "1a", "--format", "tsv")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "x\tr=1\tr=2\tr=3\tr=4\tbound"
+        assert lines[0] == "x\tr=1\tr=2\tr=3\tr=4\tineq1"
         assert lines[4] == "4\t41\t36\t37\t39\t27"
 
     def test_figure_pretty_defaults_to_tsv(self, capsys):
@@ -541,7 +552,7 @@ class TestFigureCommands:
 
     def test_builtin_series_are_well_formed(self):
         series = figure1a_series()
-        assert [s.name for s in series] == ["r=1", "r=2", "r=3", "r=4", "bound"]
+        assert [s.name for s in series] == ["r=1", "r=2", "r=3", "r=4", "ineq1"]
         for s in series:
             xs = [x for x, _ in s.rows]
             assert xs == sorted(set(xs))

@@ -1,5 +1,6 @@
 """Exhaustive census, fixed-prefix search, and the greedy heuristic."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -21,8 +22,6 @@ from gasptables import (
     optimal_r,
     validate,
 )
-from gasptables.search import _side_candidates
-from search_oracles import _side_candidates as side_candidates_oracle
 from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_lists, greedy_scan
 
 
@@ -57,14 +56,6 @@ def _brute_census(K, L, T, bound):
             if n == best:
                 optima.add((a_pre, a_suf, b_pre, b_suf))
     return valid, best, optima
-
-
-class TestSideCandidates:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 9))
-    def test_matches_parent_split(self, p_len, s_len, bound):
-        # same sides in the same order: the census's optima order rests on it
-        assert _side_candidates(p_len, s_len, bound) == list(side_candidates_oracle(p_len, s_len, bound))
 
 
 class TestExhaustive:
@@ -148,9 +139,22 @@ class TestExhaustive:
     @pytest.mark.parametrize("K,L,T,bound", [
         (1, 1, 2, None), (2, 1, 3, None), (3, 1, 5, None), (2, 2, 4, 7),
         (1, 1, 1, 3), (2, 1, 1, 5), (2, 2, 2, 6), (2, 2, 1, (6, 5)), (2, 1, 2, (3, 5)),
+        (2, 2, 3, (7, 6)),
     ])
     def test_matches_packed_oracle(self, K, L, T, bound):
         assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
+
+    def test_census_memory_stays_small(self):
+        # Sides are value sets plus shared split getters: no tuple is built
+        # per side, so the 17,820 sides of (2,2,7) cost little memory.
+        tracemalloc.start()
+        try:
+            res = exhaustive(2, 2, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.side_candidates == (17820, 17820)
+        assert peak < 1 << 20
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 5))
