@@ -2,9 +2,9 @@
 
 Matrices are tuples of tuples of ints; the kernels reduce entries mod q
 themselves.  Everything the protocol needs is here: `mat_combine` (weighted
-sums of matrices, which is what encoding the shares is), `mat_mul`, and one
-forward elimination, which factors the matrix of `solve` and `is_invertible`
-and, keeping nothing, tests the security audit's blocks.
+sums of matrices, which is what encoding the shares is), `mat_mul`, one
+forward elimination, which factors the matrix of `solve` and `is_invertible`,
+and the security audit's block test.
 
 The hot loops run on packed rows: a row over GF(q) is one Python int with one
 byte-aligned slot per column, so a row operation is a few big-int operations
@@ -201,29 +201,28 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
     return _weighted_sums(field.q, a, zip(b), cols, inner_b)
 
 
-def _lazy_pack(q: int, rows, n: int, width: int) -> tuple[list[int], tuple[int, ...]]:
-    """``rows`` (as `_pack` takes them) packed for `_factor` on up to n of them, with the layout it takes."""
+def _lazy_pack(q: int, rows, n: int, width: int, tight: bool = False) -> tuple[list[int], tuple[int, ...]]:
+    """``rows`` (as `_pack` takes them) packed for `_factor` on up to n of them, with the layout it takes;
+    ``tight`` slots take the fewest whole bytes, not a struct width, for rows never unpacked."""
     k = (q + n * (q - 1) * (2 * q - 1)).bit_length()
-    nb = _slot_bytes(2 * k - q.bit_length() + 2)
+    bits = 2 * k - q.bit_length() + 2
+    nb = -(-bits // 8) if tight else _slot_bytes(bits)
     lowmask = int.from_bytes(((1 << 8 * nb - k) - 1).to_bytes(nb, "little") * width, "little")
     return _pack(rows, q, nb, width), (q, k, (1 << k) // q, nb, lowmask)
 
 
-def _factor(rows: list[int], layout: tuple[int, ...], keep: bool = True):
+def _factor(rows: list[int], layout: tuple[int, ...]):
     """Forward elimination on the first len(rows) columns of ``rows``, packed by
     `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows
     (pivot in slot 0, slots in [0, 2q)), the steps (each pivot's index among the
     rows left, and the multiplier of every row left after it) and the slot bytes;
-    with ``keep`` false, the audit's block test, just True.  None at the first
-    column with no pivot.
+    None at the first column with no pivot.
 
     A row operation adds g = -f mod q < q times a pivot row and shifts out the
-    eliminated column.  Rows enter below q, or with ``keep`` false below 2q on at most
-    n - 1 rows (the audit takes each block's first step itself), so on at most n rows
-    (the n `_lazy_pack` was given) a slot stays below 2q + (n-1)(q-1)(2q-1) <= V =
-    q + n(q-1)(2q-1) < 2^k, k = bits(V).  Each row is reduced once, as it becomes
-    the pivot, by q times the floor-Barrett estimate v*m >> k (m = 2^k // q) of
-    v // q, exact or one short.
+    eliminated column.  Rows enter below q, so on at most n rows (the n `_lazy_pack`
+    was given) a slot stays below q + (n-1)(q-1)(2q-1) < V = q + n(q-1)(2q-1) < 2^k,
+    k = bits(V).  Each row is reduced once, as it becomes the pivot, by q times the
+    floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short.
     As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never carry, and
     each estimate, below 2^k / q, fits the bits above k that lowmask keeps.
     """
@@ -231,21 +230,34 @@ def _factor(rows: list[int], layout: tuple[int, ...], keep: bool = True):
     w, smask = 8 * nb, (1 << 8 * nb) - 1
     pivots, steps = [], []
     while rows:
-        for i, x in enumerate(rows):
-            if (x & smask) % q:
-                break
-        else:
+        if (i := next((i for i, x in enumerate(rows) if (x & smask) % q), None)) is None:
             return None
         p = rows.pop(i)
         p -= q * ((p * m >> k) & lowmask)
         neg = q - pow(p & smask, -1, q)
-        if keep:
-            pivots.append(p)
-            steps.append((i, gs := [(x & smask) * neg % q for x in rows]))
-            rows = [(x + g * p) >> w for x, g in zip(rows, gs)]
-        else:
-            rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
-    return (pivots, steps, nb) if keep else True
+        pivots.append(p)
+        steps.append((i, gs := [(x & smask) * neg % q for x in rows]))
+        rows = [(x + g * p) >> w for x, g in zip(rows, gs)]
+    return pivots, steps, nb
+
+
+def _singular(rows: list[int], layout: tuple[int, ...], inverses) -> bool:
+    """Whether the block of ``rows`` is singular: `_factor`'s elimination keeping nothing, on
+    the n - 1 rows (n as `_lazy_pack` was given) the audit leaves below 2q after its free first
+    step, so a slot stays below 2q + (n-2)(q-1)(2q-1) < V.  The first row left is tried as the
+    pivot before the rest are scanned; a pivot, reduced into [0, 2q), takes -1/p mod q from
+    ``inverses`` (indexed by p) when given, else from `pow`; the last row needs only its slot 0."""
+    q, k, m, nb, lowmask = layout
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    while len(rows) > 1:
+        i = 0 if (rows[0] & smask) % q else next((i for i, x in enumerate(rows) if (x & smask) % q), None)
+        if i is None:
+            return True
+        p = rows.pop(i)
+        p -= q * ((p * m >> k) & lowmask)
+        neg = inverses[p & smask] if inverses else q - pow(p & smask, -1, q)
+        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
+    return bool(rows) and not (rows[0] & smask) % q
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ from operator import mul
 
 from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
 # perfbench's traced run wraps is_invertible, solve and mat_mul under these names here: keep them.
-from .field import (Matrix, PrimeField, _factor, _lazy_pack, _pack, _shape, _slot_bytes, _unpack, is_invertible,
+from .field import (Matrix, PrimeField, _lazy_pack, _pack, _shape, _singular, _slot_bytes, _unpack, is_invertible,
                     mat_combine, mat_mul, next_prime, solve)
 
 # Point selection audits this many T-subsets per attempt and gives up after
@@ -163,7 +163,7 @@ def _dependent_subsets(q: int, rows, t: int):
     return walk((), [[int(i == j) for j in range(t)] for i in range(t)], 0)
 
 
-def _mask_side(field: PrimeField, points, exps):
+def _mask_side(field: PrimeField, points, exps, count: int):
     """None when no T x T block of this side can be singular, else (leaks, every):
     leaks(s) tests one subset, every() yields the singular ones in lexicographic
     order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular iff
@@ -172,7 +172,9 @@ def _mask_side(field: PrimeField, points, exps):
     packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a
     zero point, whose row sinks every block when e0 > 0.  So leaks(s) takes the first
     step free: with c = q in every slot minus the first row, each other row x goes to
-    (x + c) >> slot, below 2q, for `_factor`.  every() walks the absolute rows."""
+    (x + c) >> slot, below 2q, for `_singular`, in tight slots (never unpacked) and with the
+    2q pivot inverses listed once if ``count`` subsets need more `pow` calls than that.
+    every() walks the absolute rows."""
     q, t, n = field.q, len(exps), len(points)
     steps = {b - a for a, b in zip(exps, exps[1:])}
     if len(steps) <= 1 and all(x % q for x in points):
@@ -181,13 +183,14 @@ def _mask_side(field: PrimeField, points, exps):
         return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
     e0 = min(exps)
     zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
-    packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t)
+    packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t, tight=True)
     w = 8 * layout[3]
     qs = q * sum(1 << w * j for j in range(t))
+    inverses = [q - pow(v, -1, q) if v % q else 0 for v in range(2 * q)] if 2 * q <= count * (t - 1) else None
 
     def leaks(s):
         c = qs - packed[s[0]]
-        return not zeros.isdisjoint(s) or _factor([(packed[i] + c) >> w for i in s[1:]], layout, keep=False) is None
+        return not zeros.isdisjoint(s) or _singular([(packed[i] + c) >> w for i in s[1:]], layout, inverses)
 
     return leaks, lambda: _dependent_subsets(q, _powers(field, points, exps), t)
 
@@ -196,7 +199,7 @@ def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
     """Yield (subset, side), alpha first, for each singular T x T mask block: over
     ``subsets`` in order, or, when None, streamed over every T-subset in lexicographic order."""
     sides = [(side, check) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
-             if (check := _mask_side(field, points, exps))]
+             if (check := _mask_side(field, points, exps, len(subsets or ())))]
     if subsets is None:
         return heapq.merge(*(zip(every(), repeat(side)) for side, (_, every) in sides))
     return ((s, side) for s in subsets for side, (leaks, _) in sides if leaks(s))

@@ -11,7 +11,10 @@ security audit, each with its own copy of the loop that `field.py` and
 before the audit replayed `random.sample` inline, took each block's first
 elimination step on relative exponents and packed the DFS leaves: `_subsets`
 drawing through `rng.sample`, `_dependent_subsets` with one dot product per
-leaf, and `_mask_side` eliminating the absolute rows of each block.  The
+leaf, and `_mask_side` eliminating the absolute rows of each block.
+`keepless_factor` is the block test's loop as it was inside `field._factor`,
+before the test took its pivot inverses from a table and its last row from
+slot 0 alone.  The
 differential tests in test_field.py and test_sdmm.py compare the shared
 kernels against them result for result: the same products and solutions, the
 same points (so the same RNG draws), the same draws, subsets and verdicts, and
@@ -27,7 +30,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, count_distinct, sumset
-from gasptables.field import Matrix, PrimeField, _factor, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
+from gasptables.field import Matrix, PrimeField, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
 from gasptables.sdmm import (
     EXHAUSTIVE_SUBSET_LIMIT,
     MAX_POINT_RETRIES,
@@ -172,6 +175,26 @@ def lazy_eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[l
         neg = q - pow(p & smask, -1, q)
         rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
     return pivots, nb
+
+
+def keepless_factor(rows: list[int], layout: tuple[int, ...]) -> Optional[bool]:
+    """The elimination `field._factor` ran for the audit's block test before the
+    test got its own loop: `lazy_eliminate` keeping no pivot rows, True where
+    that gives them, None at the first column with no pivot.  Every pivot's
+    inverse comes from `pow`, and the last row is reduced and scanned like the rest."""
+    q, k, m, nb, lowmask = layout
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    while rows:
+        for i, x in enumerate(rows):
+            if (x & smask) % q:
+                break
+        else:
+            return None
+        p = rows.pop(i)
+        p -= q * ((p * m >> k) & lowmask)
+        neg = q - pow(p & smask, -1, q)
+        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
+    return True
 
 
 def lazy_solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
@@ -372,5 +395,5 @@ def _mask_side(field: PrimeField, points, exps):
         return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
     rows = _powers(field, points, exps)
     packed, layout = _lazy_pack(field.q, zip(rows), t, t)
-    return (lambda s: _factor([packed[i] for i in s], layout, keep=False) is None,
+    return (lambda s: lazy_eliminate([packed[i] for i in s], layout) is None,
             lambda: _dependent_subsets(field.q, rows, t))

@@ -1,5 +1,6 @@
 """Prime-field arithmetic and small linear algebra."""
 
+import functools
 import math
 import random
 import re
@@ -488,9 +489,16 @@ def square_blocks(draw):
     return q, tuple(map(tuple, m))
 
 
+@functools.cache
+def _inverses(q):
+    """-1/v mod q for v in [0, 2q), as the audit's block test reads them, None at
+    v = 0 and q (never a pivot); no table past 2^11, where the audit would not build one."""
+    return [-pow(v, -1, q) % q if v % q else None for v in range(2 * q)] if q < 1 << 11 else None
+
+
 class TestFactorAgainstParent:
-    """`solve`'s factor-then-apply path and the audit's block test (`_factor`
-    keeping nothing) against the kernels they replaced, past 2^64 and at 2^118."""
+    """`solve`'s factor-then-apply path and the audit's block test (`_singular`)
+    against the kernels they replaced, past 2^64 and at 2^118."""
 
     @settings(max_examples=250, deadline=None)
     @given(packed_systems(LAZY_QS))
@@ -503,27 +511,42 @@ class TestFactorAgainstParent:
         # The kept factorisation serves a second right-hand side too.
         assert solve(f, m, rhs[::-1]) == oracle.lazy_solve(f, m, rhs[::-1])
 
+    # Struct-width or tight slots, pivot inverses from the table or from pow.
     @settings(max_examples=400, deadline=None)
-    @given(square_blocks())
-    def test_singular_blocks(self, block):
+    @given(square_blocks(), st.booleans(), st.booleans())
+    def test_singular_blocks(self, block, tight, table):
         q, m = block
         n = len(m)
-        singular = field._factor(*field._lazy_pack(q, zip(m), n, n), keep=False) is None
+        rows, layout = field._lazy_pack(q, zip(m), n, n, tight)
+        singular = field._singular(list(rows), layout, _inverses(q) if table else None)
+        assert singular == (oracle.keepless_factor(rows, layout) is None)
         assert singular == (oracle.barrett_eliminate(q, zip(m), n, n) is None)
         assert singular == (not oracle.is_invertible(PrimeField(q), m))
 
     # The audit hands the block test the n - 1 rows left after its own first
     # step, with slots below 2q: each slot lifted by q at random, or every one.
     @settings(max_examples=200, deadline=None)
-    @given(square_blocks(), st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32))
-    def test_singular_blocks_below_2q(self, block, lift, seed):
+    @given(square_blocks(), st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+    def test_singular_blocks_below_2q(self, block, lift, seed, tight, table):
         q, m = block
         n, rng = len(m), random.Random(seed)
-        _, layout = field._lazy_pack(q, (), n + 1, n)
+        _, layout = field._lazy_pack(q, (), n + 1, n, tight)
         rows = [_packed([v % q + q * (rng.randrange(2) if lift is None else lift) for v in row], layout[3])
                 for row in m]
-        singular = field._factor(rows, layout, keep=False) is None
+        singular = field._singular(list(rows), layout, _inverses(q) if table else None)
+        assert singular == (oracle.keepless_factor(rows, layout) is None)
         assert singular == (not oracle.is_invertible(PrimeField(q), m))
+
+    # T = 1 leaves no row after the audit's first step, so the block is
+    # invertible; T = 2 leaves one, decided by its slot 0 mod q.
+    @pytest.mark.parametrize("q", [13, 331, LAZY_QS[-1]])
+    @pytest.mark.parametrize("table", [True, False])
+    def test_one_and_two_row_blocks(self, q, table):
+        _, layout = field._lazy_pack(q, (), 2, 1, tight=True)
+        inverses = _inverses(q) if table else None
+        assert field._singular([], layout, inverses) is False
+        for v, singular in ((0, True), (1, False), (q - 1, False), (q, True), (q + 1, False), (2 * q - 1, False)):
+            assert field._singular([_packed([v], layout[3])], layout, inverses) is singular
 
     def test_solve_applies_the_kept_factorisation(self):
         f = PrimeField(next_prime(2 ** 118))

@@ -606,8 +606,8 @@ class TestAgainstOracle:
             pts[2] = 0 if edit == "zero" else inst.field.q
         bad = dataclasses.replace(inst, points=tuple(pts))
         # The clean instance's beta side is proved clean; the edited one is not.
-        assert sdmm._mask_side(inst.field, inst.points, t.beta_s) is None
-        assert sdmm._mask_side(bad.field, bad.points, t.beta_s) is not None
+        assert sdmm._mask_side(inst.field, inst.points, t.beta_s, 40) is None
+        assert sdmm._mask_side(bad.field, bad.points, t.beta_s, 40) is not None
         rep = security_check(bad, mode=mode, sample_size=40, seed=2)
         assert rep == oracle.security_check(bad, mode=mode, sample_size=40, seed=2)
         # A zero row sinks every block it enters; a repeated pair sinks only
@@ -665,28 +665,63 @@ class TestAuditKernels:
 
     # Exponents sorted with or without 0 (so e0 = 0 or e0 > 0), gappy or an
     # arithmetic progression, and unsorted with repeats.
+    # A subset count on each side of the table rule: 0 never builds the 2q pivot
+    # inverses, 10^6 builds them on a small q, never on WIDE_Q.
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]),
            st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(sorted)
            | st.lists(st.integers(0, 12), min_size=1, max_size=4) | st.just([0, 2, 3]),
-           st.integers(1, 9), st.data())
-    def test_block_verdicts(self, q, exps, n, data):
+           st.integers(1, 9), st.sampled_from([0, 10 ** 6]), st.data())
+    def test_block_verdicts(self, q, exps, n, count, data):
         f, t = PrimeField(q), len(exps)
         pts = _points(data, q, n)
-        got, want = sdmm._mask_side(f, pts, exps), oracle._mask_side(f, pts, exps)
+        got, want = sdmm._mask_side(f, pts, exps, count), oracle._mask_side(f, pts, exps)
         assert (got is None) == (want is None)
         if got is not None:
             assert [got[0](s) for s in combinations(range(n), t)] == [want[0](s) for s in combinations(range(n), t)]
             assert list(got[1]()) == list(want[1]())
 
-    @pytest.mark.parametrize("exps", [(0, 2, 3), (1, 3, 4), (0, 1, 3, 7)])
+    # T = 1 and T = 2 reach the block test only with a zero point, which rules
+    # out the progression shortcut; T = 1 with e0 = 0 leaks nowhere.
+    @pytest.mark.parametrize("exps", [(0, 2, 3), (1, 3, 4), (0, 1, 3, 7), (0,), (2,), (0, 5), (1, 4)])
     def test_block_verdicts_with_zero_points(self, exps):
         # e0 = 0: a zero point's row is (1, 0, ...); e0 > 0: it is zero.
         f = PrimeField(13)
         pts = (0, 1, 2, 3, 5, 13, 12, 2, 7)
-        got, want = sdmm._mask_side(f, pts, exps), oracle._mask_side(f, pts, exps)
         subsets = list(combinations(range(len(pts)), len(exps)))
-        verdicts = [got[0](s) for s in subsets]
-        assert verdicts == [want[0](s) for s in subsets]
-        assert any(verdicts) and not all(verdicts)
-        assert list(got[1]()) == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
+        want = oracle._mask_side(f, pts, exps)
+        for count in (0, 10 ** 6):
+            got = sdmm._mask_side(f, pts, exps, count)
+            verdicts = [got[0](s) for s in subsets]
+            assert verdicts == [want[0](s) for s in subsets]
+            assert any(verdicts) and not all(verdicts) if exps != (0,) else not any(verdicts)
+            assert list(got[1]()) == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
+
+    # The block's second pivot reduces to 158 = q + 1, the Barrett estimate one
+    # short, so a table of only q inverses has no entry for it.
+    def test_pivot_reduced_past_q(self, monkeypatch):
+        f, pts, exps = PrimeField(157), (142, 36, 45, 82), (1, 2, 4, 7)
+        real, read = sdmm._singular, []
+
+        class Reads(list):
+            def __getitem__(self, v):
+                read.append(v)
+                return super().__getitem__(v)
+
+        monkeypatch.setattr(sdmm, "_singular", lambda rows, layout, inverses: real(rows, layout, Reads(inverses)))
+        got, want = sdmm._mask_side(f, pts, exps, 10 ** 6), oracle._mask_side(f, pts, exps)
+        assert got[0]((0, 1, 2, 3)) is want[0]((0, 1, 2, 3)) is False
+        assert read == [51, 158]
+
+    # 2q <= count * (T - 1): at q = 331 and T = 12 the table pays from 61 subsets.
+    @pytest.mark.parametrize("count, table", [(0, False), (60, False), (61, True), (10 ** 4, True)])
+    def test_inverse_table_rule(self, count, table, monkeypatch):
+        t = construct(GaspParams(12, 12, 12, 4))
+        fld, pts = choose_field_and_points(t, seed=1)
+        seen = []
+        monkeypatch.setattr(sdmm, "_singular", lambda rows, layout, inverses: seen.append(inverses) or False)
+        leaks, _ = sdmm._mask_side(fld, pts, t.alpha_s, count)
+        assert fld.q == 331 and not leaks(tuple(range(12)))
+        assert (seen[0] is not None) is table
+        if table:
+            assert len(seen[0]) == 2 * fld.q and all((v * i + 1) % fld.q == 0 for i, v in enumerate(seen[0]) if i % fld.q)
