@@ -4,7 +4,8 @@ Matrices are tuples of tuples of ints; the kernels reduce entries mod q
 themselves.  Everything the protocol needs is here: `mat_combine` (weighted
 sums of matrices, which is what encoding the shares is), `mat_mul`, one
 forward elimination, which factors the matrix of `solve` and `is_invertible`,
-and the security audit's block test.
+and the security audit's block test, which takes a chunk of blocks through each
+elimination step together (`_singular_many`).
 
 The hot loops run on packed rows: a row over GF(q) is one Python int with one
 byte-aligned slot per column, so a row operation is a few big-int operations
@@ -241,23 +242,29 @@ def _factor(rows: list[int], layout: tuple[int, ...]):
     return pivots, steps, nb
 
 
-def _singular(rows: list[int], layout: tuple[int, ...], inverses) -> bool:
-    """Whether the block of ``rows`` is singular: `_factor`'s elimination keeping nothing, on
-    the n - 1 rows (n as `_lazy_pack` was given) the audit leaves below 2q after its free first
-    step, so a slot stays below 2q + (n-2)(q-1)(2q-1) < V.  The first row left is tried as the
-    pivot before the rest are scanned; a pivot, reduced into [0, 2q), takes -1/p mod q from
-    ``inverses`` (indexed by p) when given, else from `pow`; the last row needs only its slot 0."""
+def _singular_many(rows: list[list[int]], layout: tuple[int, ...], inverses) -> set[int]:
+    """The indices b of the singular blocks, rows[o][b] being row o of block b: `_factor`'s elimination keeping
+    nothing, on the n - 1 rows (n as `_lazy_pack` was given) the audit leaves below 2q after its free first step,
+    so a slot stays below 2q + (n-2)(q-1)(2q-1) < V.  Every block takes each step together, its row 0 the pivot,
+    reduced into [0, 2q), with -1/p mod q from ``inverses`` (indexed by p, 0 at p = 0 and q) when given, else from
+    `pow`.  A block whose row 0 is 0 mod q in slot 0 swaps in its first row that is not, or is singular if none is
+    (it rides along: that step only shifts its rows, which keeps the bound).  The last row needs only its slot 0."""
     q, k, m, nb, lowmask = layout
     w, smask = 8 * nb, (1 << 8 * nb) - 1
+    singular = set()
     while len(rows) > 1:
-        i = 0 if (rows[0] & smask) % q else next((i for i, x in enumerate(rows) if (x & smask) % q), None)
-        if i is None:
-            return True
-        p = rows.pop(i)
-        p -= q * ((p * m >> k) & lowmask)
-        neg = inverses[p & smask] if inverses else q - pow(p & smask, -1, q)
-        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
-    return bool(rows) and not (rows[0] & smask) % q
+        P = [p - q * ((p * m >> k) & lowmask) for p in rows[0]]
+        neg = [inverses[p & smask] for p in P] if inverses else [
+            q - pow(v, -1, q) if (v := p & smask) % q else 0 for p in P]
+        for b in [b for b, g in enumerate(neg) if not g] if 0 in neg else ():
+            if (i := next((i for i, row in enumerate(rows) if (row[b] & smask) % q), None)) is None:
+                singular.add(b)
+                continue
+            rows[0][b], rows[i][b] = rows[i][b], rows[0][b]
+            P[b] = p = rows[0][b] - q * ((rows[0][b] * m >> k) & lowmask)
+            neg[b] = inverses[p & smask] if inverses else q - pow(p & smask, -1, q)
+        rows = [[(x + (x & smask) * g % q * p) >> w for x, p, g in zip(row, P, neg)] for row in rows[1:]]
+    return singular.union(b for b, x in enumerate(rows[0]) if not (x & smask) % q) if rows else singular
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ from operator import mul
 
 from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
 # perfbench's traced run wraps is_invertible, solve and mat_mul under these names here: keep them.
-from .field import (Matrix, PrimeField, _lazy_pack, _pack, _shape, _singular, _slot_bytes, _unpack, is_invertible,
+from .field import (Matrix, PrimeField, _lazy_pack, _pack, _shape, _singular_many, _slot_bytes, _unpack, is_invertible,
                     mat_combine, mat_mul, next_prime, solve)
 
 # Point selection audits this many T-subsets per attempt and gives up after
@@ -33,8 +33,11 @@ SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 SAMPLED_SUBSET_COUNT = 10_000
-# mode="all" refuses to enumerate more subsets than this.
+# mode="all" refuses to enumerate more subsets than this, and every mode to sample more.
 MAX_EXHAUSTIVE_SUBSETS = 10**7
+# The sampled audit takes this many subsets through the block test's elimination
+# steps together: time is flat from 128 up, and memory grows with the chunk.
+AUDIT_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -164,23 +167,23 @@ def _dependent_subsets(q: int, rows, t: int):
 
 
 def _mask_side(field: PrimeField, points, exps, count: int):
-    """None when no T x T block of this side can be singular, else (leaks, every):
-    leaks(s) tests one subset, every() yields the singular ones in lexicographic
-    order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular iff
-    two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated.
-    Otherwise a block is diag(x^e0) times the rows x^(e - e0), e0 the least exponent,
-    packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a
-    zero point, whose row sinks every block when e0 > 0.  So leaks(s) takes the first
-    step free: with c = q in every slot minus the first row, each other row x goes to
-    (x + c) >> slot, below 2q, for `_singular`, in tight slots (never unpacked) and with the
-    2q pivot inverses listed once if ``count`` subsets need more `pow` calls than that.
-    every() walks the absolute rows."""
+    """None when no T x T block of this side can be singular, else (leaks, every): leaks(chunk) is the
+    set of positions of the singular blocks in a non-empty list of subsets, every() yields the singular
+    subsets in lexicographic order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular
+    iff two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated.  Otherwise a block is
+    diag(x^e0) times the rows x^(e - e0), e0 the least exponent, packed with the columns sorted, so slot 0
+    is 1.  diag(x^e0) is invertible but on a zero point, whose row sinks every block when e0 > 0.  So
+    leaks(chunk) takes the first step free, a row position at a time: with c = q in every slot minus a
+    subset's first row, each other row x goes to (x + c) >> slot, below 2q.  `_singular_many` takes the
+    chunk's blocks through the other steps together, in tight slots (never unpacked) and with the 2q pivot
+    inverses listed once if ``count`` subsets need more `pow` calls than that.  every() walks the absolute rows."""
     q, t, n = field.q, len(exps), len(points)
     steps = {b - a for a, b in zip(exps, exps[1:])}
     if len(steps) <= 1 and all(x % q for x in points):
         y = [field.pow(x, max(steps, default=1)) for x in points]
-        leaks = lambda s: len({y[i] for i in s}) < t
-        return None if len(set(y)) == n else (leaks, lambda: filter(leaks, combinations(range(n), t)))
+        leak = lambda s: len({y[i] for i in s}) < t
+        return None if len(set(y)) == n else (lambda chunk: {b for b, s in enumerate(chunk) if leak(s)},
+                                               lambda: filter(leak, combinations(range(n), t)))
     e0 = min(exps)
     zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
     packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t, tight=True)
@@ -188,21 +191,26 @@ def _mask_side(field: PrimeField, points, exps, count: int):
     qs = q * sum(1 << w * j for j in range(t))
     inverses = [q - pow(v, -1, q) if v % q else 0 for v in range(2 * q)] if 2 * q <= count * (t - 1) else None
 
-    def leaks(s):
-        c = qs - packed[s[0]]
-        return not zeros.isdisjoint(s) or _singular([(packed[i] + c) >> w for i in s[1:]], layout, inverses)
+    def leaks(chunk):
+        first, *rest = zip(*chunk)
+        c = [qs - packed[i] for i in first]
+        found = _singular_many([[(packed[i] + d) >> w for i, d in zip(col, c)] for col in rest], layout, inverses)
+        return found | {b for b, s in enumerate(chunk) if not zeros.isdisjoint(s)} if zeros else found
 
     return leaks, lambda: _dependent_subsets(q, _powers(field, points, exps), t)
 
 
 def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
-    """Yield (subset, side), alpha first, for each singular T x T mask block: over
-    ``subsets`` in order, or, when None, streamed over every T-subset in lexicographic order."""
+    """Yield (subset, side), alpha first, for each singular T x T mask block: over ``subsets``
+    in order, tested AUDIT_CHUNK at a time, or, when None, streamed over every T-subset in
+    lexicographic order."""
     sides = [(side, check) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
              if (check := _mask_side(field, points, exps, len(subsets or ())))]
     if subsets is None:
         return heapq.merge(*(zip(every(), repeat(side)) for side, (_, every) in sides))
-    return ((s, side) for s in subsets for side, (leaks, _) in sides if leaks(s))
+    chunks = (subsets[c:c + AUDIT_CHUNK] for c in range(0, len(subsets), AUDIT_CHUNK))
+    return ((chunk[b], sides[j][0]) for chunk in chunks
+            for b, j in sorted({(b, j) for j, (_, (leaks, _)) in enumerate(sides) for b in leaks(chunk)}))
 
 
 def choose_field_and_points(
@@ -311,13 +319,18 @@ def security_check(
     ``mode="all"`` tries every subset (refusing past MAX_EXHAUSTIVE_SUBSETS), "auto"
     every one when there are at most max(EXHAUSTIVE_SUBSET_LIMIT, ``sample_size``),
     "sampled" when there are at most ``sample_size``; otherwise ``sample_size`` distinct
-    random subsets drawn from ``seed``.  A failure names the subset and the side that leaked.
+    random subsets drawn from ``seed`` (held together, so at most MAX_EXHAUSTIVE_SUBSETS)
+    and tested AUDIT_CHUNK at a time, each mask side's blocks by one batched elimination
+    (see `_mask_side`).  A failure names the subset and the side that leaked.
     """
     # The most subsets each mode enumerates; above that it samples instead.
     limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}
     if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
     _require_int(sample_size=sample_size, rule="at least 1")
+    if mode != "all" and sample_size > MAX_EXHAUSTIVE_SUBSETS:
+        raise DomainError(f"sample_size must be at most MAX_EXHAUSTIVE_SUBSETS = {MAX_EXHAUSTIVE_SUBSETS},"
+                          f" got {sample_size}")
     n, t = inst.n_servers, inst.table.T
     total = math.comb(n, t)
     if mode == "all" and total > MAX_EXHAUSTIVE_SUBSETS:

@@ -14,8 +14,9 @@ drawing through `rng.sample`, `_dependent_subsets` with one dot product per
 leaf, and `_mask_side` eliminating the absolute rows of each block.
 `keepless_factor` is the block test's loop as it was inside `field._factor`,
 before the test took its pivot inverses from a table and its last row from
-slot 0 alone.  The
-differential tests in test_field.py and test_sdmm.py compare the shared
+slot 0 alone, and `_singular` is that test after it, one block at a time,
+before `field._singular_many` took a chunk of blocks through each step
+together.  The differential tests in test_field.py and test_sdmm.py compare the shared
 kernels against them result for result: the same products and solutions, the
 same points (so the same RNG draws), the same draws, subsets and verdicts, and
 the same audit reports.
@@ -195,6 +196,25 @@ def keepless_factor(rows: list[int], layout: tuple[int, ...]) -> Optional[bool]:
         neg = q - pow(p & smask, -1, q)
         rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
     return True
+
+
+def _singular(rows: list[int], layout: tuple[int, ...], inverses) -> bool:
+    """Whether the block of ``rows`` is singular: `_factor`'s elimination keeping nothing, on
+    the n - 1 rows (n as `_lazy_pack` was given) the audit leaves below 2q after its free first
+    step, so a slot stays below 2q + (n-2)(q-1)(2q-1) < V.  The first row left is tried as the
+    pivot before the rest are scanned; a pivot, reduced into [0, 2q), takes -1/p mod q from
+    ``inverses`` (indexed by p) when given, else from `pow`; the last row needs only its slot 0."""
+    q, k, m, nb, lowmask = layout
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    while len(rows) > 1:
+        i = 0 if (rows[0] & smask) % q else next((i for i, x in enumerate(rows) if (x & smask) % q), None)
+        if i is None:
+            return True
+        p = rows.pop(i)
+        p -= q * ((p * m >> k) & lowmask)
+        neg = inverses[p & smask] if inverses else q - pow(p & smask, -1, q)
+        rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
+    return bool(rows) and not (rows[0] & smask) % q
 
 
 def lazy_solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:

@@ -491,14 +491,23 @@ def square_blocks(draw):
 
 @functools.cache
 def _inverses(q):
-    """-1/v mod q for v in [0, 2q), as the audit's block test reads them, None at
-    v = 0 and q (never a pivot); no table past 2^11, where the audit would not build one."""
-    return [-pow(v, -1, q) % q if v % q else None for v in range(2 * q)] if q < 1 << 11 else None
+    """-1/v mod q for v in [0, 2q), as the audit's block test reads them, 0 at v = 0
+    and q (never a pivot, and how the batched test tells one); no table past 2^11,
+    where the audit would not build one."""
+    return [-pow(v, -1, q) % q if v % q else 0 for v in range(2 * q)] if q < 1 << 11 else None
+
+
+def _batched(rows, layout, inverses) -> bool:
+    """Whether `field._singular_many` finds the one block of ``rows`` singular."""
+    found = field._singular_many([[r] for r in rows], layout, inverses)
+    assert found <= {0}
+    return found == {0}
 
 
 class TestFactorAgainstParent:
-    """`solve`'s factor-then-apply path and the audit's block test (`_singular`)
-    against the kernels they replaced, past 2^64 and at 2^118."""
+    """`solve`'s factor-then-apply path and the audit's batched block test
+    (`_singular_many`, here on batches of one block) against the kernels they
+    replaced, past 2^64 and at 2^118."""
 
     @settings(max_examples=250, deadline=None)
     @given(packed_systems(LAZY_QS))
@@ -518,7 +527,9 @@ class TestFactorAgainstParent:
         q, m = block
         n = len(m)
         rows, layout = field._lazy_pack(q, zip(m), n, n, tight)
-        singular = field._singular(list(rows), layout, _inverses(q) if table else None)
+        inverses = _inverses(q) if table else None
+        singular = _batched(rows, layout, inverses)
+        assert singular == oracle._singular(list(rows), layout, inverses)
         assert singular == (oracle.keepless_factor(rows, layout) is None)
         assert singular == (oracle.barrett_eliminate(q, zip(m), n, n) is None)
         assert singular == (not oracle.is_invertible(PrimeField(q), m))
@@ -533,20 +544,26 @@ class TestFactorAgainstParent:
         _, layout = field._lazy_pack(q, (), n + 1, n, tight)
         rows = [_packed([v % q + q * (rng.randrange(2) if lift is None else lift) for v in row], layout[3])
                 for row in m]
-        singular = field._singular(list(rows), layout, _inverses(q) if table else None)
+        inverses = _inverses(q) if table else None
+        singular = _batched(rows, layout, inverses)
+        assert singular == oracle._singular(list(rows), layout, inverses)
         assert singular == (oracle.keepless_factor(rows, layout) is None)
         assert singular == (not oracle.is_invertible(PrimeField(q), m))
 
     # T = 1 leaves no row after the audit's first step, so the block is
-    # invertible; T = 2 leaves one, decided by its slot 0 mod q.
+    # invertible; T = 2 leaves one, decided by its slot 0 mod q, alone or in a batch.
     @pytest.mark.parametrize("q", [13, 331, LAZY_QS[-1]])
     @pytest.mark.parametrize("table", [True, False])
     def test_one_and_two_row_blocks(self, q, table):
         _, layout = field._lazy_pack(q, (), 2, 1, tight=True)
         inverses = _inverses(q) if table else None
-        assert field._singular([], layout, inverses) is False
-        for v, singular in ((0, True), (1, False), (q - 1, False), (q, True), (q + 1, False), (2 * q - 1, False)):
-            assert field._singular([_packed([v], layout[3])], layout, inverses) is singular
+        assert field._singular_many([], layout, inverses) == set()
+        assert oracle._singular([], layout, inverses) is False
+        cases = ((0, True), (1, False), (q - 1, False), (q, True), (q + 1, False), (2 * q - 1, False))
+        for v, singular in cases:
+            assert _batched([_packed([v], layout[3])], layout, inverses) is singular
+        batch = [[_packed([v], layout[3]) for v, _ in cases]]
+        assert field._singular_many(batch, layout, inverses) == {b for b, (_, s) in enumerate(cases) if s}
 
     def test_solve_applies_the_kept_factorisation(self):
         f = PrimeField(next_prime(2 ** 118))

@@ -358,6 +358,22 @@ class TestSecurityCheck:
         with pytest.raises(DomainError, match=rf"sample_size must be at least 1, got {re.escape(repr(size))}"):
             security_check(inst, mode=mode, sample_size=size)
 
+    # The draws are held in memory, so a sample past the enumeration ceiling is
+    # refused before any is drawn; mode="all" never samples and ignores it.
+    @pytest.mark.parametrize("mode", ["auto", "sampled"])
+    def test_sample_size_is_capped(self, monkeypatch, mode):
+        inst = build_instance(((1,),), ((1,),), T111)
+        with monkeypatch.context() as m:
+            m.setattr(sdmm, "_subsets", mock.Mock(side_effect=AssertionError("drew subsets")))
+            for size in (MAX_EXHAUSTIVE_SUBSETS + 1, 10 ** 9):
+                with pytest.raises(DomainError, match=rf"sample_size must be at most MAX_EXHAUSTIVE_SUBSETS"
+                                                      rf" = {MAX_EXHAUSTIVE_SUBSETS}, got {size}$"):
+                    security_check(inst, mode=mode, sample_size=size)
+            assert not sdmm._subsets.called
+        # Three subsets in all: the largest sample allowed covers them, so nothing is drawn.
+        assert security_check(inst, mode=mode, sample_size=MAX_EXHAUSTIVE_SUBSETS).exhaustive
+        assert security_check(inst, mode="all", sample_size=10 ** 9).checked == 3
+
     @pytest.mark.parametrize("mode", ["auto", "sampled"])
     def test_sample_covering_every_subset_is_exhaustive(self, monkeypatch, mode):
         inst = build_instance(((1,),), ((1,),), T111)
@@ -678,7 +694,11 @@ class TestAuditKernels:
         got, want = sdmm._mask_side(f, pts, exps, count), oracle._mask_side(f, pts, exps)
         assert (got is None) == (want is None)
         if got is not None:
-            assert [got[0](s) for s in combinations(range(n), t)] == [want[0](s) for s in combinations(range(n), t)]
+            subsets = list(combinations(range(n), t))
+            verdicts = [want[0](s) for s in subsets]
+            assert [bool(got[0]([s])) for s in subsets] == verdicts
+            if subsets:  # a chunk is never empty
+                assert got[0](subsets) == {b for b, v in enumerate(verdicts) if v}
             assert list(got[1]()) == list(want[1]())
 
     # T = 1 and T = 2 reach the block test only with a zero point, which rules
@@ -692,25 +712,73 @@ class TestAuditKernels:
         want = oracle._mask_side(f, pts, exps)
         for count in (0, 10 ** 6):
             got = sdmm._mask_side(f, pts, exps, count)
-            verdicts = [got[0](s) for s in subsets]
+            verdicts = [bool(got[0]([s])) for s in subsets]
             assert verdicts == [want[0](s) for s in subsets]
+            assert got[0](subsets) == {b for b, v in enumerate(verdicts) if v}
             assert any(verdicts) and not all(verdicts) if exps != (0,) else not any(verdicts)
             assert list(got[1]()) == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
+
+    # The batched block test against the parent's one-block kernel, keepless_factor
+    # and plain elimination, on the rows the audit hands it after its free first step:
+    # primes 2 to 13 (where pivot swaps and singular blocks are common) and 43, T = 1 to
+    # 5, points with zeros, repeats and unreduced values, tight and struct-width slots,
+    # the pivot-inverse table and pow, and batches from one block up.
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13, 43]),
+           st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True).map(sorted),
+           st.booleans(), st.booleans(), st.integers(1, 40), st.data())
+    def test_batched_block_test(self, q, exps, tight, table, batch, data):
+        f, t = PrimeField(q), len(exps)
+        n = data.draw(st.integers(t, 10))
+        pts = _points(data, q, n)
+        subset = st.lists(st.integers(0, n - 1), min_size=t, max_size=t, unique=True).map(sorted).map(tuple)
+        subsets = data.draw(st.lists(subset, min_size=batch, max_size=batch))
+        rel = sdmm._powers(f, pts, [e - exps[0] for e in exps])
+        packed, layout = field._lazy_pack(q, zip(rel), t, t, tight)
+        w = 8 * layout[3]
+        qs = q * sum(1 << w * j for j in range(t))
+        blocks = [[(packed[i] + qs - packed[s[0]]) >> w for i in s[1:]] for s in subsets]
+        inverses = [q - pow(v, -1, q) if v % q else 0 for v in range(2 * q)] if table else None
+        got = field._singular_many([list(col) for col in zip(*blocks)], layout, inverses)
+        assert got == {b for b, rows in enumerate(blocks) if oracle._singular(list(rows), layout, inverses)}
+        assert got == {b for b, rows in enumerate(blocks) if oracle.keepless_factor(rows, layout) is None}
+        assert got == {b for b, s in enumerate(subsets) if not oracle.is_invertible(f, tuple(rel[i] for i in s))}
+
+    # 2 * AUDIT_CHUNK + extra subsets span three chunks; the first and last hold a
+    # repeated point, so both sides leak there.  Failures come in subset order,
+    # alpha before beta, as the oracle's per-subset test finds them.
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, sdmm.AUDIT_CHUNK), st.data())
+    def test_leaks_across_three_chunks(self, q, extra, data):
+        f, t = PrimeField(q), T442
+        pts = _points(data, q, count_distinct(t))
+        pts[1] = pts[0]
+        subset = st.lists(st.integers(0, len(pts) - 1), min_size=4, max_size=4, unique=True).map(sorted).map(tuple)
+        middle = data.draw(st.lists(subset, min_size=2 * sdmm.AUDIT_CHUNK + extra - 2,
+                                    max_size=2 * sdmm.AUDIT_CHUNK + extra - 2))
+        subsets = [(0, 1, 2, 3), *middle, (0, 1, 4, 5)]
+        sides = [(side, oracle._mask_side(f, pts, exps)) for side, exps in (("alpha", t.alpha_s), ("beta", t.beta_s))]
+        want = [(s, side) for s in subsets for side, check in sides if check and check[0](s)]
+        got = list(sdmm._leaks(f, pts, t, subsets))
+        assert got == want
+        assert got[:2] == [((0, 1, 2, 3), "alpha"), ((0, 1, 2, 3), "beta")]
+        assert got[-2:] == [((0, 1, 4, 5), "alpha"), ((0, 1, 4, 5), "beta")]
 
     # The block's second pivot reduces to 158 = q + 1, the Barrett estimate one
     # short, so a table of only q inverses has no entry for it.
     def test_pivot_reduced_past_q(self, monkeypatch):
         f, pts, exps = PrimeField(157), (142, 36, 45, 82), (1, 2, 4, 7)
-        real, read = sdmm._singular, []
+        real, read = sdmm._singular_many, []
 
         class Reads(list):
             def __getitem__(self, v):
                 read.append(v)
                 return super().__getitem__(v)
 
-        monkeypatch.setattr(sdmm, "_singular", lambda rows, layout, inverses: real(rows, layout, Reads(inverses)))
+        monkeypatch.setattr(sdmm, "_singular_many", lambda rows, layout, inverses: real(rows, layout, Reads(inverses)))
         got, want = sdmm._mask_side(f, pts, exps, 10 ** 6), oracle._mask_side(f, pts, exps)
-        assert got[0]((0, 1, 2, 3)) is want[0]((0, 1, 2, 3)) is False
+        assert want[0]((0, 1, 2, 3)) is False
+        assert got[0]([(0, 1, 2, 3)]) == set()
         assert read == [51, 158]
 
     # 2q <= count * (T - 1): at q = 331 and T = 12 the table pays from 61 subsets.
@@ -719,9 +787,9 @@ class TestAuditKernels:
         t = construct(GaspParams(12, 12, 12, 4))
         fld, pts = choose_field_and_points(t, seed=1)
         seen = []
-        monkeypatch.setattr(sdmm, "_singular", lambda rows, layout, inverses: seen.append(inverses) or False)
+        monkeypatch.setattr(sdmm, "_singular_many", lambda rows, layout, inverses: seen.append(inverses) or set())
         leaks, _ = sdmm._mask_side(fld, pts, t.alpha_s, count)
-        assert fld.q == 331 and not leaks(tuple(range(12)))
+        assert fld.q == 331 and not leaks([tuple(range(12))])
         assert (seen[0] is not None) is table
         if table:
             assert len(seen[0]) == 2 * fld.q and all((v * i + 1) % fld.q == 0 for i, v in enumerate(seen[0]) if i % fld.q)
