@@ -11,10 +11,11 @@ The hot loops run on packed rows: a row over GF(q) is one Python int with one
 byte-aligned slot per column, so a row operation is a few big-int operations
 instead of one ``% q`` per entry.  Products sum weight times packed row in
 slots wide enough for the unreduced sum and reduce each entry once, unpacked.
-Elimination reduces each row once, into [0, 2q), when it becomes the pivot
-(see `_factor`).  The last factorisation is kept, so `solve` on the matrix
-`is_invertible` has just accepted only applies it.  Shapes are checked before
-anything is packed.
+Elimination reduces each row once, exactly, when it becomes the pivot, which
+keeps its slots narrow (see `_factor`); the block test reduces its pivots only
+into [0, 2q), by a Barrett estimate (see `_lazy_pack`).  The last factorisation
+is kept, so `solve` on the matrix `is_invertible` has just accepted only applies
+it.  Shapes are checked before anything is packed.
 """
 
 from __future__ import annotations
@@ -202,49 +203,48 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
     return _weighted_sums(field.q, a, zip(b), cols, inner_b)
 
 
-def _lazy_pack(q: int, rows, n: int, width: int, tight: bool = False) -> tuple[list[int], tuple[int, ...]]:
-    """``rows`` (as `_pack` takes them) packed for `_factor` on up to n of them, with the layout it takes;
-    ``tight`` slots take the fewest whole bytes, not a struct width, for rows never unpacked."""
+def _lazy_pack(q: int, rows, n: int, width: int) -> tuple[list[int], tuple[int, ...]]:
+    """``rows`` (as `_pack` takes them) packed for `_singular_many` on up to n of them, with the layout it takes,
+    (q, k, m, slot bytes, lowmask): a slot of a row left after row operations with pivots reduced into [0, 2q) by
+    q times the floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short, stays below
+    V = q + n(q-1)(2q-1) < 2^k, k = bits(V).  As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never
+    carry, and each estimate, below 2^k / q, fits the bits above k that lowmask keeps.  The slots take the fewest
+    whole bytes, not a struct width: the block test never unpacks a row."""
     k = (q + n * (q - 1) * (2 * q - 1)).bit_length()
-    bits = 2 * k - q.bit_length() + 2
-    nb = -(-bits // 8) if tight else _slot_bytes(bits)
+    nb = -(-(2 * k - q.bit_length() + 2) // 8)
     lowmask = int.from_bytes(((1 << 8 * nb - k) - 1).to_bytes(nb, "little") * width, "little")
     return _pack(rows, q, nb, width), (q, k, (1 << k) // q, nb, lowmask)
 
 
-def _factor(rows: list[int], layout: tuple[int, ...]):
-    """Forward elimination on the first len(rows) columns of ``rows``, packed by
-    `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows
-    (pivot in slot 0, slots in [0, 2q)), the steps (each pivot's index among the
-    rows left, and the multiplier of every row left after it) and the slot bytes;
-    None at the first column with no pivot.
+def _factor(q: int, rows, n: int, width: int):
+    """Forward elimination on the first n columns of the n ``rows`` (as `_pack` takes them, ``width`` entries
+    long): the pivot rows (pivot in slot 0, every slot below q), the steps (each pivot's index among the rows
+    left, and the multiplier of every row left after it) and the slot bytes; None at the first column with no
+    pivot.
 
-    A row operation adds g = -f mod q < q times a pivot row and shifts out the
-    eliminated column.  Rows enter below q, so on at most n rows (the n `_lazy_pack`
-    was given) a slot stays below q + (n-1)(q-1)(2q-1) < V = q + n(q-1)(2q-1) < 2^k,
-    k = bits(V).  Each row is reduced once, as it becomes the pivot, by q times the
-    floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short.
-    As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never carry, and
-    each estimate, below 2^k / q, fits the bits above k that lowmask keeps.
+    A row operation adds g = -f mod q < q times a pivot row and shifts out the eliminated column.  Each row is
+    reduced exactly, unpacked and packed again, as it becomes the pivot, so rows enter and pivots stay below q,
+    and a slot, after at most n - 1 row operations, stays below (q-1) + (n-1)(q-1)^2: four struct bytes at
+    GF(331) with n = 246.
     """
-    q, k, m, nb, lowmask = layout
-    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    nb = _slot_bytes((q - 1 + (n - 1) * (q - 1) ** 2).bit_length())
+    rows, smask = _pack(rows, q, nb, width), (1 << 8 * nb) - 1
     pivots, steps = [], []
     while rows:
         if (i := next((i for i, x in enumerate(rows) if (x & smask) % q), None)) is None:
             return None
-        p = rows.pop(i)
-        p -= q * ((p * m >> k) & lowmask)
-        neg = q - pow(p & smask, -1, q)
-        pivots.append(p)
+        u = _unpack(rows.pop(i), width, nb, q)
+        pivots.append(p := _pack(((u,),), q, nb, width)[0])
+        neg = q - pow(u[0], -1, q)
         steps.append((i, gs := [(x & smask) * neg % q for x in rows]))
-        rows = [(x + g * p) >> w for x, g in zip(rows, gs)]
+        rows = [(x + g * p) >> 8 * nb for x, g in zip(rows, gs)]
+        width -= 1
     return pivots, steps, nb
 
 
 def _singular_many(rows: list[list[int]], layout: tuple[int, ...], inverses) -> set[int]:
     """The indices b of the singular blocks, rows[o][b] being row o of block b: `_factor`'s elimination keeping
-    nothing, on the n - 1 rows (n as `_lazy_pack` was given) the audit leaves below 2q after its free first step,
+    nothing, on the n - 1 rows (packed by `_lazy_pack` for n) the audit leaves below 2q after its free first step,
     so a slot stays below 2q + (n-2)(q-1)(2q-1) < V.  Every block takes each step together, its row 0 the pivot,
     reduced into [0, 2q), with -1/p mod q from ``inverses`` (indexed by p, 0 at p = 0 and q) when given, else from
     `pow`.  A block whose row 0 is 0 mod q in slot 0 swaps in its first row that is not, or is singular if none is
@@ -271,16 +271,16 @@ def _singular_many(rows: list[list[int]], layout: tuple[int, ...], inverses) -> 
 def _lu(q: int, m: Matrix):
     """`_factor` of the square matrix m over GF(q), the last one kept: `decode`
     solves the very matrix that point selection's `is_invertible` just factored."""
-    return _factor(*_lazy_pack(q, zip(m), len(m), len(m)))
+    return _factor(q, zip(m), len(m), len(m))
 
 
 def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     """Solve m X = rhs over the field; None if m is singular.
 
-    m's factorisation is applied to the rhs rows, packed once as `_factor` packs
-    m: the forward pass replays its steps, each pivot reduced into [0, 2q) first,
-    so slots stay below V.  The back pass sums y_c + sum_j (-u_cj) x_j over packed
-    rows x_j < q, below 2q + (n-1)(q-1)^2 <= V, and reduces each entry once.
+    m's factorisation is applied to the rhs rows, packed once in `_factor`'s slots:
+    the forward pass replays its steps, each pivot reduced exactly first, so slots
+    stay below (q-1) + (n-1)(q-1)^2.  The back pass sums y_c + sum_j (-u_cj) x_j over
+    packed rows y_c, x_j < q, within the same bound, and reduces each entry once.
     """
     q, (n, cols), (rn, w) = field.q, _shape(m, "the matrix"), _shape(rhs, "rhs")
     if n != cols:
@@ -291,16 +291,14 @@ def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
         return None
     if not w:  # rows of no columns pack to no ints
         return ((),) * n
-    pivots, steps, mnb = lu
-    ys, (_, k, bm, nb, lowmask) = _lazy_pack(q, zip(rhs), n, w)
-    y = []
+    pivots, steps, nb = lu
+    ys, y = _pack(zip(rhs), q, nb, w), []
     for i, gs in steps:
-        p = ys.pop(i)
-        y.append(p := p - q * ((p * bm >> k) & lowmask))
+        y.append(p := _pack(((_unpack(ys.pop(i), w, nb, q),),), q, nb, w)[0])
         ys = [v + g * p for v, g in zip(ys, gs)]
     x, xs = [], []  # xs: x_{n-1}, x_{n-2}, ... packed
     for c in range(n - 1, -1, -1):
-        u = _unpack(pivots[c], n - c, mnb, q)
+        u = _unpack(pivots[c], n - c, nb, q)
         inv, acc = pow(u[0], -1, q), y[c] + sum(map(mul, [-v % q for v in u[:0:-1]], xs))
         x.append(row := tuple([v * inv % q for v in _unpack(acc, w, nb, q)]))
         xs.append(_pack(((row,),), q, nb, w)[0])

@@ -136,32 +136,45 @@ def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, disti
 
 
 def _dependent_subsets(q: int, rows, t: int):
-    """Every linearly dependent t-subset of ``rows``, in lexicographic order, from
-    one DFS that carries a basis of the vectors orthogonal to the prefix's rows: a
-    row is in their span iff orthogonal to all of them, and the completions of a
-    dependent prefix need no work at all.  At the last level the basis is one vector w:
-    sum(w_j * column j of all rows, packed once in slots of t(q-1)^2) holds every leaf's dot."""
+    """Every linearly dependent t-subset of ``rows``, in lexicographic order, from one DFS that carries a basis of
+    the vectors orthogonal to the prefix's rows: a row is in their span iff orthogonal to all of them, and the
+    completions of a dependent prefix need no work at all.  A node reads its rows' dots from one sum per basis
+    vector over the columns, packed once in slots of t(q-1)^2.  At t - 2 rows the basis is two vectors, and rows
+    i < j complete a dependent set iff their dot pairs are dependent in GF(q)^2: one is (0, 0), or both name the
+    same point of the projective line, d1/d2 or, when d2 = 0, q.  The 1/d2 come from a table of q inverses when
+    there are as many rows to key, at most C(n, t-1) (a (t-2)-prefix and one row after it), else from `pow`."""
     n = len(rows)
     nb = _slot_bytes((t * (q - 1) ** 2).bit_length())
     cols = _pack([(col,) for col in zip(*rows)], q, nb, n)
+    table = [pow(v, -1, q) if v else 0 for v in range(q)] if t > 1 and q <= math.comb(n, t - 1) else None
 
     def walk(prefix, basis, lo):
+        dots = [_unpack(sum(map(mul, w, cols)) >> 8 * nb * lo, n - lo, nb, q) for w in basis]
         if len(basis) == 1:
-            dots = _unpack(sum(map(mul, basis[0], cols)) >> 8 * nb * lo, n - lo, nb, q)
-            yield from (prefix + (i,) for i, d in enumerate(dots, lo) if not d)
-            return
-        for i in range(lo, n - t + len(prefix) + 1):
-            dots = [sum(map(mul, rows[i], w)) % q for w in basis]
-            if not any(dots):
-                s = prefix + (i,)
-                yield from (s + rest for rest in combinations(range(i + 1, n), t - len(s)))
-            else:
-                # Clear row i's dot from the other basis vectors with the first nonzero one.
-                j = next(k for k, d in enumerate(dots) if d)
-                f = pow(dots[j], q - 2, q)
-                rest = [[(a - d * f * b) % q for a, b in zip(w, basis[j])]
-                        for k, (w, d) in enumerate(zip(basis, dots)) if k != j]
-                yield from walk(prefix + (i,), rest, i + 1)
+            yield from (prefix + (i,) for i, d in enumerate(dots[0], lo) if not d)
+        elif len(basis) == 2:
+            # The class of each row: d1/d2 in [0, q), q when d2 = 0, and q + 1 for (0, 0).
+            inv = map(table.__getitem__, dots[1]) if table else (pow(b, -1, q) if b else 0 for b in dots[1])
+            keys = [a * v % q if b else q + (not a) for a, b, v in zip(*dots, inv)]
+            if q + 1 in keys or len(set(keys)) < len(keys):
+                mates = {}
+                for i, c in enumerate(keys, lo):
+                    mates.setdefault(c, []).append(i)
+                zero = mates.pop(q + 1, [])
+                pairs = {p for g in mates.values() if zero or len(g) > 1 for p in combinations(sorted(g + zero), 2)}
+                yield from (prefix + p for p in sorted(pairs.union(combinations(zero, 2))))
+        else:
+            for i, ds in zip(range(lo, n - t + len(prefix) + 1), zip(*dots)):
+                if not any(ds):
+                    s = prefix + (i,)
+                    yield from (s + rest for rest in combinations(range(i + 1, n), t - len(s)))
+                else:
+                    # Clear row i's dot from the other basis vectors with the first nonzero one.
+                    j = next(k for k, d in enumerate(ds) if d)
+                    f = pow(ds[j], q - 2, q)
+                    rest = [[(a - d * f * b) % q for a, b in zip(w, basis[j])]
+                            for k, (w, d) in enumerate(zip(basis, ds)) if k != j]
+                    yield from walk(prefix + (i,), rest, i + 1)
 
     return walk((), [[int(i == j) for j in range(t)] for i in range(t)], 0)
 
@@ -186,7 +199,7 @@ def _mask_side(field: PrimeField, points, exps, count: int):
                                                lambda: filter(leak, combinations(range(n), t)))
     e0 = min(exps)
     zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
-    packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t, tight=True)
+    packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t)
     w = 8 * layout[3]
     qs = q * sum(1 << w * j for j in range(t))
     inverses = [q - pow(v, -1, q) if v % q else 0 for v in range(2 * q)] if 2 * q <= count * (t - 1) else None

@@ -12,14 +12,18 @@ before the audit replayed `random.sample` inline, took each block's first
 elimination step on relative exponents and packed the DFS leaves: `_subsets`
 drawing through `rng.sample`, `_dependent_subsets` with one dot product per
 leaf, and `_mask_side` eliminating the absolute rows of each block.
-`keepless_factor` is the block test's loop as it was inside `field._factor`,
+`_factor` is the elimination behind `solve` and `is_invertible` as it was
+before it reduced each pivot row exactly: into [0, 2q) by a Barrett estimate,
+on rows packed by `_lazy_pack`, in struct-width slots that hold that bound
+(`lazy_eliminate` and `lazy_solve` take the same packing).
+`keepless_factor` is the block test's loop as it was inside that `_factor`,
 before the test took its pivot inverses from a table and its last row from
 slot 0 alone, and `_singular` is that test after it, one block at a time,
 before `field._singular_many` took a chunk of blocks through each step
-together.  The differential tests in test_field.py and test_sdmm.py compare the shared
-kernels against them result for result: the same products and solutions, the
-same points (so the same RNG draws), the same draws, subsets and verdicts, and
-the same audit reports.
+together.  The differential tests in test_field.py and test_sdmm.py compare
+the shared kernels against them result for result: the same products and
+solutions, the same points (so the same RNG draws), the same draws, subsets
+and verdicts, and the same audit reports.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from gasptables.degree_table import DegreeTable, DomainError, count_distinct, sumset
-from gasptables.field import Matrix, PrimeField, _lazy_pack, _pack, _slot_bytes, _unpack, next_prime
+from gasptables.field import Matrix, PrimeField, _pack, _slot_bytes, _unpack, next_prime
 from gasptables.sdmm import (
     EXHAUSTIVE_SUBSET_LIMIT,
     MAX_POINT_RETRIES,
@@ -159,9 +163,17 @@ def barrett_eliminate(q: int, rows, n: int, width: int) -> Optional[tuple[list[i
     return pivots, nb
 
 
+def _lazy_pack(q: int, rows, n: int, width: int) -> tuple[list[int], tuple[int, ...]]:
+    """``rows`` (as `_pack` takes them) packed for `_factor` on up to n of them, with the layout it takes."""
+    k = (q + n * (q - 1) * (2 * q - 1)).bit_length()
+    nb = _slot_bytes(2 * k - q.bit_length() + 2)
+    lowmask = int.from_bytes(((1 << 8 * nb - k) - 1).to_bytes(nb, "little") * width, "little")
+    return _pack(rows, q, nb, width), (q, k, (1 << k) // q, nb, lowmask)
+
+
 def lazy_eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[list[int], int]]:
     """Forward elimination on the first len(rows) columns of ``rows``, packed by
-    `field._lazy_pack`: the pivot rows, pivot in slot 0 and slots in [0, 2q), and
+    `_lazy_pack`: the pivot rows, pivot in slot 0 and slots in [0, 2q), and
     the slot bytes; None at the first column with no pivot.  Each row is reduced
     once, by a floor-Barrett estimate, as it becomes the pivot; nothing else is kept."""
     q, k, m, nb, lowmask = layout
@@ -176,6 +188,36 @@ def lazy_eliminate(rows: list[int], layout: tuple[int, ...]) -> Optional[tuple[l
         neg = q - pow(p & smask, -1, q)
         rows = [(x + (x & smask) * neg % q * p) >> w for x in rows]
     return pivots, nb
+
+
+def _factor(rows: list[int], layout: tuple[int, ...]):
+    """Forward elimination on the first len(rows) columns of ``rows``, packed by
+    `_lazy_pack` with ``layout`` (q, k, m, slot bytes, lowmask): the pivot rows
+    (pivot in slot 0, slots in [0, 2q)), the steps (each pivot's index among the
+    rows left, and the multiplier of every row left after it) and the slot bytes;
+    None at the first column with no pivot.
+
+    A row operation adds g = -f mod q < q times a pivot row and shifts out the
+    eliminated column.  Rows enter below q, so on at most n rows (the n `_lazy_pack`
+    was given) a slot stays below q + (n-1)(q-1)(2q-1) < V = q + n(q-1)(2q-1) < 2^k,
+    k = bits(V).  Each row is reduced once, as it becomes the pivot, by q times the
+    floor-Barrett estimate v*m >> k (m = 2^k // q) of v // q, exact or one short.
+    As v*m < 2^(2k - bits(q) + 1), slots of 2k - bits(q) + 2 bits never carry, and
+    each estimate, below 2^k / q, fits the bits above k that lowmask keeps.
+    """
+    q, k, m, nb, lowmask = layout
+    w, smask = 8 * nb, (1 << 8 * nb) - 1
+    pivots, steps = [], []
+    while rows:
+        if (i := next((i for i, x in enumerate(rows) if (x & smask) % q), None)) is None:
+            return None
+        p = rows.pop(i)
+        p -= q * ((p * m >> k) & lowmask)
+        neg = q - pow(p & smask, -1, q)
+        pivots.append(p)
+        steps.append((i, gs := [(x & smask) * neg % q for x in rows]))
+        rows = [(x + g * p) >> w for x, g in zip(rows, gs)]
+    return pivots, steps, nb
 
 
 def keepless_factor(rows: list[int], layout: tuple[int, ...]) -> Optional[bool]:

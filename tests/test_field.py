@@ -448,24 +448,38 @@ class TestLazyBound:
         assert is_invertible(f, singular) == oracle.is_invertible(f, singular) is False
         assert solve(f, singular, rhs) is oracle.solve(f, singular, rhs) is None
 
-    # The pivot rows themselves, reduced mod q, are the parent kernel's, and
-    # every slot of them is below 2q.
+    # The pivot rows, reduced mod q, and the steps (pivot indices and
+    # multipliers) are the parent kernel's, the pivot rows are reduced exactly,
+    # and, replayed from the steps, every slot of every row stays within
+    # (q-1) + (n-1)(q-1)^2, which its slot bytes hold.
     @settings(max_examples=150, deadline=None)
     @given(packed_systems())
     def test_pivot_rows_match_parent_kernel(self, system):
         q, m, rhs = system
         n = len(m)
         width = n + (len(rhs[0]) if rhs else 0)
-        got = field._factor(*field._lazy_pack(q, zip(m, rhs), n, width))
-        parent = oracle.barrett_eliminate(q, zip(m, rhs), n, width)
-        assert (got is None) == (parent is None)
-        if got is not None:
-            raw = [_slots(p, width - c, got[2]) for c, p in enumerate(got[0])]
-            assert all(v < 2 * q for row in raw for v in row)
-            assert [[v % q for v in row] for row in raw] == [
-                list(field._unpack(p, width - c, parent[1], q)) for c, p in enumerate(parent[0])]
-            # Recording the steps leaves the elimination exactly as it was.
-            assert got[0] == oracle.lazy_eliminate(*field._lazy_pack(q, zip(m, rhs), n, width))[0]
+        got = field._factor(q, zip(m, rhs), n, width)
+        parent = oracle._factor(*oracle._lazy_pack(q, zip(m, rhs), n, width))
+        assert (got is None) == (parent is None) == (oracle.barrett_eliminate(q, zip(m, rhs), n, width) is None)
+        if got is None:
+            return
+        pivots, steps, nb = got
+        assert steps == parent[1]
+        raw = [_slots(p, width - c, nb) for c, p in enumerate(pivots)]
+        assert raw == [list(field._unpack(p, width - c, parent[2], q)) for c, p in enumerate(parent[0])]
+        bound = q - 1 + (n - 1) * (q - 1) ** 2
+        assert bound < 1 << 8 * nb
+        rows = field._pack(zip(m, rhs), q, nb, width)
+        for c, ((i, gs), p) in enumerate(zip(steps, pivots)):
+            assert all(v <= bound for x in rows for v in _slots(x, width - c, nb))
+            assert [v % q for v in _slots(rows.pop(i), width - c, nb)] == raw[c]
+            rows = [(x + g * p) >> 8 * nb for x, g in zip(rows, gs)]
+
+    # Exact pivot rows put the N x N decode matrices of 8^3 and 12^3 in 4-byte
+    # struct slots; pivots reduced only into [0, 2q) needed 8 at both.
+    @pytest.mark.parametrize("q, n", [(157, 122), (331, 246)])
+    def test_decode_matrix_slots(self, q, n):
+        assert field._factor(q, (), n, n)[2] == 4
 
 
 @st.composite
@@ -516,17 +530,17 @@ class TestFactorAgainstParent:
         f, n = PrimeField(q), len(m)
         parent = oracle.lazy_solve(f, m, rhs)
         assert solve(f, m, rhs) == parent
-        assert is_invertible(f, m) == (oracle.lazy_eliminate(*field._lazy_pack(q, zip(m), n, n)) is not None)
+        assert is_invertible(f, m) == (oracle.lazy_eliminate(*oracle._lazy_pack(q, zip(m), n, n)) is not None)
         # The kept factorisation serves a second right-hand side too.
         assert solve(f, m, rhs[::-1]) == oracle.lazy_solve(f, m, rhs[::-1])
 
-    # Struct-width or tight slots, pivot inverses from the table or from pow.
+    # Pivot inverses from the table or from pow.
     @settings(max_examples=400, deadline=None)
-    @given(square_blocks(), st.booleans(), st.booleans())
-    def test_singular_blocks(self, block, tight, table):
+    @given(square_blocks(), st.booleans())
+    def test_singular_blocks(self, block, table):
         q, m = block
         n = len(m)
-        rows, layout = field._lazy_pack(q, zip(m), n, n, tight)
+        rows, layout = field._lazy_pack(q, zip(m), n, n)
         inverses = _inverses(q) if table else None
         singular = _batched(rows, layout, inverses)
         assert singular == oracle._singular(list(rows), layout, inverses)
@@ -537,11 +551,11 @@ class TestFactorAgainstParent:
     # The audit hands the block test the n - 1 rows left after its own first
     # step, with slots below 2q: each slot lifted by q at random, or every one.
     @settings(max_examples=200, deadline=None)
-    @given(square_blocks(), st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
-    def test_singular_blocks_below_2q(self, block, lift, seed, tight, table):
+    @given(square_blocks(), st.sampled_from([0, 1, None]), st.integers(0, 2 ** 32), st.booleans())
+    def test_singular_blocks_below_2q(self, block, lift, seed, table):
         q, m = block
         n, rng = len(m), random.Random(seed)
-        _, layout = field._lazy_pack(q, (), n + 1, n, tight)
+        _, layout = field._lazy_pack(q, (), n + 1, n)
         rows = [_packed([v % q + q * (rng.randrange(2) if lift is None else lift) for v in row], layout[3])
                 for row in m]
         inverses = _inverses(q) if table else None
@@ -555,7 +569,7 @@ class TestFactorAgainstParent:
     @pytest.mark.parametrize("q", [13, 331, LAZY_QS[-1]])
     @pytest.mark.parametrize("table", [True, False])
     def test_one_and_two_row_blocks(self, q, table):
-        _, layout = field._lazy_pack(q, (), 2, 1, tight=True)
+        _, layout = field._lazy_pack(q, (), 2, 1)
         inverses = _inverses(q) if table else None
         assert field._singular_many([], layout, inverses) == set()
         assert oracle._singular([], layout, inverses) is False

@@ -555,6 +555,16 @@ class TestAgainstOracle:
         assert rep.failures
         assert rep == oracle.security_check(inst, mode="sampled", sample_size=3000, seed=5)
 
+    # The default 4^3 audit, every one of its 58,905 subsets through the DFS and
+    # its pair level, against the oracle's test of each subset: over GF(43) and
+    # GF(53) the alpha side leaks on over a thousand subsets.
+    @pytest.mark.parametrize("base_q, q, leaks", [(2, 43, 1164), (53, 53, 1386)])
+    def test_exhaustive_report_at_4_cubed(self, base_q, q, leaks):
+        inst = build_instance(((1,),) * 4, ((1,) * 4,), T442, base_q=base_q, seed=1)
+        rep = security_check(inst)
+        assert (inst.field.q, rep.exhaustive, rep.checked, len(rep.failures)) == (q, True, 58_905, leaks)
+        assert rep == oracle.security_check(inst)
+
     # Every GASP table with at most 1,500 T-subsets.  It holds AP suffixes
     # with step 1 (r >= T), step K (r = 1) and T = 1, and gappy alpha
     # suffixes such as (3, 4, 6) that go through the prefix DFS.
@@ -669,15 +679,54 @@ class TestAuditKernels:
             assert got == oracle._subsets(n, t, -1, 200, ref, distinct)
             assert rng.getstate() == ref.getstate()
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]), st.integers(1, 4), st.integers(0, 10), st.data())
-    def test_dependent_subsets(self, q, t, n, data):
-        # Entries from a small set (wide q) or a small field, so that zero,
-        # repeated and dependent rows are common; unreduced entries included.
-        entry = st.sampled_from([0, 1, 2, q - 1, q, q + 1]) if q in WIDE_Q else st.integers(0, 2 * q)
-        rows = data.draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=n, max_size=n))
+    # From t - 2 rows on, the DFS pairs the rows left by the class of their dot
+    # pair on the projective line.  Rows are drawn so that each case is common:
+    # zero rows (multiples of q), which pair with every later row; repeats and
+    # scaled copies, which share a class; and unit rows, whose second dot is
+    # often 0, the class q.  Small fields read the inverses from a table when
+    # there are at least q rows to key, wide ones call pow; entries come
+    # unreduced too.
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]), st.integers(1, 5), st.data())
+    def test_dependent_subsets(self, q, t, data):
+        n = data.draw(st.integers(0, 14))
+        entry = st.sampled_from([0, 1, 2, q - 1, q, q + 1])
+        entry = entry if q in WIDE_Q else entry | st.integers(0, 2 * q)
+        rows = []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["random", "zero", "scaled", "unit"]))
+            if kind == "zero":
+                rows.append([q * data.draw(st.integers(0, 2)) for _ in range(t)])
+            elif kind == "scaled" and rows:
+                c, row = data.draw(entry), data.draw(st.sampled_from(rows))
+                rows.append([c * v for v in row])
+            elif kind == "unit":
+                j, c = data.draw(st.integers(0, t - 1)), data.draw(entry)
+                rows.append([c * (k == j) for k in range(t)])
+            else:
+                rows.append(data.draw(st.lists(entry, min_size=t, max_size=t)))
         got = list(sdmm._dependent_subsets(q, rows, t))
         assert got == list(oracle._dependent_subsets(q, rows, t))
+
+    # The pair level keys at most C(n, t - 1) rows, a (t - 2)-prefix and one row
+    # after it, so it builds its table of q - 1 inverses only when q is at most
+    # that, and otherwise inverts no more often than it keys a row.  At n = 12,
+    # t = 10 that is 220 rows, where q = 1009 would cost a table of 1008.
+    @pytest.mark.parametrize("q, n, t", [(43, 12, 4), (1009, 12, 10), (WIDE_Q[0], 12, 5)])
+    def test_pair_level_inverts_at_most_the_rows_it_keys(self, monkeypatch, q, n, t):
+        inversions = []
+
+        def counted(*args):
+            if args[1] == -1:
+                inversions.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(sdmm, "pow", counted, raising=False)
+        rng = random.Random(q)
+        rows = [[rng.randrange(q) for _ in range(t)] for _ in range(n)]
+        assert list(sdmm._dependent_subsets(q, rows, t)) == list(oracle._dependent_subsets(q, rows, t))
+        keyed = math.comb(n, t - 1)
+        assert len(inversions) == q - 1 if q <= keyed else 0 < len(inversions) <= keyed
 
     # Exponents sorted with or without 0 (so e0 = 0 or e0 > 0), gappy or an
     # arithmetic progression, and unsorted with repeats.
@@ -721,20 +770,20 @@ class TestAuditKernels:
     # The batched block test against the parent's one-block kernel, keepless_factor
     # and plain elimination, on the rows the audit hands it after its free first step:
     # primes 2 to 13 (where pivot swaps and singular blocks are common) and 43, T = 1 to
-    # 5, points with zeros, repeats and unreduced values, tight and struct-width slots,
-    # the pivot-inverse table and pow, and batches from one block up.
+    # 5, points with zeros, repeats and unreduced values, the pivot-inverse table
+    # and pow, and batches from one block up.
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, 11, 13, 43]),
            st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True).map(sorted),
-           st.booleans(), st.booleans(), st.integers(1, 40), st.data())
-    def test_batched_block_test(self, q, exps, tight, table, batch, data):
+           st.booleans(), st.integers(1, 40), st.data())
+    def test_batched_block_test(self, q, exps, table, batch, data):
         f, t = PrimeField(q), len(exps)
         n = data.draw(st.integers(t, 10))
         pts = _points(data, q, n)
         subset = st.lists(st.integers(0, n - 1), min_size=t, max_size=t, unique=True).map(sorted).map(tuple)
         subsets = data.draw(st.lists(subset, min_size=batch, max_size=batch))
         rel = sdmm._powers(f, pts, [e - exps[0] for e in exps])
-        packed, layout = field._lazy_pack(q, zip(rel), t, t, tight)
+        packed, layout = field._lazy_pack(q, zip(rel), t, t)
         w = 8 * layout[3]
         qs = q * sum(1 << w * j for j in range(t))
         blocks = [[(packed[i] + qs - packed[s[0]]) >> w for i in s[1:]] for s in subsets]
