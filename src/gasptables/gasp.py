@@ -272,6 +272,7 @@ def optimal_r(K: int, L: int, T: int) -> tuple[int, int, ChainSearchTrace]:
     smallest r; the trace keeps all evaluated (r, N(r)) pairs so other
     minimizers stay visible.
     """
+    _require_int(K=K, L=L, T=T)  # before the swap, so an error names the caller's argument
     if L > K:
         K, L = L, K
     trace = candidate_set(K, L, T)

@@ -31,9 +31,11 @@ from .field import (Matrix, PrimeField, _lazy_pack, _pack, _shape, _singular_man
 # MAX_POINT_RETRIES attempts; both are read at call time, so tests can patch them.
 SELECTION_SAMPLES = 50
 MAX_POINT_RETRIES = 64
+# A sampled audit draws SAMPLED_SUBSET_COUNT distinct subsets where there are more than its mode
+# enumerates, so it never covers them all: keep it at most EXHAUSTIVE_SUBSET_LIMIT.
 EXHAUSTIVE_SUBSET_LIMIT = 100_000
 SAMPLED_SUBSET_COUNT = 10_000
-# mode="all" refuses to enumerate more subsets than this, and every mode to sample more.
+# mode="all" refuses to enumerate more subsets than this.
 MAX_EXHAUSTIVE_SUBSETS = 10**7
 # The sampled audit takes this many subsets through the block test's elimination
 # steps together: time is flat from 128 up, and memory grows with the chunk.
@@ -70,8 +72,11 @@ class DecodeResult:
 class SecurityReport:
     total_subsets: int
     checked: int
-    exhaustive: bool
     failures: tuple[tuple[tuple[int, ...], str], ...] = ()
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.checked == self.total_subsets
 
     @property
     def ok(self) -> bool:
@@ -116,12 +121,12 @@ def _powers(field: PrimeField, points, exps) -> Matrix:
 
 
 def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
-    """None (every t-subset of range(n)) if there are at most max(limit, samples),
-    else ``samples`` sorted random draws, all made before the caller checks any;
-    ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged.
+    """None (every t-subset of range(n)) if there are at most ``limit``, else ``samples`` sorted
+    random draws, all made before the caller checks any; ``distinct`` redraws each repeat (so
+    ``samples`` must be below the count), and the draws before the first repeat are unchanged.
     Each draw is ``rng.sample(range(n), t)``'s; where sample keeps a set (n above 21, plus
     4^ceil(log4(3t)) when t > 5), its getrandbits(bits(n)) stream is replayed inline."""
-    if math.comb(n, t) <= max(limit, samples):
+    if math.comb(n, t) <= limit:
         return None
     pool = n <= 21 + (4 ** math.ceil(math.log(3 * t, 4)) if t > 5 else 0)
     gb, k, drawn = rng.getrandbits, n.bit_length(), {}
@@ -150,9 +155,7 @@ def _dependent_subsets(q: int, rows, t: int):
 
     def walk(prefix, basis, lo):
         dots = [_unpack(sum(map(mul, w, cols)) >> 8 * nb * lo, n - lo, nb, q) for w in basis]
-        if len(basis) == 1:
-            yield from (prefix + (i,) for i, d in enumerate(dots[0], lo) if not d)
-        elif len(basis) == 2:
+        if len(basis) == 2:
             # The class of each row: d1/d2 in [0, q), q when d2 = 0, and q + 1 for (0, 0).
             inv = map(table.__getitem__, dots[1]) if table else (pow(b, -1, q) if b else 0 for b in dots[1])
             keys = [a * v % q if b else q + (not a) for a, b, v in zip(*dots, inv)]
@@ -180,23 +183,23 @@ def _dependent_subsets(q: int, rows, t: int):
 
 
 def _mask_side(field: PrimeField, points, exps, count: int):
-    """None when no T x T block of this side can be singular, else (leaks, every): leaks(chunk) is the
-    set of positions of the singular blocks in a non-empty list of subsets, every() yields the singular
-    subsets in lexicographic order.  Exponents a, a+d, ... give blocks diag(x^a) Vandermonde(x^d), singular
-    iff two points share x^d; a zero point (field.pow takes 0^0 as 1) is eliminated.  Otherwise a block is
-    diag(x^e0) times the rows x^(e - e0), e0 the least exponent, packed with the columns sorted, so slot 0
-    is 1.  diag(x^e0) is invertible but on a zero point, whose row sinks every block when e0 > 0.  So
-    leaks(chunk) takes the first step free, a row position at a time: with c = q in every slot minus a
-    subset's first row, each other row x goes to (x + c) >> slot, below 2q.  `_singular_many` takes the
-    chunk's blocks through the other steps together, in tight slots (never unpacked) and with the 2q pivot
-    inverses listed once if ``count`` subsets need more `pow` calls than that.  every() walks the absolute rows."""
+    """None when no T x T block of this side can be singular, else leaks(chunk): the set of positions
+    of the singular blocks in a non-empty list of subsets.  Exponents a, a+d, ... give blocks
+    diag(x^a) Vandermonde(x^d), singular iff two points share x^d; a zero point (field.pow takes 0^0 as
+    1) is eliminated.  Otherwise a block is diag(x^e0) times the rows x^(e - e0), e0 the least exponent,
+    packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a zero point, whose
+    row sinks every block when e0 > 0.  So leaks(chunk) takes the first step free, a row position at a
+    time: with c = q in every slot minus a subset's first row, each other row x goes to (x + c) >> slot,
+    below 2q.  `_singular_many` takes the chunk's blocks through the other steps together, in tight
+    slots (never unpacked) and with the 2q pivot inverses listed once if ``count`` subsets need more
+    `pow` calls than that."""
     q, t, n = field.q, len(exps), len(points)
     steps = {b - a for a, b in zip(exps, exps[1:])}
     if len(steps) <= 1 and all(x % q for x in points):
         y = [field.pow(x, max(steps, default=1)) for x in points]
-        leak = lambda s: len({y[i] for i in s}) < t
-        return None if len(set(y)) == n else (lambda chunk: {b for b, s in enumerate(chunk) if leak(s)},
-                                               lambda: filter(leak, combinations(range(n), t)))
+        if len(set(y)) == n:
+            return None
+        return lambda chunk: {b for b, s in enumerate(chunk) if len({y[i] for i in s}) < t}
     e0 = min(exps)
     zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
     packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t)
@@ -210,20 +213,22 @@ def _mask_side(field: PrimeField, points, exps, count: int):
         found = _singular_many([[(packed[i] + d) >> w for i, d in zip(col, c)] for col in rest], layout, inverses)
         return found | {b for b, s in enumerate(chunk) if not zeros.isdisjoint(s)} if zeros else found
 
-    return leaks, lambda: _dependent_subsets(q, _powers(field, points, exps), t)
+    return leaks
 
 
 def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
-    """Yield (subset, side), alpha first, for each singular T x T mask block: over ``subsets``
-    in order, tested AUDIT_CHUNK at a time, or, when None, streamed over every T-subset in
-    lexicographic order."""
-    sides = [(side, check) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
-             if (check := _mask_side(field, points, exps, len(subsets or ())))]
+    """Yield (subset, side), alpha first, for each singular T x T mask block of a side
+    `_mask_side` cannot prove clean: over ``subsets`` in order, tested AUDIT_CHUNK at a
+    time by the side's leaks(chunk), or, when None, over every T-subset in lexicographic
+    order, streamed by `_dependent_subsets` on the side's powers."""
+    sides = [(side, exps, leaks) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
+             if (leaks := _mask_side(field, points, exps, len(subsets or ())))]
     if subsets is None:
-        return heapq.merge(*(zip(every(), repeat(side)) for side, (_, every) in sides))
+        return heapq.merge(*(zip(_dependent_subsets(field.q, _powers(field, points, exps), table.T), repeat(side))
+                             for side, exps, _ in sides))
     chunks = (subsets[c:c + AUDIT_CHUNK] for c in range(0, len(subsets), AUDIT_CHUNK))
     return ((chunk[b], sides[j][0]) for chunk in chunks
-            for b, j in sorted({(b, j) for j, (_, (leaks, _)) in enumerate(sides) for b in leaks(chunk)}))
+            for b, j in sorted({(b, j) for j, (_, _, leaks) in enumerate(sides) for b in leaks(chunk)}))
 
 
 def choose_field_and_points(
@@ -236,9 +241,11 @@ def choose_field_and_points(
     q is the smallest prime at least max(base_q, M + 2, N + 1) where M is the
     largest table entry, so exponent arithmetic mod q - 1 cannot merge two
     distinct degrees.  Candidate point sets are rejection-sampled until the
-    decode matrix and SELECTION_SAMPLES randomly selected T x T security
-    submatrices are all invertible, at most MAX_POINT_RETRIES times; `decode`
-    reuses the accepted decode matrix's factorisation.
+    decode matrix and the T x T security submatrices of SELECTION_SAMPLES
+    random T-subsets are all invertible, at most MAX_POINT_RETRIES times.  The
+    subsets are drawn with replacement, so they may hold fewer distinct ones
+    (50 draws from GASP(2,2,2)'s 55).  `decode` reuses the accepted decode
+    matrix's factorisation.
     """
     _require_int(base_q=base_q, low=2, rule="at least 2")
     n = count_distinct(table)
@@ -321,34 +328,25 @@ def plain_product(inst: SdmmInstance) -> Matrix:
     return mat_mul(inst.field, inst.a_mat, inst.b_mat)
 
 
-def security_check(
-    inst: SdmmInstance,
-    mode: str = "auto",
-    sample_size: int = SAMPLED_SUBSET_COUNT,
-    seed: int = 0,
-) -> SecurityReport:
+def security_check(inst: SdmmInstance, mode: str = "auto", seed: int = 0) -> SecurityReport:
     """Verify the T x T mask submatrices are invertible for server subsets.
 
     ``mode="all"`` tries every subset (refusing past MAX_EXHAUSTIVE_SUBSETS), "auto"
-    every one when there are at most max(EXHAUSTIVE_SUBSET_LIMIT, ``sample_size``),
-    "sampled" when there are at most ``sample_size``; otherwise ``sample_size`` distinct
-    random subsets drawn from ``seed`` (held together, so at most MAX_EXHAUSTIVE_SUBSETS)
-    and tested AUDIT_CHUNK at a time, each mask side's blocks by one batched elimination
-    (see `_mask_side`).  A failure names the subset and the side that leaked.
+    every one when there are at most EXHAUSTIVE_SUBSET_LIMIT, "sampled" when there are
+    at most SAMPLED_SUBSET_COUNT; otherwise SAMPLED_SUBSET_COUNT distinct random subsets
+    drawn from ``seed`` and tested AUDIT_CHUNK at a time, each mask side's blocks by one
+    batched elimination (see `_mask_side`).  A failure names the subset and the side that
+    leaked; the report is exhaustive exactly when it checked every subset.
     """
     # The most subsets each mode enumerates; above that it samples instead.
-    limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": -1}
+    limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": SAMPLED_SUBSET_COUNT}
     if mode not in limits:
         raise DomainError(f"unknown mode {mode!r}")
-    _require_int(sample_size=sample_size, rule="at least 1")
-    if mode != "all" and sample_size > MAX_EXHAUSTIVE_SUBSETS:
-        raise DomainError(f"sample_size must be at most MAX_EXHAUSTIVE_SUBSETS = {MAX_EXHAUSTIVE_SUBSETS},"
-                          f" got {sample_size}")
     n, t = inst.n_servers, inst.table.T
     total = math.comb(n, t)
     if mode == "all" and total > MAX_EXHAUSTIVE_SUBSETS:
         raise DomainError(f"an exhaustive audit would check C({n},{t}) = {total} subsets,"
                           f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
-    subsets = _subsets(n, t, limits[mode], sample_size, random.Random(f"security:{seed}"))
-    return SecurityReport(total_subsets=total, checked=total if subsets is None else sample_size,
-                          exhaustive=subsets is None, failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)))
+    subsets = _subsets(n, t, limits[mode], SAMPLED_SUBSET_COUNT, random.Random(f"security:{seed}"))
+    return SecurityReport(total_subsets=total, checked=total if subsets is None else len(subsets),
+                          failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)))

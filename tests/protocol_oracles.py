@@ -355,18 +355,15 @@ def choose_field_and_points(
     )
 
 
-def security_check(
-    inst: SdmmInstance,
-    mode: str = "auto",
-    sample_size: int = SAMPLED_SUBSET_COUNT,
-    seed: int = 0,
-) -> SecurityReport:
+def security_check(inst: SdmmInstance, mode: str = "auto", seed: int = 0) -> SecurityReport:
     """Verify the T x T mask submatrices are invertible for server subsets.
 
-    Every subset is tried when there are at most 100000 of them, at most
-    ``sample_size``, or when ``mode="all"`` forces it; otherwise
-    ``sample_size`` distinct random subsets are drawn.  A failure names the
-    offending subset and which side leaked.
+    Every subset is tried when there are at most EXHAUSTIVE_SUBSET_LIMIT of
+    them in mode "auto", at most SAMPLED_SUBSET_COUNT, or when ``mode="all"``
+    forces it; otherwise SAMPLED_SUBSET_COUNT distinct random subsets are
+    drawn.  A failure names the offending subset and which side leaked.  Both
+    constants are read from this module: a test that patches sdmm's patches
+    them here too.
     """
     if mode not in ("auto", "all", "sampled"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -375,43 +372,34 @@ def security_check(
     n = inst.n_servers
     t = tab.T
     total = math.comb(n, t)
-    if t == 0:
-        return SecurityReport(total_subsets=total, checked=0, exhaustive=True)
     rows_a = _suffix_rows(fld, inst.points, tab.alpha_s)
     rows_b = _suffix_rows(fld, inst.points, tab.beta_s)
-    exhaustive = (mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT)
-                  or total <= sample_size)
-    if exhaustive:
+    if mode == "all" or (mode == "auto" and total <= EXHAUSTIVE_SUBSET_LIMIT) or total <= SAMPLED_SUBSET_COUNT:
         subsets = combinations(range(n), t)
         checked = total
     else:
         # Distinct draws in draw order: a repeated subset is drawn again.
         rng = random.Random(f"security:{seed}")
         subsets = []
-        while len(subsets) < sample_size:
+        while len(subsets) < SAMPLED_SUBSET_COUNT:
             s = tuple(sorted(rng.sample(range(n), t)))
             if s not in subsets:
                 subsets.append(s)
-        checked = sample_size
+        checked = SAMPLED_SUBSET_COUNT
     failures = []
     for s in subsets:
         if not _subset_ok(fld, rows_a, s):
             failures.append((s, "alpha"))
         if not _subset_ok(fld, rows_b, s):
             failures.append((s, "beta"))
-    return SecurityReport(
-        total_subsets=total,
-        checked=checked,
-        exhaustive=exhaustive,
-        failures=tuple(failures),
-    )
+    return SecurityReport(total_subsets=total, checked=checked, failures=tuple(failures))
 
 
 def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
-    """None (every t-subset of range(n)) if there are at most max(limit, samples),
-    else ``samples`` sorted random draws, all made before the caller checks any;
+    """None (every t-subset of range(n)) if there are at most ``limit``, else
+    ``samples`` sorted random draws, all made before the caller checks any;
     ``distinct`` redraws each repeat, so the draws before the first repeat are unchanged."""
-    if math.comb(n, t) <= max(limit, samples):
+    if math.comb(n, t) <= limit:
         return None
     drawn = {}
     while len(drawn) < samples:

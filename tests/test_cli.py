@@ -131,6 +131,18 @@ class TestGaspCommands:
         doc = json.loads(out)
         assert code == 0 and (doc["r_star"], doc["N"]) == gasp_oracles.optimal_r_full_scan(9, 6, 30)
 
+    # The error names the flag the bad value was given to, also where L > K.
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--K", "--L", "--T"])
+    def test_optimal_r_names_the_bad_flag(self, capsys, flag, bad):
+        argv = ["gasp", "optimal-r", "--K", "1", "--L", "2", "--T", "1"]
+        argv[argv.index(flag) + 1] = bad
+        code, out, err = dispatch(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {flag[2:]} must be a positive integer, got {bad}\n")
+        argv[argv.index(flag) + 1] = "2.5"
+        code, _, err = dispatch(capsys, *argv)
+        assert code == 2 and f"argument {flag}: invalid int value: '2.5'" in err
+
     def test_r_and_big_are_mutually_exclusive(self, capsys):
         code, _, _ = dispatch(
             capsys, "gasp", "n", "--K", "2", "--L", "2", "--T", "2", "--r", "1", "--big"

@@ -368,6 +368,15 @@ class TestOptimalR:
     def test_accepts_l_greater_than_k(self):
         assert optimal_r(6, 9, 9)[:2] == optimal_r(9, 6, 9)[:2] == oracle.optimal_r_full_scan(6, 9, 9)
 
+    # optimal_r swaps K and L when L > K; a bad value is reported under the
+    # name the caller gave it, not the one it would have after the swap.
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("name", ["K", "L", "T"])
+    def test_bad_argument_named_as_passed(self, name, bad):
+        args = {"K": 1, "L": 2, "T": 1, name: bad}
+        with pytest.raises(DomainError, match=rf"^{name} must be a positive integer, got {bad!r}$"):
+            optimal_r(**args)
+
     # Q'' is the only search: the full scan is the test oracle, not a mode.
     @pytest.mark.parametrize("mode", ["guess", "full_scan", "reduced"])
     def test_bad_mode(self, mode):

@@ -1,5 +1,6 @@
 """End-to-end checks for the masked matrix multiplication protocol."""
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -19,6 +20,7 @@ from gasptables import (
     GaspParams,
     PrimeField,
     SdmmInstance,
+    SecurityReport,
     build_instance,
     choose_field_and_points,
     construct,
@@ -42,6 +44,14 @@ T442 = construct(GaspParams(4, 4, 4, 2))
 
 def rand_matrix(rng, rows, cols, bound=100):
     return tuple(tuple(rng.randrange(bound) for _ in range(cols)) for _ in range(rows))
+
+
+@contextlib.contextmanager
+def _sampling(count):
+    """A sampled audit of ``count`` subsets, in sdmm and in the oracle's copy of the constant."""
+    with mock.patch.object(sdmm, "SAMPLED_SUBSET_COUNT", count):
+        with mock.patch.object(oracle, "SAMPLED_SUBSET_COUNT", count):
+            yield
 
 
 def _remasked(inst, mask):
@@ -296,8 +306,15 @@ class TestSecurityCheck:
         # T = 1 subsets are 1x1 powers of nonzero points, always invertible.
         assert rep.total_subsets == inst.n_servers == 8
         assert rep.exhaustive and rep.ok
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep.checked == 8
         assert rep.failures == ()
+
+    # Whether a report is exhaustive is read off its counts, never stored apart from them.
+    def test_exhaustive_is_derived(self):
+        assert [f.name for f in dataclasses.fields(SecurityReport)] == ["total_subsets", "checked", "failures"]
+        assert SecurityReport(total_subsets=5, checked=5).exhaustive
+        assert not SecurityReport(total_subsets=5, checked=4).exhaustive
 
     def test_small_field_leaks_on_alpha_side(self):
         rng = random.Random(2)
@@ -305,6 +322,7 @@ class TestSecurityCheck:
         assert inst.field.q == 43
         rep = security_check(inst, mode="all")
         assert rep.exhaustive
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep.total_subsets == math.comb(36, 4) == 58905
         assert rep.checked == 58905
         assert not rep.ok
@@ -333,59 +351,42 @@ class TestSecurityCheck:
             rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442,
             base_q=1_000_003, seed=0,
         )
-        rep = security_check(inst, mode="sampled", sample_size=2000)
+        with _sampling(2000):
+            rep = security_check(inst, mode="sampled")
         assert not rep.exhaustive
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep.checked == 2000
         assert rep.ok
 
     def test_sampled_mode_honors_sample_size(self):
         rng = random.Random(2)
         inst = build_instance(rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442, seed=7)
-        rep = security_check(inst, mode="sampled", sample_size=500)
+        with _sampling(500):
+            rep = security_check(inst, mode="sampled")
+            assert rep == oracle.security_check(inst, mode="sampled")
         assert not rep.exhaustive
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep.total_subsets == 58905
         assert rep.checked == 500
         # 500 distinct subsets.  Drawn with replacement, the 500 held 498
         # (the first repeat at draw 250) and also gave 15 failures.
         assert len(rep.failures) == 15
-        assert rep == oracle.security_check(inst, mode="sampled", sample_size=500)
         assert not rep.ok
-
-    @pytest.mark.parametrize("mode", ["all", "auto", "sampled"])
-    @pytest.mark.parametrize("size", [0, -5, 2.5, True])
-    def test_sample_size_must_be_positive(self, mode, size):
-        inst = build_instance(((1,),), ((1,),), T111)
-        with pytest.raises(DomainError, match=rf"sample_size must be at least 1, got {re.escape(repr(size))}"):
-            security_check(inst, mode=mode, sample_size=size)
-
-    # The draws are held in memory, so a sample past the enumeration ceiling is
-    # refused before any is drawn; mode="all" never samples and ignores it.
-    @pytest.mark.parametrize("mode", ["auto", "sampled"])
-    def test_sample_size_is_capped(self, monkeypatch, mode):
-        inst = build_instance(((1,),), ((1,),), T111)
-        with monkeypatch.context() as m:
-            m.setattr(sdmm, "_subsets", mock.Mock(side_effect=AssertionError("drew subsets")))
-            for size in (MAX_EXHAUSTIVE_SUBSETS + 1, 10 ** 9):
-                with pytest.raises(DomainError, match=rf"sample_size must be at most MAX_EXHAUSTIVE_SUBSETS"
-                                                      rf" = {MAX_EXHAUSTIVE_SUBSETS}, got {size}$"):
-                    security_check(inst, mode=mode, sample_size=size)
-            assert not sdmm._subsets.called
-        # Three subsets in all: the largest sample allowed covers them, so nothing is drawn.
-        assert security_check(inst, mode=mode, sample_size=MAX_EXHAUSTIVE_SUBSETS).exhaustive
-        assert security_check(inst, mode="all", sample_size=10 ** 9).checked == 3
 
     @pytest.mark.parametrize("mode", ["auto", "sampled"])
     def test_sample_covering_every_subset_is_exhaustive(self, monkeypatch, mode):
         inst = build_instance(((1,),), ((1,),), T111)
-        rep = security_check(inst, mode=mode, sample_size=10)
+        with _sampling(10):
+            rep = security_check(inst, mode=mode)
         assert (rep.total_subsets, rep.checked, rep.exhaustive, rep.ok) == (3, 3, True, True)
-        # C(11, 2) = 55 subsets, with auto's own limit set below them.
-        monkeypatch.setattr(sdmm, "EXHAUSTIVE_SUBSET_LIMIT", 10)
+        # C(11, 2) = 55 subsets: each mode enumerates them up to its limit and
+        # samples past it.  The sample is kept at most auto's limit.
         inst = build_instance(((1,), (2,)), ((3, 4),), construct(GaspParams(2, 2, 2, 2)))
-        below = security_check(inst, mode=mode, sample_size=54)
-        assert (below.total_subsets, below.checked, below.exhaustive) == (55, 54, False)
-        rep = security_check(inst, mode=mode, sample_size=55)
-        assert (rep.checked, rep.exhaustive) == (55, True)
+        for limit, checked in ((54, 54), (55, 55)):
+            monkeypatch.setattr(sdmm, "EXHAUSTIVE_SUBSET_LIMIT", limit)
+            with _sampling(limit):
+                rep = security_check(inst, mode=mode)
+            assert (rep.total_subsets, rep.checked, rep.exhaustive) == (55, checked, checked == 55)
         assert rep == security_check(inst, mode="all")
 
     def test_sampled_subsets_are_distinct(self):
@@ -421,17 +422,20 @@ class TestSecurityCheck:
         t = construct(GaspParams(2, 2, 9, 2))
         inst = build_instance(((1,), (2,)), ((3, 4),), t)
         assert inst.n_servers == 25
-        rep = security_check(inst, mode="auto", sample_size=300)
+        with _sampling(300):
+            rep = security_check(inst, mode="auto")
         assert rep.total_subsets == math.comb(25, 9) == 2042975
         assert not rep.exhaustive
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep.checked == 300
         assert rep.ok
 
     def test_sampled_is_seed_deterministic(self):
         rng = random.Random(2)
         inst = build_instance(rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442, seed=7)
-        first = security_check(inst, mode="sampled", sample_size=200, seed=9)
-        again = security_check(inst, mode="sampled", sample_size=200, seed=9)
+        with _sampling(200):
+            first = security_check(inst, mode="sampled", seed=9)
+            again = security_check(inst, mode="sampled", seed=9)
         assert first == again
 
     def test_exhaustive_audit_is_bounded(self):
@@ -442,7 +446,8 @@ class TestSecurityCheck:
         assert total == 141120525 > MAX_EXHAUSTIVE_SUBSETS
         with pytest.raises(DomainError, match=rf"C\(31,12\) = {total} subsets"):
             security_check(inst, mode="all")
-        assert security_check(inst, mode="auto", sample_size=20).checked == 20
+        with _sampling(20):
+            assert security_check(inst, mode="auto").checked == 20
 
     def test_unknown_mode_rejected(self):
         inst = build_instance(((1,),), ((1,),), T111)
@@ -520,9 +525,11 @@ class TestAgainstOracle:
         total = math.comb(inst.n_servers, 3)
         monkeypatch.setattr(sdmm, "EXHAUSTIVE_SUBSET_LIMIT", total - below)
         monkeypatch.setattr(oracle, "EXHAUSTIVE_SUBSET_LIMIT", total - below)
-        rep = security_check(inst, sample_size=40, seed=1)
+        with _sampling(40):
+            rep = security_check(inst, seed=1)
+            assert rep == oracle.security_check(inst, seed=1)
         assert rep.exhaustive == (below == 0)
-        assert rep == oracle.security_check(inst, sample_size=40, seed=1)
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         monkeypatch.setattr(sdmm, "MAX_EXHAUSTIVE_SUBSETS", total - below)
         if below:
             with pytest.raises(DomainError, match="exhaustive audit would check"):
@@ -545,15 +552,16 @@ class TestAgainstOracle:
             field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
             r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
         )
-        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
-        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+        with _sampling(sample_size):
+            assert security_check(inst, mode=mode, seed=seed) == oracle.security_check(inst, mode=mode, seed=seed)
 
     def test_sampled_report_with_leaks(self):
         rng = random.Random(2)
         inst = build_instance(rand_matrix(rng, 8, 4), rand_matrix(rng, 4, 4), T442, seed=7)
-        rep = security_check(inst, mode="sampled", sample_size=3000, seed=5)
+        with _sampling(3000):
+            rep = security_check(inst, mode="sampled", seed=5)
+            assert rep == oracle.security_check(inst, mode="sampled", seed=5)
         assert rep.failures
-        assert rep == oracle.security_check(inst, mode="sampled", sample_size=3000, seed=5)
 
     # The default 4^3 audit, every one of its 58,905 subsets through the DFS and
     # its pair level, against the oracle's test of each subset: over GF(43) and
@@ -563,6 +571,7 @@ class TestAgainstOracle:
         inst = build_instance(((1,),) * 4, ((1,) * 4,), T442, base_q=base_q, seed=1)
         rep = security_check(inst)
         assert (inst.field.q, rep.exhaustive, rep.checked, len(rep.failures)) == (q, True, 58_905, leaks)
+        assert rep.exhaustive == (rep.checked == rep.total_subsets)
         assert rep == oracle.security_check(inst)
 
     # Every GASP table with at most 1,500 T-subsets.  It holds AP suffixes
@@ -597,8 +606,8 @@ class TestAgainstOracle:
             field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
             r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
         )
-        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
-        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+        with _sampling(sample_size):
+            assert security_check(inst, mode=mode, seed=seed) == oracle.security_check(inst, mode=mode, seed=seed)
 
     # 8^3 tables whose alpha suffix is not an arithmetic progression (1 < r < T),
     # over small fields where many blocks are singular.  A sampled audit runs
@@ -616,8 +625,8 @@ class TestAgainstOracle:
             field=PrimeField(q), dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
             r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
         )
-        kw = dict(mode=mode, sample_size=sample_size, seed=seed)
-        assert security_check(inst, **kw) == oracle.security_check(inst, **kw)
+        with _sampling(sample_size):
+            assert security_check(inst, mode=mode, seed=seed) == oracle.security_check(inst, mode=mode, seed=seed)
 
     @pytest.mark.parametrize("params", [(2, 2, 2, 2), (4, 4, 2, 2), (3, 1, 3, 1), (3, 2, 3, 2)])
     @pytest.mark.parametrize("edit", ["zero", "q", "repeat"])
@@ -634,12 +643,53 @@ class TestAgainstOracle:
         # The clean instance's beta side is proved clean; the edited one is not.
         assert sdmm._mask_side(inst.field, inst.points, t.beta_s, 40) is None
         assert sdmm._mask_side(bad.field, bad.points, t.beta_s, 40) is not None
-        rep = security_check(bad, mode=mode, sample_size=40, seed=2)
-        assert rep == oracle.security_check(bad, mode=mode, sample_size=40, seed=2)
+        with _sampling(40):
+            rep = security_check(bad, mode=mode, seed=2)
+            assert rep == oracle.security_check(bad, mode=mode, seed=2)
         # A zero row sinks every block it enters; a repeated pair sinks only
         # the subsets holding both, which a sample may miss.
         if rep.exhaustive or edit != "repeat":
             assert rep.failures
+
+    # Tables at r = 1 and r = T, whose mask sides are all progressions (alpha
+    # steps by K or 1, beta by 1).  Over small fields their points repeat an
+    # x^d, so no side is proved clean and the exhaustive audit lists each one
+    # by the DFS on its powers; a zero point sends a side there too.
+    PROGRESSIONS = [p for p in AUDITED if p[3] in (1, p[2])]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PROGRESSIONS), st.sampled_from([5, 7, 11, 13, 43]), st.sampled_from(["all", "auto"]),
+           st.booleans(), st.data())
+    def test_progression_sides_with_repeats(self, params, q, mode, zero, data):
+        t = construct(GaspParams(*params))
+        n = count_distinct(t)
+        pts = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+        if zero:
+            pts[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([0, q]))
+        f = PrimeField(q)
+        inst = SdmmInstance(
+            field=f, dims=(1, 1, 1), table=t, a_mat=((1,),), b_mat=((1,),),
+            r_masks=(), s_masks=(), points=tuple(pts), shares=(), responses=(),
+        )
+        rep = security_check(inst, mode=mode)
+        assert rep == oracle.security_check(inst, mode=mode)
+        assert rep.exhaustive and rep.exhaustive == (rep.checked == rep.total_subsets)
+        for side, exps in (("alpha", t.alpha_s), ("beta", t.beta_s)):
+            listed = oracle._dependent_subsets(q, oracle._suffix_rows(f, pts, exps), t.T)
+            assert [s for s, leaked in rep.failures if leaked == side] == list(listed)
+
+    # GASP(4,4,4, r=1) over GF(1009) at seed 0: the alpha side steps by K = 4,
+    # and 4 divides 1008, so some of the 41 points share an x^4.  The
+    # exhaustive audit's listing is every subset holding such a pair.
+    def test_progression_side_with_repeats_at_4_cubed(self):
+        t = construct(GaspParams(4, 4, 4, 1))
+        inst = build_instance(((1,),) * 4, ((1,) * 4,), t, base_q=1009)
+        assert sdmm._mask_side(inst.field, inst.points, t.beta_s, 0) is None
+        y = [pow(x, 4, 1009) for x in inst.points]
+        want = [(s, "alpha") for s in combinations(range(41), 4) if len({y[i] for i in s}) < 4]
+        rep = security_check(inst, mode="all")
+        assert (inst.field.q, rep.total_subsets, rep.checked, len(want)) == (1009, 101_270, 101_270, 741)
+        assert rep.failures == tuple(want)
 
 
 # Wide primes put the packed DFS columns in slots past 8 bytes: 16 bytes at
@@ -665,7 +715,8 @@ class TestAuditKernels:
     def test_draws(self, n, data, samples, distinct, seed):
         t = data.draw(st.integers(1, min(n, 14)))
         rng, ref = random.Random(seed), random.Random(seed)
-        assert sdmm._subsets(n, t, -1, samples, rng, distinct) == oracle._subsets(n, t, -1, samples, ref, distinct)
+        got = sdmm._subsets(n, t, samples, samples, rng, distinct)
+        assert got == oracle._subsets(n, t, samples, samples, ref, distinct)
         assert rng.getstate() == ref.getstate()
 
     # Each side of both boundaries, and the 8^3 and 12^3 audits' sizes.
@@ -731,7 +782,9 @@ class TestAuditKernels:
     # Exponents sorted with or without 0 (so e0 = 0 or e0 > 0), gappy or an
     # arithmetic progression, and unsorted with repeats.
     # A subset count on each side of the table rule: 0 never builds the 2q pivot
-    # inverses, 10^6 builds them on a small q, never on WIDE_Q.
+    # inverses, 10^6 builds them on a small q, never on WIDE_Q.  A side the
+    # tester cannot prove clean is listed by the DFS on its powers, as the
+    # exhaustive audit lists it, progressions with a repeated x^d included.
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 13, 43, *WIDE_Q]),
            st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True).map(sorted)
@@ -745,10 +798,10 @@ class TestAuditKernels:
         if got is not None:
             subsets = list(combinations(range(n), t))
             verdicts = [want[0](s) for s in subsets]
-            assert [bool(got[0]([s])) for s in subsets] == verdicts
+            assert [bool(got([s])) for s in subsets] == verdicts
             if subsets:  # a chunk is never empty
-                assert got[0](subsets) == {b for b, v in enumerate(verdicts) if v}
-            assert list(got[1]()) == list(want[1]())
+                assert got(subsets) == {b for b, v in enumerate(verdicts) if v}
+            assert list(sdmm._dependent_subsets(q, sdmm._powers(f, pts, exps), t)) == list(want[1]())
 
     # T = 1 and T = 2 reach the block test only with a zero point, which rules
     # out the progression shortcut; T = 1 with e0 = 0 leaks nowhere.
@@ -761,11 +814,12 @@ class TestAuditKernels:
         want = oracle._mask_side(f, pts, exps)
         for count in (0, 10 ** 6):
             got = sdmm._mask_side(f, pts, exps, count)
-            verdicts = [bool(got[0]([s])) for s in subsets]
+            verdicts = [bool(got([s])) for s in subsets]
             assert verdicts == [want[0](s) for s in subsets]
-            assert got[0](subsets) == {b for b, v in enumerate(verdicts) if v}
+            assert got(subsets) == {b for b, v in enumerate(verdicts) if v}
             assert any(verdicts) and not all(verdicts) if exps != (0,) else not any(verdicts)
-            assert list(got[1]()) == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
+        listed = list(sdmm._dependent_subsets(f.q, sdmm._powers(f, pts, exps), len(exps)))
+        assert listed == list(want[1]()) == [s for s, v in zip(subsets, verdicts) if v]
 
     # The batched block test against the parent's one-block kernel, keepless_factor
     # and plain elimination, on the rows the audit hands it after its free first step:
@@ -827,7 +881,7 @@ class TestAuditKernels:
         monkeypatch.setattr(sdmm, "_singular_many", lambda rows, layout, inverses: real(rows, layout, Reads(inverses)))
         got, want = sdmm._mask_side(f, pts, exps, 10 ** 6), oracle._mask_side(f, pts, exps)
         assert want[0]((0, 1, 2, 3)) is False
-        assert got[0]([(0, 1, 2, 3)]) == set()
+        assert got([(0, 1, 2, 3)]) == set()
         assert read == [51, 158]
 
     # 2q <= count * (T - 1): at q = 331 and T = 12 the table pays from 61 subsets.
@@ -837,7 +891,7 @@ class TestAuditKernels:
         fld, pts = choose_field_and_points(t, seed=1)
         seen = []
         monkeypatch.setattr(sdmm, "_singular_many", lambda rows, layout, inverses: seen.append(inverses) or set())
-        leaks, _ = sdmm._mask_side(fld, pts, t.alpha_s, count)
+        leaks = sdmm._mask_side(fld, pts, t.alpha_s, count)
         assert fld.q == 331 and not leaks([tuple(range(12))])
         assert (seen[0] is not None) is table
         if table:
