@@ -24,6 +24,7 @@ Greedy keeps the entries in use as one integer and every row's overlap with
 them as a counter in another, updated by one shifted add per new entry
 below the cover's top and one precomputed block for those above it; the
 argmax is a search of the counters' bytes, or a max over two-byte counters.
+A subtree met again under the same incumbent is replayed, its nodes counted.
 """
 
 from __future__ import annotations
@@ -263,7 +264,8 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     increasing order, depth first.  A branch is cut when even one new entry
     per remaining row cannot beat the incumbent.  beam_width, if set, caps
     how many argmax candidates are expanded per node; budget caps total node
-    expansions and flags the result when hit.
+    expansions and flags the result when hit.  A subtree with the rows and
+    incumbent of one searched before is replayed; nodes counts the whole tree.
     """
     v_lo, _, _, top = suffix_window(K, L, T)
     _check_limits(budget, beam_width)
@@ -287,6 +289,10 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
     best_suffix: tuple[int, ...] = ()
     nodes, exhausted = 1, budget == 0  # the root
     chosen: list[int] = []
+    # A subtree is fixed by its set of rows (`used`; best_suffix is sorted) and
+    # the incumbent at entry.  memo maps the pair to (nodes the subtree adds,
+    # best_n, best_suffix after it); best_n only falls, so it names its suffix.
+    memo: dict = {}
 
     def rec(cover: int, over: int, used: int, size: int):
         # Expands a node that is counted, within budget, uncut and not a leaf;
@@ -331,17 +337,25 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
                     best_n = child_size
                     best_suffix = tuple(sorted(chosen + [r]))
                 continue
+            key = (used | ones << slot * i, best_n)
+            seen = memo.get(key)  # past the budget, search it instead: it stops at the same node
+            if seen is not None and (budget is None or nodes + seen[0] <= budget):
+                nodes += seen[0]
+                _, best_n, best_suffix = seen
+                continue
             child = over + (suffix_add[bisect_left(beta, end - r)] << slot * i)
             low = (beta_mask << r) & holes
             while low:
                 e = low & -low
                 low ^= e
                 child += rev_beta << slot * (e.bit_length() - 1 - v_lo)
+            start = nodes
             chosen.append(r)
-            rec(cover | beta_mask << r, child, used | ones << slot * i, child_size)
+            rec(cover | beta_mask << r, child, key[0], child_size)
             chosen.pop()
             if exhausted:
                 return
+            memo[key] = (nodes - start, best_n, best_suffix)
 
     # the prefix rows use every entry in [0, top]
     cover = (1 << (top + 1)) - 1

@@ -258,6 +258,17 @@ class TestGreedy:
         assert res.budget_exhausted
         assert res.n == 11  # the first completed leaf happened to be optimal
 
+    def test_budget_cuts_a_repeated_subtree(self):
+        # The 444th node lies in a subtree already explored in another row
+        # order: it is cut there, not replayed whole past the budget.
+        res = greedy(8, 8, 8, budget=443)
+        assert (res.n, res.nodes, res.budget_exhausted) == (122, 444, True)
+
+    def test_deep_tree_fits_the_recursion_limit(self):
+        # One Python frame per tree level: T = 800 nests 800 of them.
+        res = greedy(1, 1, 800)
+        assert (res.n, res.nodes, res.budget_exhausted) == (1601, 801, False)
+
     def test_budget_too_small_for_any_leaf(self):
         with pytest.raises(DomainError, match="budget too small"):
             greedy(2, 2, 2, budget=2)
@@ -303,6 +314,8 @@ class TestGreedy:
         # two-byte counters read as an array: a full run, and one cut by the budget
         (256, 1, 255, {}),
         (300, 2, 254, {"budget": 300}),
+        # budgets across the node range (3,008 nodes in all)
+        *(((12, 12, 12, {"budget": b}) for b in range(300, 3008, 300))),
     ])
     def test_matches_scan_oracle(self, K, L, T, kw):
         assert _outcome(greedy, K, L, T, **kw) == _outcome(greedy_scan, K, L, T, **kw)
@@ -320,6 +333,24 @@ class TestGreedy:
         kw = {"budget": budget, "beam_width": beam_width}
         assert _outcome(greedy, K, L, T, **kw) == _outcome(greedy_scan, K, L, T, **kw)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 10), st.data())
+    def test_matches_scan_oracle_within_the_node_count(self, n, data):
+        budget = data.draw(st.integers(0, greedy_scan(n, n, n).nodes))
+        assert _outcome(greedy, n, n, n, budget=budget) == _outcome(greedy_scan, n, n, n, budget=budget)
+
+    @pytest.mark.parametrize("n,N,nodes", [
+        (16, 410, 17_388), (17, 467, 53_945), (18, 514, 69_376), (19, 563, 86_117),
+        (20, 614, 104_366), (21, 684, 320_275), (22, 740, 588_636), (23, 797, 384_755),
+        (24, 856, 414_253), (25, 918, 451_779), (26, 1_003, 4_229_290),
+        (27, 1_070, 5_295_969), (28, 1_139, 6_362_510),
+    ])
+    def test_readme_table(self, n, N, nodes):
+        # The sizes past the oracles' reach, where most nodes are repeats.
+        res = greedy(n, n, n)
+        assert (res.n, res.nodes, res.budget_exhausted) == (N, nodes, False)
+        assert res.n >= optimal_r(n, n, n)[1]
+
     @pytest.mark.parametrize("K,L,T,kw", [
         *(((n, n, n, {}) for n in range(1, 11))),
         (5, 3, 4, {}),
@@ -328,6 +359,9 @@ class TestGreedy:
         (4, 4, 4, {"beam_width": 1}),
         (9, 9, 9, {"beam_width": 2}),
         (10, 10, 10, {"beam_width": 3, "budget": 200}),
+        # budgets across the node range (498 and 277 nodes in all)
+        *(((8, 8, 8, {"budget": b}) for b in range(50, 498, 50))),
+        *(((10, 10, 10, {"beam_width": 3, "budget": b}) for b in range(30, 277, 30))),
     ])
     def test_matches_list_oracle(self, K, L, T, kw):
         # Same suffix, count and node count: tie order, pruning, budget and
