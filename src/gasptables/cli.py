@@ -40,7 +40,7 @@ class PlotSeries:
     def __post_init__(self):
         xs = [x for x, _ in self.rows]
         if xs != sorted(set(xs)):
-            raise ValueError(f"series {self.name!r}: x values must be increasing")
+            raise DomainError(f"series {self.name!r}: x values must be increasing")
 
 
 def figure1a_series() -> list[PlotSeries]:
@@ -117,15 +117,13 @@ def _pretty_lines(obj, indent: int = 0) -> list[str]:
                 lines.extend(_pretty_lines(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {_flat(v)}")
-    elif isinstance(obj, list):
+    else:
         for item in obj:
             if _is_nested(item) and item:
                 lines.append(f"{pad}-")
                 lines.extend(_pretty_lines(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_flat(item)}")
-    else:
-        lines.append(f"{pad}{_flat(obj)}")
     return lines
 
 
@@ -498,7 +496,7 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         _HANDLERS[args.command](args)
-    except (DomainError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

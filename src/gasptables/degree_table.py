@@ -27,8 +27,11 @@ ExponentVector = tuple[int, ...]
 _SPARSE_RATIO = 1024  # _check uses sets when a bitset row takes more bits per row value
 
 
-class DomainError(Exception):
-    """An argument is outside the domain an operation is defined on."""
+class DomainError(ValueError):
+    """An argument is outside the domain an operation is defined on.
+
+    Every bad argument in the package raises it; it is a ValueError, so
+    code that catches ValueError keeps catching it."""
 
 
 def _require_int(*, low: int = 1, rule: str = "a positive integer", **values) -> None:
@@ -53,14 +56,14 @@ class InvalidTableError(DomainError):
 def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
     vec = tuple(values)
     if len(vec) == 0:
-        raise ValueError(f"{name} must be nonempty")
+        raise DomainError(f"{name} must be nonempty")
     if set(map(type, vec)) == {int} and min(vec) >= 0:
         return vec
     for v in vec:
         if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} entries must be integers, got {v!r}")
+            raise DomainError(f"{name} entries must be integers, got {v!r}")
         if v < 0:
-            raise ValueError(f"{name} entries must be nonnegative, got {v}")
+            raise DomainError(f"{name} entries must be nonnegative, got {v}")
     return vec
 
 
@@ -84,22 +87,19 @@ class DegreeTable:
     beta_s: ExponentVector
 
     def __post_init__(self):
-        for name in ("K", "L", "T"):
-            n = getattr(self, name)
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        _require_int(K=self.K, L=self.L, T=self.T)
         object.__setattr__(self, "alpha_p", _as_exponent_vector("alpha_p", self.alpha_p))
         object.__setattr__(self, "alpha_s", _as_exponent_vector("alpha_s", self.alpha_s))
         object.__setattr__(self, "beta_p", _as_exponent_vector("beta_p", self.beta_p))
         object.__setattr__(self, "beta_s", _as_exponent_vector("beta_s", self.beta_s))
         if len(self.alpha_p) != self.K:
-            raise ValueError(f"alpha_p has length {len(self.alpha_p)}, expected K={self.K}")
+            raise DomainError(f"alpha_p has length {len(self.alpha_p)}, expected K={self.K}")
         if len(self.alpha_s) != self.T:
-            raise ValueError(f"alpha_s has length {len(self.alpha_s)}, expected T={self.T}")
+            raise DomainError(f"alpha_s has length {len(self.alpha_s)}, expected T={self.T}")
         if len(self.beta_p) != self.L:
-            raise ValueError(f"beta_p has length {len(self.beta_p)}, expected L={self.L}")
+            raise DomainError(f"beta_p has length {len(self.beta_p)}, expected L={self.L}")
         if len(self.beta_s) != self.T:
-            raise ValueError(f"beta_s has length {len(self.beta_s)}, expected T={self.T}")
+            raise DomainError(f"beta_s has length {len(self.beta_s)}, expected T={self.T}")
 
     @property
     def alpha(self) -> ExponentVector:
@@ -112,14 +112,14 @@ class DegreeTable:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DegreeTable":
         if not isinstance(d, dict):
-            raise ValueError(f"table JSON must be an object, got {type(d).__name__}")
+            raise DomainError(f"table JSON must be an object, got {type(d).__name__}")
         blocks = ("alpha_p", "alpha_s", "beta_p", "beta_s")
         missing = {"K", "L", "T", *blocks} - set(d)
         if missing:
-            raise ValueError(f"table object missing keys: {sorted(missing)}")
+            raise DomainError(f"table object missing keys: {sorted(missing)}")
         for name in blocks:
             if not isinstance(d[name], list):
-                raise ValueError(f"{name} must be a list of integers, got {type(d[name]).__name__}")
+                raise DomainError(f"{name} must be a list of integers, got {type(d[name]).__name__}")
         return cls(K=d["K"], L=d["L"], T=d["T"], **{name: tuple(d[name]) for name in blocks})
 
 

@@ -115,19 +115,26 @@ def _check_perm(perm: tuple[int, ...], n: int, name: str) -> tuple[int, ...]:
 
 
 def apply_transform(table: DegreeTable, tf: EquivalenceTransform) -> DegreeTable:
-    """Apply an equivalence transform, rejecting non-integral results."""
+    """Apply an equivalence transform, rejecting non-integral or negative results.
+
+    Entries are mapped in integers: with scale a/b and a side's shift c/e in
+    lowest terms, entry v goes to divmod(a * (v * e + c), b * e), which must
+    leave no remainder and a nonnegative quotient.
+    """
     scale = Fraction(tf.scale)
     if scale == 0:
         raise DomainError("scale must be nonzero")
+    a, b = scale.numerator, scale.denominator
     sa, sb = Fraction(tf.shift_alpha), Fraction(tf.shift_beta)
 
     def mapped(vec, perm, shift):
+        c, e = shift.numerator, shift.denominator
         out = []
         for i in perm:
-            v = scale * (vec[i] + shift)
-            if v.denominator != 1 or v < 0:
-                raise DomainError(f"transform gives non-integer or negative entry {v}")
-            out.append(int(v))
+            v, rem = divmod(a * (vec[i] * e + c), b * e)
+            if rem or v < 0:
+                raise DomainError(f"transform gives non-integer or negative entry {scale * (vec[i] + shift)}")
+            out.append(v)
         return tuple(out)
 
     pap = _check_perm(tf.perm_alpha_p, table.K, "perm_alpha_p")
@@ -155,25 +162,17 @@ def transpose(table: DegreeTable) -> DegreeTable:
 def normal(table: DegreeTable) -> DegreeTable:
     """Sort each block, shift each side's minimum to 0, divide out the gcd.
 
-    The gcd is taken over ALL entries of both sides after the shift; a table
-    of all zeros (structurally impossible for valid tables) would keep
-    divisor 1.
+    The apply_transform that sorts by permutation, shifts by minus each
+    side's minimum and scales by 1/g.  The gcd g is taken over ALL entries
+    of both sides after the shift; a table of all zeros (structurally
+    impossible for valid tables) would keep divisor 1.
     """
-    ap, as_, bp, bs = (sorted(table.alpha_p), sorted(table.alpha_s),
-                       sorted(table.beta_p), sorted(table.beta_s))
-    ma, mb = min(ap[0], as_[0]), min(bp[0], bs[0])
-    ap = [v - ma for v in ap]
-    as_ = [v - ma for v in as_]
-    bp = [v - mb for v in bp]
-    bs = [v - mb for v in bs]
-    g = math.gcd(*ap, *as_, *bp, *bs)
-    if g == 0:
-        g = 1
-    return DegreeTable(
-        K=table.K, L=table.L, T=table.T,
-        alpha_p=tuple(v // g for v in ap), alpha_s=tuple(v // g for v in as_),
-        beta_p=tuple(v // g for v in bp), beta_s=tuple(v // g for v in bs),
-    )
+    alpha, beta = table.alpha, table.beta
+    ma, mb = min(alpha), min(beta)
+    g = math.gcd(*(v - ma for v in alpha), *(v - mb for v in beta)) or 1
+    perms = (tuple(sorted(range(len(b)), key=b.__getitem__))
+             for b in (table.alpha_p, table.alpha_s, table.beta_p, table.beta_s))
+    return apply_transform(table, EquivalenceTransform(Fraction(1, g), -ma, -mb, *perms))
 
 
 def is_normal(table: DegreeTable) -> bool:
@@ -196,17 +195,12 @@ def is_normal(table: DegreeTable) -> bool:
 def negate(table: DegreeTable) -> DegreeTable:
     """Reflect every entry through the global maximum (x -> max - x).
 
-    Entry sums map through 2*max - s, a bijection, so the distinct-entry
-    count is untouched even though the table usually looks very different.
+    The apply_transform with scale -1 and shift -max on both sides.  Entry
+    sums map through 2*max - s, a bijection, so the distinct-entry count is
+    untouched even though the table usually looks very different.
     """
     m = max(max(table.alpha), max(table.beta))
-    return DegreeTable(
-        K=table.K, L=table.L, T=table.T,
-        alpha_p=tuple(m - v for v in table.alpha_p),
-        alpha_s=tuple(m - v for v in table.alpha_s),
-        beta_p=tuple(m - v for v in table.beta_p),
-        beta_s=tuple(m - v for v in table.beta_s),
-    )
+    return apply_transform(table, EquivalenceTransform(-1, -m, -m))
 
 
 def _lex_key(table: DegreeTable) -> tuple[int, ...]:

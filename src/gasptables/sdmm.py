@@ -174,7 +174,7 @@ def _dependent_subsets(q: int, rows, t: int):
                 else:
                     # Clear row i's dot from the other basis vectors with the first nonzero one.
                     j = next(k for k, d in enumerate(ds) if d)
-                    f = pow(ds[j], q - 2, q)
+                    f = pow(ds[j], -1, q)
                     rest = [[(a - d * f * b) % q for a, b in zip(w, basis[j])]
                             for k, (w, d) in enumerate(zip(basis, ds)) if k != j]
                     yield from walk(prefix + (i,), rest, i + 1)

@@ -1,8 +1,10 @@
 """Reference kernels for the table calculus.
 
 These are the earlier implementations of `degree_table._check`,
-`degree_table._as_exponent_vector`, `equivalence.canonical`,
-`equivalence.is_normal` and `equivalence.squeeze_step`.  They count every
+`degree_table._as_exponent_vector`, `equivalence.apply_transform` (one
+`Fraction` per entry), `equivalence.normal` and `equivalence.negate` (each
+block built by hand), `equivalence.canonical`, `equivalence.is_normal` and
+`equivalence.squeeze_step`.  They count every
 cell of Set(alpha) x Set(beta) in a Counter, check each entry of a block one
 at a time, build the negated branch of the canonical form through `negate`
 and `normal`, take min and gcd over both sides concatenated, and scan the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from hypothesis import strategies as st
@@ -27,12 +30,13 @@ from hypothesis import strategies as st
 from gasptables.degree_table import (
     _SPARSE_RATIO,
     DegreeTable,
+    DomainError,
     ExponentVector,
     ScoreBreakdown,
     ValidationReport,
     sumset,
 )
-from gasptables.equivalence import SqueezeStep, _lex_key, negate, normal
+from gasptables.equivalence import EquivalenceTransform, SqueezeStep, _check_perm, _lex_key
 
 
 def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
@@ -65,6 +69,71 @@ def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
             witness = n
             break
     return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), len(reps)
+
+
+def apply_transform(table: DegreeTable, tf: EquivalenceTransform) -> DegreeTable:
+    """Apply an equivalence transform, rejecting non-integral results."""
+    scale = Fraction(tf.scale)
+    if scale == 0:
+        raise DomainError("scale must be nonzero")
+    sa, sb = Fraction(tf.shift_alpha), Fraction(tf.shift_beta)
+
+    def mapped(vec, perm, shift):
+        out = []
+        for i in perm:
+            v = scale * (vec[i] + shift)
+            if v.denominator != 1 or v < 0:
+                raise DomainError(f"transform gives non-integer or negative entry {v}")
+            out.append(int(v))
+        return tuple(out)
+
+    pap = _check_perm(tf.perm_alpha_p, table.K, "perm_alpha_p")
+    pas = _check_perm(tf.perm_alpha_s, table.T, "perm_alpha_s")
+    pbp = _check_perm(tf.perm_beta_p, table.L, "perm_beta_p")
+    pbs = _check_perm(tf.perm_beta_s, table.T, "perm_beta_s")
+    return DegreeTable(
+        K=table.K, L=table.L, T=table.T,
+        alpha_p=mapped(table.alpha_p, pap, sa),
+        alpha_s=mapped(table.alpha_s, pas, sa),
+        beta_p=mapped(table.beta_p, pbp, sb),
+        beta_s=mapped(table.beta_s, pbs, sb),
+    )
+
+
+def normal(table: DegreeTable) -> DegreeTable:
+    """Sort each block, shift each side's minimum to 0, divide out the gcd.
+
+    The gcd is taken over ALL entries of both sides after the shift; a table
+    of all zeros (structurally impossible for valid tables) would keep
+    divisor 1.
+    """
+    ap, as_, bp, bs = (sorted(table.alpha_p), sorted(table.alpha_s),
+                       sorted(table.beta_p), sorted(table.beta_s))
+    ma, mb = min(ap[0], as_[0]), min(bp[0], bs[0])
+    ap = [v - ma for v in ap]
+    as_ = [v - ma for v in as_]
+    bp = [v - mb for v in bp]
+    bs = [v - mb for v in bs]
+    g = math.gcd(*ap, *as_, *bp, *bs)
+    if g == 0:
+        g = 1
+    return DegreeTable(
+        K=table.K, L=table.L, T=table.T,
+        alpha_p=tuple(v // g for v in ap), alpha_s=tuple(v // g for v in as_),
+        beta_p=tuple(v // g for v in bp), beta_s=tuple(v // g for v in bs),
+    )
+
+
+def negate(table: DegreeTable) -> DegreeTable:
+    """Reflect every entry through the global maximum (x -> max - x)."""
+    m = max(max(table.alpha), max(table.beta))
+    return DegreeTable(
+        K=table.K, L=table.L, T=table.T,
+        alpha_p=tuple(m - v for v in table.alpha_p),
+        alpha_s=tuple(m - v for v in table.alpha_s),
+        beta_p=tuple(m - v for v in table.beta_p),
+        beta_s=tuple(m - v for v in table.beta_s),
+    )
 
 
 def canonical(table: DegreeTable) -> DegreeTable:

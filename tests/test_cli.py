@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import gasp_oracles
 from gasptables import (
+    DomainError,
     GaspParams,
     SearchResult,
     build_blp,
@@ -609,6 +611,22 @@ class TestDispatch:
         code, _, err = dispatch(capsys, "gasp", "n", "--K", "2", "--L", "2", "--T", "2", "--r", "9")
         assert code == 1
         assert err.startswith("error: r=9 out of range")
+
+    @pytest.mark.parametrize("argv,what,text,convert,message", [
+        ("sdmm run --dims 2,x,4 --K 2 --L 2 --T 2 --r 1", "--dims", "2,x,4", int,
+         "--dims: non-integer in '2,x,4'"),
+        ("bounds --K 1 --L 1 --T 1 --dims 1,1,1,2.0", "--dims", "1,1,1,2.0", int,
+         "--dims: non-integer in '1,1,1,2.0'"),
+        ("cost compare --exponents 1,1,1,1/0,1,1", "--exponents", "1,1,1,1/0,1,1", Fraction,
+         "--exponents: bad rational in '1,1,1,1/0,1,1'"),
+        ("cost compare --exponents 1,1,1,x,1,1", "--exponents", "1,1,1,x,1,1", Fraction,
+         "--exponents: bad rational in '1,1,1,x,1,1'"),
+    ])
+    def test_unparseable_number_is_one_error_line(self, capsys, argv, what, text, convert, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as e:
+            cli._parse(text, len(text.split(",")), what, convert)
+        assert isinstance(e.value, ValueError)
+        assert dispatch(capsys, *argv.split()) == (1, "", f"error: {message}\n")
 
     def test_seed_env_variable(self, monkeypatch):
         monkeypatch.setenv("GASPTABLES_SEED", "7")

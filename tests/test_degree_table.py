@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import random
+import re
 import time
+from enum import IntEnum
 from itertools import combinations
 from unittest import mock
 
@@ -63,6 +65,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="K must be"):
             DegreeTable(K=0, L=1, T=1, alpha_p=(), alpha_s=(1,),
                         beta_p=(0,), beta_s=(1,))
+
+    @pytest.mark.parametrize("blocks,message", [
+        (((0,), (5, 6), (0,), (3,)), "alpha_s has length 2, expected T=1"),
+        (((0,), (5,), (0, 1), (3,)), "beta_p has length 2, expected L=1"),
+        (((0,), (5,), (0,), ()), "beta_s must be nonempty"),
+        (((0,), (5,), (0,), (3, 4)), "beta_s has length 2, expected T=1"),
+    ])
+    def test_block_length_errors(self, blocks, message):
+        with pytest.raises(DomainError, match=f"^{message}$") as e:
+            DegreeTable(1, 1, 1, *blocks)
+        assert isinstance(e.value, ValueError)
+
+    @pytest.mark.parametrize("name", ["K", "L", "T"])
+    @pytest.mark.parametrize("bad", [0, -1, True, 1.0, IntEnum("One", "A").A])
+    def test_block_sizes_follow_the_integer_rule(self, name, bad):
+        # The same rule and message as every other integer argument: int
+        # subclasses (bools, IntEnum members) and floats are refused.
+        args = dict(K=1, L=1, T=1, alpha_p=(0,), alpha_s=(1,), beta_p=(0,), beta_s=(1,))
+        with pytest.raises(DomainError, match=f"^{name} must be a positive integer, got {re.escape(repr(bad))}$"):
+            DegreeTable(**{**args, name: bad})
 
     def test_semantically_invalid_is_constructible(self):
         # D1 broken, but structure fine: searches need such objects to exist.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
@@ -24,6 +25,7 @@ from gasptables import (
     squeeze,
     transpose,
 )
+from gasptables import equivalence
 from gasptables.equivalence import SqueezeStep, _lex_key, squeeze_step
 import table_oracles as oracle
 
@@ -196,6 +198,78 @@ class TestApplyTransform:
                 perm_beta_s=perm(t.T),
             )
             assert n_of(apply_transform(t, tf)) == n_of(t)
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as e:
+        return str(e)
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+
+
+@st.composite
+def exact_transforms(draw):
+    """A table with entries d * w + offset per side, and the transform with
+    scale +-k/d and shifts that map it onto +-k * w, reflected through each
+    side's maximum when the scale is negative: every entry lands on a
+    nonnegative integer."""
+    w = draw(st.one_of(oracle.tables(), oracle.tables(st.integers(0, 2**70))))
+    d, k, oa, ob = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    sign = draw(st.sampled_from((1, -1)))
+    t = DegreeTable(w.K, w.L, w.T, *(tuple(d * v + o for v in b) for b, o in (
+        (w.alpha_p, oa), (w.alpha_s, oa), (w.beta_p, ob), (w.beta_s, ob))))
+    reflect_a, reflect_b = (0, 0) if sign == 1 else (d * max(w.alpha), d * max(w.beta))
+    return t, EquivalenceTransform(Fraction(sign * k, d), -oa - reflect_a, -ob - reflect_b)
+
+
+@st.composite
+def drawn_transforms(draw):
+    """A table and a transform with arbitrary rational scale and shifts (zero
+    scale included); most are rejected somewhere."""
+    t = draw(oracle.tables())
+    return t, EquivalenceTransform(draw(RATIONALS), draw(RATIONALS), draw(RATIONALS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(exact_transforms(), drawn_transforms()), st.data())
+def test_apply_transform_matches_fraction_oracle(pair, data):
+    t, tf = pair
+    perms = {name: data.draw(st.permutations(range(n))) if data.draw(st.booleans()) else None
+             for name, n in (("perm_alpha_p", t.K), ("perm_alpha_s", t.T),
+                             ("perm_beta_p", t.L), ("perm_beta_s", t.T))}
+    tf = dataclasses.replace(tf, **{k: v and tuple(v) for k, v in perms.items()})
+    assert _outcome(apply_transform, t, tf) == _outcome(oracle.apply_transform, t, tf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    oracle.tables(),
+    oracle.tables(st.integers(0, 3)),
+    oracle.tables(st.integers(0, 2**70)),
+    oracle.tables(st.sampled_from((0, 6, 12, 2**65 * 3))),
+    oracle.repeated_tables(),
+))
+def test_normal_and_negate_match_hand_written_oracles(t):
+    # Drawn blocks are unsorted, repeat entries and hold zeros; the sampled
+    # entries share a gcd past 2^64.
+    assert normal(t) == oracle.normal(t)
+    assert negate(t) == oracle.negate(t)
+
+
+def test_normal_and_negate_are_transforms(monkeypatch):
+    calls = []
+    real = equivalence.apply_transform
+    monkeypatch.setattr(equivalence, "apply_transform", lambda t, tf: calls.append(tf) or real(t, tf))
+    assert normal(MESSY) == MESSY_NORMAL
+    assert negate(MESSY_NORMAL) == table(3, 2, 1, (10, 1, 0), (6,), (10, 8), (6,))
+    assert calls == [
+        EquivalenceTransform(Fraction(1, 2), -1, -2, (2, 0, 1), (0,), (0, 1), (0,)),
+        EquivalenceTransform(-1, -10, -10),
+    ]
 
 
 def test_transpose_swaps_sides():

@@ -1,5 +1,6 @@
 """Model construction, LP text serialization, and the test-side reader and solver."""
 
+import dataclasses
 import itertools
 import operator
 import re
@@ -15,6 +16,7 @@ from gasptables import (
     build_blp,
     build_ilp_fixed,
     emit_lp_text,
+    exhaustive,
     exhaustive_fixed_prefix,
 )
 from gasptables.ilp import IlpModel, LinearConstraint, Variable
@@ -48,6 +50,12 @@ class TestModelValidation:
         m = IlpModel("m", (("x", -1), ("x", -1), ("y", 2), ("y", -2)),
                      (Variable("x", "binary"), Variable("y", "binary")), ())
         assert m.objective == (("x", -2),)
+
+    def test_duplicate_constraint(self):
+        with pytest.raises(DomainError, match="^duplicate constraint name in model$") as e:
+            IlpModel("m", (), (Variable("x", "binary"),),
+                     (LinearConstraint("c", (("x", 1),), "<=", 1), LinearConstraint("c", (("x", 1),), ">=", 0)))
+        assert isinstance(e.value, ValueError)
 
     def test_duplicate_variable(self):
         with pytest.raises(DomainError, match="duplicate variable"):
@@ -159,6 +167,42 @@ class TestBlpModel:
         assert build_blp(1, 1, 2) == build_blp(1, 1, 2, (2, 2))
         with pytest.raises(DomainError, match="no proven entry bound"):
             build_blp(1, 1, 1)
+
+
+def _blp_assignment(t) -> dict:
+    """A normal table as the census BLP's 0/1 point: U flags each entry
+    value, R and C each row's and column's value, M each cell's."""
+    alpha, beta = t.alpha, t.beta
+    cells = [(r, c, a + b) for r, a in enumerate(alpha, 1) for c, b in enumerate(beta, 1)]
+    ones = {f"U_{e}" for _, _, e in cells}
+    ones |= {f"R_{r}_{a}" for r, a in enumerate(alpha, 1)}
+    ones |= {f"C_{c}_{b}" for c, b in enumerate(beta, 1)}
+    ones |= {f"M_{r}_{c}_{e}" for r, c, e in cells}
+    return dict.fromkeys(ones, 1)
+
+
+def _broken_rows(model, x: dict) -> set:
+    holds = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+    return {c.name for c in model.constraints
+            if not holds[c.sense](sum(a * x.get(n, 0) for n, a in c.coeffs), c.rhs)}
+
+
+@pytest.mark.parametrize("K,L,T", [(2, 2, 5), (2, 2, 6), (3, 1, 5)])
+def test_census_optima_are_blp_points(K, L, T):
+    # K, L >= 2 build the prefix sort rows ord_R_* and ord_C_* the K = L = 1
+    # models above have none of.
+    found = exhaustive(K, L, T)
+    model = build_blp(K, L, T)
+    names = {v.name for v in model.variables}
+    assert {"ord_R_1", f"ord_R_{K + 1}"} <= {c.name for c in model.constraints}
+    assert L == 1 or "ord_C_1" in {c.name for c in model.constraints}
+    for t in found.optima:
+        x = _blp_assignment(t)
+        assert set(x) <= names
+        assert _broken_rows(model, x) == set()
+        assert sum(a * x.get(n, 0) for n, a in model.objective) == found.best_n
+        flipped = dataclasses.replace(t, alpha_p=t.alpha_p[::-1])
+        assert "ord_R_1" in _broken_rows(model, _blp_assignment(flipped))
 
 
 class TestNaiveSolve:

@@ -762,13 +762,15 @@ class TestAuditKernels:
     # The pair level keys at most C(n, t - 1) rows, a (t - 2)-prefix and one row
     # after it, so it builds its table of q - 1 inverses only when q is at most
     # that, and otherwise inverts no more often than it keys a row.  At n = 12,
-    # t = 10 that is 220 rows, where q = 1009 would cost a table of 1008.
+    # t = 10 that is 220 rows, where q = 1009 would cost a table of 1008.  The
+    # levels above it invert one pivot per node with the same pow(v, -1, q),
+    # called from `walk` itself, so those calls are not counted.
     @pytest.mark.parametrize("q, n, t", [(43, 12, 4), (1009, 12, 10), (WIDE_Q[0], 12, 5)])
     def test_pair_level_inverts_at_most_the_rows_it_keys(self, monkeypatch, q, n, t):
         inversions = []
 
         def counted(*args):
-            if args[1] == -1:
+            if args[1] == -1 and sys._getframe(1).f_code.co_name != "walk":
                 inversions.append(args[0])
             return pow(*args)
 
