@@ -92,9 +92,9 @@ class EquivalenceTransform:
 
     Shifts apply before scaling: alpha entries map to
     scale * (alpha[perm[i]] + shift_alpha), beta entries analogously.  Scale
-    and shifts may be any rationals (scale nonzero, negative allowed); the
-    transform is only applicable when every resulting entry is a nonnegative
-    integer, which apply_transform checks after the fact.
+    and shifts are ints or Fractions, not floats, strings or bools (scale
+    nonzero, negative allowed); the transform applies only when every result
+    is a nonnegative integer, which apply_transform checks after the fact.
     """
 
     scale: Rational = 1
@@ -121,6 +121,9 @@ def apply_transform(table: DegreeTable, tf: EquivalenceTransform) -> DegreeTable
     lowest terms, entry v goes to divmod(a * (v * e + c), b * e), which must
     leave no remainder and a nonnegative quotient.
     """
+    for name in ("scale", "shift_alpha", "shift_beta"):
+        if type(v := getattr(tf, name)) is bool or not isinstance(v, Rational):
+            raise DomainError(f"{name} must be an exact rational, got {v!r}")
     scale = Fraction(tf.scale)
     if scale == 0:
         raise DomainError("scale must be nonzero")

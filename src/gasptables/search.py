@@ -6,8 +6,8 @@ Three strategies at three price points:
                         only affordable when the entry bounds apply (large T)
                         and small, but it is ground truth.
   exhaustive_fixed_prefix   the standard prefix and beta are frozen, only the
-                        alpha suffix varies over its finite window; every
-                        candidate is automatically a usable table.
+                        alpha suffix varies over its window; a subtree that
+                        cannot reach the incumbent is counted, not searched.
   greedy                best-first suffix construction with the pruning rule
                         from the fixed-prefix setting; fast enough for
                         parameters where nothing else is, not guaranteed
@@ -34,7 +34,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import itemgetter
 from typing import Optional
 
@@ -189,8 +189,10 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
     consecutive sorted gaps of at most KL+T (tables outside that frame are
     equivalent to ones inside).  Every candidate is a usable table: suffix
     values clear the prefix block's sum range, so the uniqueness condition
-    cannot break; the prefix rows alone cover [0, top].  budget caps the
-    number of complete candidates scored; exceeding it flags the result.
+    cannot break; the prefix rows alone cover [0, top].  tables_examined
+    counts every complete candidate in the frame, scored or counted in a
+    subtree cut for not reaching the incumbent.  budget caps that count,
+    flagging the result when exceeded; a cut that would pass it is searched.
     """
     v_lo, v_hi, max_gap, top = suffix_window(K, L, T)
     _check_limits(budget)
@@ -199,32 +201,42 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
     optima: list[DegreeTable] = []
     examined = 0
     exhausted = False
+    cap = math.inf if budget is None else budget
+    leaves = [[1] * (v_hi + 1 - v_lo)]  # [k][a - v_lo]: complete suffixes below row a, k rows left
+    for _ in range(T - 1):
+        sums = [*accumulate(leaves[-1], initial=0)]
+        leaves.append([sums[min(j + max_gap, len(sums) - 1)] - sums[j] for j in range(1, len(sums))])
 
-    # DFS over suffix positions; the last position's candidates are scored
-    # in one loop, with the budget cut applied before the loop.
-    def rec(prev: int, chosen: list[int], cover: int):
+    # DFS over suffix positions.  Each row adds its top entry, so a child of cover size n and
+    # `left` rows to place reaches only N >= n + left: past the incumbent, its leaves are counted.
+    def rec(prev: int, chosen: list[int], cover: int, size: int):
         nonlocal best_n, optima, examined, exhausted
         lo = max(v_lo, prev + 1)
         hi = min(v_hi, prev + max_gap)
-        if len(chosen) < T - 1:
+        if left := T - 1 - len(chosen):
             for a in range(lo, hi + 1):
+                n = (child := cover | beta_mask << a).bit_count()
+                if best_n is not None and n + left > best_n and examined + leaves[left][a - v_lo] <= cap:
+                    examined += leaves[left][a - v_lo]
+                    continue
                 chosen.append(a)
-                rec(a, chosen, cover | (beta_mask << a))
+                rec(a, chosen, child, n)
                 chosen.pop()
                 if exhausted:
                     return
             return
-        if budget is not None and examined + hi + 1 - lo > budget:
-            hi, exhausted = lo + budget - examined - 1, True
+        if examined + hi + 1 - lo > cap:
+            hi, exhausted = lo + cap - examined - 1, True
         examined += max(0, hi + 1 - lo)
-        for a in range(lo, hi + 1):
-            n = (cover | beta_mask << a).bit_count()
-            if best_n is None or n < best_n:
-                best_n, optima = n, [(*chosen, a)]
-            elif n == best_n:
-                optima.append((*chosen, a))
+        if best_n is None or size < best_n:
+            for a in range(lo, hi + 1):
+                n = (cover | beta_mask << a).bit_count()
+                if best_n is None or n < best_n:
+                    best_n, optima = n, [(*chosen, a)]
+                elif n == best_n:
+                    optima.append((*chosen, a))
 
-    rec(K - 1, [], (1 << (top + 1)) - 1)
+    rec(K - 1, [], (1 << (top + 1)) - 1, top + 1)
     if best_n is None:
         raise DomainError("fixed-prefix search scored no suffix (budget too small)")
     tables = tuple(fixed_prefix_table(K, L, T, suf) for suf in optima)

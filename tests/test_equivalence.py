@@ -178,6 +178,17 @@ class TestApplyTransform:
         with pytest.raises(DomainError, match="non-integer or negative"):
             apply_transform(GAPPY, EquivalenceTransform(shift_alpha=-1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", 0.1), ("scale", 0.5), ("scale", "1/2"), ("scale", True),
+        ("shift_alpha", "x"), ("shift_beta", float("nan")),
+    ])
+    def test_inexact_scale_or_shift_refused(self, field, value):
+        # Floats, strings and bools are refused before any entry is mapped,
+        # with a DomainError naming the argument, as costmodel refuses floats.
+        tf = EquivalenceTransform(**{field: value})
+        with pytest.raises(DomainError, match=f"^{field} must be an exact rational, got "):
+            apply_transform(GAPPY, tf)
+
     def test_bad_permutation_rejected(self):
         tf = EquivalenceTransform(perm_beta_p=(0, 0))
         with pytest.raises(DomainError, match="not a permutation"):

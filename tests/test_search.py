@@ -1,5 +1,7 @@
 """Exhaustive census, fixed-prefix search, and the greedy heuristic."""
 
+import functools
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -22,7 +24,18 @@ from gasptables import (
     optimal_r,
     validate,
 )
+from gasptables.gasp import suffix_window
 from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_lists, greedy_scan
+
+
+# Shapes where the fixed-prefix search cuts subtrees (T >= 2), small enough
+# for fixed_prefix_dfs: at most 64,000 leaves.
+CUT_SHAPES = [(K, L, T) for K in range(1, 5) for L in range(1, K + 1) for T in range(2, 5)] + [(2, 2, 5)]
+
+
+@functools.cache
+def _leaf_total(K, L, T):
+    return fixed_prefix_dfs(K, L, T).tables_examined
 
 
 def _outcome(search, *args, **kw):
@@ -232,6 +245,50 @@ class TestFixedPrefix:
         L = min(K, L)
         got = _outcome(exhaustive_fixed_prefix, K, L, T, budget=budget)
         assert got == _outcome(fixed_prefix_dfs, K, L, T, budget=budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CUT_SHAPES).flatmap(
+        lambda s: st.tuples(st.just(s), st.one_of(st.none(), st.integers(0, _leaf_total(*s))))))
+    def test_matches_dfs_oracle_where_subtrees_are_cut(self, case):
+        # Most leaves of these shapes lie in subtrees counted unvisited, so a
+        # drawn budget mostly lands inside one; the whole count is allowed too.
+        (K, L, T), budget = case
+        got = _outcome(exhaustive_fixed_prefix, K, L, T, budget=budget)
+        assert got == _outcome(fixed_prefix_dfs, K, L, T, budget=budget)
+
+    @pytest.mark.parametrize("K, L, T", [(1, 1, 3), (2, 1, 3), (2, 2, 3), (2, 2, 4), (3, 2, 3), (4, 1, 3)])
+    def test_leaf_table_counts_ascending_tails(self, K, L, T):
+        # The table lives in one call, so it is read from the search's frame.
+        lo, hi, gap, _ = suffix_window(K, L, T)
+        frames = []
+
+        def keep(frame, event, arg):
+            if event == "return" and frame.f_code is exhaustive_fixed_prefix.__code__:
+                frames.append(dict(frame.f_locals))
+
+        before = sys.getprofile()
+        sys.setprofile(keep)
+        try:
+            exhaustive_fixed_prefix(K, L, T)
+        finally:
+            sys.setprofile(before)
+        leaves = frames[0]["leaves"]
+        assert len(leaves) == T
+        for k, row in enumerate(leaves):
+            brute = [sum(all(0 < y - x <= gap for x, y in zip((a, *tail), tail))
+                         for tail in combinations(range(a + 1, hi + 1), k))
+                     for a in range(lo, hi + 1)]
+            assert row == brute, k
+
+    @pytest.mark.parametrize("K, L, T, best_n, alpha_s, examined", [
+        (3, 3, 5, 27, [(9, 10, 11, 12, 13)], 307_328),
+        (5, 5, 4, 49, [(25, 26, 30, 31), (26, 27, 31, 32)], 219_501),
+        (2, 2, 6, 19, [(4, 5, 6, 7, 8, 9)], 800_000),
+    ])
+    def test_pinned_optima_and_counts(self, K, L, T, best_n, alpha_s, examined):
+        res = exhaustive_fixed_prefix(K, L, T)
+        assert (res.best_n, [t.alpha_s for t in res.optima], res.tables_examined) == (best_n, alpha_s, examined)
+        assert not res.budget_exhausted
 
 
 class TestGreedy:
