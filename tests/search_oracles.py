@@ -4,12 +4,11 @@ These are the original, slower implementations of `search.exhaustive`,
 `search.exhaustive_fixed_prefix` and `search.greedy`.  They compute D3 and
 the entry count by another route (a packed big-integer multiplication over
 sides split by a set and two generators each; a DFS that calls itself once
-per scored leaf; per-node lists of column masks; a rescan of every row's
-overlap at every node), so the differential tests in test_search.py
-compare the bitset and counter kernels against them result for result,
-including the optima order, `tables_examined` and greedy's node count.
-`greedy_lists` builds a list over the whole suffix window at every node, so
-only `greedy_scan` reaches the wide shapes (L+T >= 256, or K=L=T=130).
+per scored leaf; a rescan of every row's overlap at every node), so the
+differential tests in test_search.py compare the bitset and counter kernels
+against them result for result, including the optima order,
+`tables_examined` and greedy's node count.  `greedy_scan` is the one greedy
+reference, and it reaches the wide shapes too (L+T >= 256, or K=L=T=130).
 """
 
 from __future__ import annotations
@@ -163,87 +162,6 @@ def exhaustive_packed(K: int, L: int, T: int, entry_bound=None) -> SearchResult:
         tables_examined=len(alphas) * len(betas), valid_tables=valid,
         entry_bound=(bound_a, bound_b), side_candidates=(len(alphas), len(betas)),
     )
-
-
-def greedy_lists(K: int, L: int, T: int, budget: Optional[int] = None,
-                 beam_width: Optional[int] = None) -> GreedyResult:
-    """Greedy with one column mask per candidate value, copied at every node:
-    S[i] records which columns of row i collide with the table so far."""
-    if L > K:
-        raise DomainError(f"need L <= K, got K={K}, L={L}")
-    kl = K * L
-    beta = standard_beta(K, L, T)
-    beta_set = set(beta)
-    width = L + T
-    v_lo, v_hi = kl, T * (kl + T) + K - 1
-    size_v = v_hi - v_lo + 1
-    top = kl + K + T - 2  # largest sum the prefix rows produce
-
-    # overlap_mask[d] = columns c with beta[c] + d in beta (keyed by offset d)
-    overlap: dict[int, int] = {}
-    for c, bc in enumerate(beta):
-        for bv in beta_set:
-            d = bv - bc
-            overlap[d] = overlap.get(d, 0) | (1 << c)
-
-    init = [0] * size_v
-    for idx in range(size_v):
-        i = v_lo + idx
-        m = 0
-        for c, bc in enumerate(beta):
-            if i + bc <= top:
-                m |= 1 << c
-        init[idx] = m
-
-    best_n: Optional[int] = None
-    best_suffix: tuple[int, ...] = ()
-    nodes = 0
-    exhausted = False
-
-    def rec(s: list[int], chosen: list[int], used: set[int], size: int):
-        nonlocal best_n, best_suffix, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        if best_n is not None and size + (T - len(chosen)) > best_n:
-            return
-        if len(chosen) == T:
-            if best_n is None or size < best_n:
-                best_n = size
-                best_suffix = tuple(sorted(chosen))
-            return
-        best_overlap = -1
-        cands: list[int] = []
-        for idx in range(size_v):
-            i = v_lo + idx
-            if i in used:
-                continue
-            o = s[idx].bit_count()
-            if o > best_overlap:
-                best_overlap, cands = o, [i]
-            elif o == best_overlap:
-                cands.append(i)
-        if beam_width is not None:
-            cands = cands[:beam_width]
-        for r in cands:
-            child = list(s)
-            for idx in range(size_v):
-                m = overlap.get(v_lo + idx - r)
-                if m:
-                    child[idx] |= m
-            used.add(r)
-            chosen.append(r)
-            rec(child, chosen, used, size + width - s[r - v_lo].bit_count())
-            chosen.pop()
-            used.remove(r)
-
-    rec(init, [], set(), kl + K + T - 1)
-    if best_n is None:
-        raise DomainError("greedy found no complete suffix (budget too small)")
-    return GreedyResult(alpha_s=best_suffix, n=best_n, nodes=nodes, budget_exhausted=exhausted)
 
 
 def greedy_scan(K: int, L: int, T: int, budget: Optional[int] = None,

@@ -25,7 +25,7 @@ from gasptables import (
     validate,
 )
 from gasptables.gasp import suffix_window
-from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_lists, greedy_scan
+from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_scan
 
 
 # Shapes where the fixed-prefix search cuts subtrees (T >= 2), small enough
@@ -422,8 +422,8 @@ class TestGreedy:
     ])
     def test_matches_list_oracle(self, K, L, T, kw):
         # Same suffix, count and node count: tie order, pruning, budget and
-        # beam behave exactly as in the per-node list kernel.
-        assert greedy(K, L, T, **kw) == greedy_lists(K, L, T, **kw)
+        # beam behave exactly as in the rescanning kernel.
+        assert greedy(K, L, T, **kw) == greedy_scan(K, L, T, **kw)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
@@ -431,7 +431,7 @@ class TestGreedy:
     def test_matches_list_oracle_on_any_shape(self, K, L, T, budget, beam_width):
         L = min(K, L)
         try:
-            want = greedy_lists(K, L, T, budget=budget, beam_width=beam_width)
+            want = greedy_scan(K, L, T, budget=budget, beam_width=beam_width)
         except DomainError:
             with pytest.raises(DomainError, match="budget too small"):
                 greedy(K, L, T, budget=budget, beam_width=beam_width)
