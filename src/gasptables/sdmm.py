@@ -120,24 +120,21 @@ def _powers(field: PrimeField, points, exps) -> Matrix:
                  for x in points)
 
 
-def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random, distinct: bool = True):
-    """None (every t-subset of range(n)) if there are at most ``limit``, else ``samples`` sorted
-    random draws, all made before the caller checks any; ``distinct`` redraws each repeat (so
-    ``samples`` must be below the count), and the draws before the first repeat are unchanged.
-    Each draw is ``rng.sample(range(n), t)``'s; where sample keeps a set (n above 21, plus
-    4^ceil(log4(3t)) when t > 5), its getrandbits(bits(n)) stream is replayed inline."""
+def _subsets(n: int, t: int, limit: int, samples: int, rng: random.Random):
+    """None (every t-subset of range(n)) if there are at most ``limit``, else ``samples`` distinct
+    sorted random t-subsets (so ``samples`` must be below the count), all drawn before the caller
+    checks any.  A draw adds getrandbits(bits(n)) values below n to a set until it holds t, and a
+    repeated subset is drawn again, so the draws before the first repeat are the plain stream's."""
     if math.comb(n, t) <= limit:
         return None
-    pool = n <= 21 + (4 ** math.ceil(math.log(3 * t, 4)) if t > 5 else 0)
     gb, k, drawn = rng.getrandbits, n.bit_length(), {}
     while len(drawn) < samples:
-        sel = rng.sample(range(n), t) if pool else set()
+        sel = set()
         while len(sel) < t:
             if (x := gb(k)) < n:
                 sel.add(x)
-        s = tuple(sorted(sel))
-        drawn[s if distinct else len(drawn)] = s
-    return list(drawn.values())
+        drawn[tuple(sorted(sel))] = None
+    return list(drawn)
 
 
 def _dependent_subsets(q: int, rows, t: int):
@@ -242,10 +239,9 @@ def choose_field_and_points(
     largest table entry, so exponent arithmetic mod q - 1 cannot merge two
     distinct degrees.  Candidate point sets are rejection-sampled until the
     decode matrix and the T x T security submatrices of SELECTION_SAMPLES
-    random T-subsets are all invertible, at most MAX_POINT_RETRIES times.  The
-    subsets are drawn with replacement, so they may hold fewer distinct ones
-    (50 draws from GASP(2,2,2)'s 55).  `decode` reuses the accepted decode
-    matrix's factorisation.
+    distinct random T-subsets (of every one, where there are no more) are all
+    invertible, at most MAX_POINT_RETRIES times.  `decode` reuses the accepted
+    decode matrix's factorisation.
     """
     _require_int(base_q=base_q, low=2, rule="at least 2")
     n = count_distinct(table)
@@ -259,8 +255,7 @@ def choose_field_and_points(
                            else {rng.randrange(1, q) for _ in range(n)}))
         if len(pts) < n or not is_invertible(fld, _powers(fld, pts, degrees)):
             continue
-        # Drawn with replacement as always, so every seed keeps its points.
-        subsets = _subsets(n, table.T, SELECTION_SAMPLES, SELECTION_SAMPLES, rng, distinct=False)
+        subsets = _subsets(n, table.T, SELECTION_SAMPLES, SELECTION_SAMPLES, rng)
         if next(_leaks(fld, pts, table, subsets), None) is None:
             return fld, pts
     raise DomainError(
@@ -289,6 +284,7 @@ def build_instance(
     seed: int = 0,
 ) -> SdmmInstance:
     """Assemble a full protocol run: field, points, masks, shares, answers."""
+    partition(a_mat, b_mat, table.K, table.L)  # shape errors before point selection's attempts
     fld, pts = choose_field_and_points(table, base_q=base_q, seed=seed)
     a_red = tuple(tuple(v % fld.q for v in row) for row in a_mat)
     b_red = tuple(tuple(v % fld.q for v in row) for row in b_mat)

@@ -209,34 +209,30 @@ def exhaustive_fixed_prefix(K: int, L: int, T: int, budget: Optional[int] = None
 
     # DFS over suffix positions.  Each row adds its top entry, so a child of cover size n and
     # `left` rows to place reaches only N >= n + left: past the incumbent, its leaves are counted.
-    def rec(prev: int, chosen: list[int], cover: int, size: int):
+    def rec(prev: int, chosen: list[int], cover: int):
         nonlocal best_n, optima, examined, exhausted
-        lo = max(v_lo, prev + 1)
-        hi = min(v_hi, prev + max_gap)
-        if left := T - 1 - len(chosen):
-            for a in range(lo, hi + 1):
-                n = (child := cover | beta_mask << a).bit_count()
-                if best_n is not None and n + left > best_n and examined + leaves[left][a - v_lo] <= cap:
-                    examined += leaves[left][a - v_lo]
-                    continue
+        left = T - 1 - len(chosen)
+        for a in range(max(v_lo, prev + 1), min(v_hi, prev + max_gap) + 1):
+            n = (child := cover | beta_mask << a).bit_count()
+            if best_n is not None and n + left > best_n and examined + leaves[left][a - v_lo] <= cap:
+                examined += leaves[left][a - v_lo]
+            elif left:
                 chosen.append(a)
-                rec(a, chosen, child, n)
+                rec(a, chosen, child)
                 chosen.pop()
                 if exhausted:
                     return
-            return
-        if examined + hi + 1 - lo > cap:
-            hi, exhausted = lo + cap - examined - 1, True
-        examined += max(0, hi + 1 - lo)
-        if best_n is None or size < best_n:
-            for a in range(lo, hi + 1):
-                n = (cover | beta_mask << a).bit_count()
+            elif examined == cap:
+                exhausted = True
+                return
+            else:
+                examined += 1
                 if best_n is None or n < best_n:
                     best_n, optima = n, [(*chosen, a)]
                 elif n == best_n:
                     optima.append((*chosen, a))
 
-    rec(K - 1, [], (1 << (top + 1)) - 1, top + 1)
+    rec(K - 1, [], (1 << (top + 1)) - 1)
     if best_n is None:
         raise DomainError("fixed-prefix search scored no suffix (budget too small)")
     tables = tuple(fixed_prefix_table(K, L, T, suf) for suf in optima)

@@ -1,11 +1,11 @@
 """Reference kernels for the protocol layer.
 
-One plain Gauss-Jordan loop on lists of ints, reducing every entry after every
-row operation, answers both questions the protocol asks of a matrix: what
-`solve` gives and whether it `is_invertible`.  On it run the decode that
-solves the decode matrix from scratch, point selection and the security audit
-testing each T x T block on its own, and `_mask_side`'s verdict for one
-subset.  The list-of-ints `mat_combine` and `mat_mul` are the products
+One plain Gauss-Jordan loop on lists of ints (`_gauss_jordan`), reducing every
+entry after every row operation, answers both questions the protocol asks of
+a matrix: what `solve` gives and whether it `is_invertible`.  On it run the
+decode that solves the decode matrix from scratch, point selection and the
+security audit testing each T x T block on its own, and `_mask_side`'s
+verdict for one subset.  The list-of-ints `mat_combine` and `mat_mul` are the products
 `field.py` replaced with packed-integer rows, and `_dependent_subsets` is the
 exhaustive audit's DFS as it was with one dot product per leaf.  Point
 selection and the audit take their subsets from `sdmm._subsets`, which
@@ -57,36 +57,40 @@ def mat_mul(field: PrimeField, a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
-    """Solve m X = rhs over the field; None if m is singular.
+def _gauss_jordan(q: int, rows: list[list[int]]) -> Optional[list[list[int]]]:
+    """``rows`` reduced in place over GF(q) until their first n columns (n rows)
+    are the identity, or None if those columns are singular: each column's
+    pivot is the first row left that is nonzero there, scaled to 1 and cleared
+    from every other row."""
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] % q), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, q)
+        rows[col] = [v * inv % q for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] % q:
+                f = rows[r][col]
+                rows[r] = [(v - f * p) % q for v, p in zip(rows[r], rows[col])]
+    return rows
 
-    Gauss-Jordan on the augmented rows: each column's pivot is the first row
-    left that is nonzero there, scaled to 1 and cleared from every other row.
-    """
-    q = field.q
+
+def solve(field: PrimeField, m: Matrix, rhs: Matrix) -> Optional[Matrix]:
+    """Solve m X = rhs over the field by `_gauss_jordan` on the augmented rows; None if m is singular."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise DomainError("solve needs a square matrix")
     if len(rhs) != n:
         raise DomainError("rhs row count mismatch")
-    aug = [list(mr) + list(rr) for mr, rr in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % q), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [v * inv % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % q:
-                f = aug[r][col]
-                aug[r] = [(v - f * p) % q for v, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    reduced = _gauss_jordan(field.q, [list(mr) + list(rr) for mr, rr in zip(m, rhs)])
+    return None if reduced is None else tuple(tuple(row[n:]) for row in reduced)
 
 
 def is_invertible(field: PrimeField, m: Matrix) -> bool:
-    """Whether the square matrix m is invertible: `solve` with no right-hand side."""
-    return solve(field, m, ((),) * len(m)) is not None
+    """Whether the square matrix m is invertible: whether `_gauss_jordan` reduces it."""
+    return _gauss_jordan(field.q, [list(row) for row in m]) is not None
 
 
 def decode(inst: SdmmInstance) -> Optional[dict[tuple[int, int], Matrix]]:
@@ -114,7 +118,7 @@ def _suffix_rows(field: PrimeField, points, exps) -> list[list[int]]:
 
 
 def _subset_ok(field: PrimeField, rows, subset) -> bool:
-    return is_invertible(field, tuple(tuple(rows[i]) for i in subset))
+    return is_invertible(field, [rows[i] for i in subset])
 
 
 def choose_field_and_points(
@@ -147,7 +151,7 @@ def choose_field_and_points(
             continue
         rows_a = _suffix_rows(fld, pts, table.alpha_s)
         rows_b = _suffix_rows(fld, pts, table.beta_s)
-        subsets = _subsets(n, t, selection_samples, selection_samples, rng, distinct=False)
+        subsets = _subsets(n, t, selection_samples, selection_samples, rng)
         if all(_subset_ok(fld, rows_a, s) and _subset_ok(fld, rows_b, s)
                for s in (combinations(range(n), t) if subsets is None else subsets)):
             return fld, pts

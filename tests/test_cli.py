@@ -664,7 +664,7 @@ EVERY_COMMAND = [
     "search emit-lp --kind census --K 1 --L 1 --T 2",
     "search emit-lp --tight-link --K 2 --L 1 --T 2",
     "search exhaustive --entry-bound 2 --K 1 --L 1 --T 1",
-    "sdmm run --dims 2,4,4 --K 2 --L 2 --T 2 --r 1",
+    "sdmm run --dims 2,4,4 --K 2 --L 2 --T 2 --r 2",
     "cost compare --exponents 1,1,1,1/2,1/2,1",
     "cost concrete --dims 4,4,4 --blocks 2,2,4 --servers 17,9",
     "figure 1a",
