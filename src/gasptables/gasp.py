@@ -139,15 +139,17 @@ def n_of_r(params: GaspParams) -> int:
 
 
 def _n_of_r(K: int, L: int, T: int, rs) -> list[int]:
-    """n_of_r at each r of rs, already range-checked.  The terms of the count
-    and the score free of r and of c = (T-1)//r are summed once, into base."""
-    base = K * L + K + 3 * T - 2 - max(0, K + T - K * L - 1)
+    """n_of_r at each r of rs, already range-checked.  base holds the terms
+    free of r; to it comes the score's shortfall below L on rows i <= r (none
+    once q = (T-1-r)//K >= L-2) and below T-1 on the (T-1)//r rows i = 1 mod r."""
+    t1, base = T - 1, K * L + K + 3 * T - 2 - max(0, K + T - K * L - 1)
     ns = []
     for r in rs:
-        q, m = divmod(T - 1 - r, K)
-        c0 = min(r, K - m)
-        ns.append(base + r * L - c0 * min(L, 2 + q) - (r - c0) * min(L, 3 + q)
-                  + (T - 1) // r * (T - 1 - max(0, T - K + r - 1)))
+        q, m = divmod(t1 - r, K)
+        n = base + t1 // r * (t1 if t1 < K - r else K - r)
+        if q < L - 2:
+            n += r * (L - 3 - q) + (r if r < K - m else K - m)
+        ns.append(n)
     return ns
 
 
@@ -234,30 +236,32 @@ def candidate_set(K: int, L: int, T: int) -> ChainSearchTrace:
     (Q_prime), clipped to the feasible range.  Ties break as in a full scan.
     """
     _check_klt(K, L, T)
-    phi = T - 1 - K * L + 2 * K
-    mu = (T - 1) % K
-    x = min((T - 1 - mu) // K - (1 if mu == 0 else 0), L - 3)
-    i_lo, i_hi = max(1, phi + 1), min(K, T - 1)
-    # The blocks [l_w, r_w] of floor((T-1)/i) that meet [i_lo, i_hi].  In one,
-    # N(r) - N(r-1) is step, plus 1 once r > mu, minus w once r > c: only the
-    # at most two blocks with mu or c inside can change the slope's sign.
-    starts = _w_block_starts(T, i_hi) if i_lo <= i_hi else []
-    step, c = L - 2 - (T - 1 - mu) // K, K - T + 1
+    t1 = T - 1
+    phi, mu = t1 - K * L + 2 * K, t1 % K
+    x = min((t1 - mu) // K - (1 if mu == 0 else 0), L - 3)
+    i_lo, i_hi, top = max(1, phi + 1), min(K, t1), min(K, T)
+    # Walk the blocks [l_w, r_w] of floor((T-1)/i) from i_lo's up to i_hi; if i_lo > i_hi,
+    # that block starts past i_hi (i_lo > T-1, or T-1 = K(L-2) + i_lo-1 with i_lo > K puts
+    # (T-1)//i_lo below (T-1)//K).  In a block, N(r) - N(r-1) is step, plus 1 once r > mu,
+    # minus w once r > c: only the at most two blocks with mu or c inside can change its sign.
+    step, c = L - 2 - (t1 - mu) // K, K - T + 1
     q_w: dict[int, tuple[int, ...]] = {}
     Q: list[int] = []
-    for l_w in starts[bisect.bisect_right(starts, i_lo) - 1:]:
-        w = (T - 1) // l_w
-        r_w = (T - 1) // w
+    l_w = t1 // (t1 // i_lo + 1) + 1
+    while l_w <= i_hi:
+        w = t1 // l_w
+        r_w = t1 // w
         up = step + (mu <= l_w) - (w if c <= l_w else 0) >= 0  # N(l_w + 1) >= N(l_w)
         if (l_w < mu < r_w or l_w < c < r_w) and up != (step + (mu < r_w) - (w if c < r_w else 0) >= 0):
             # the sign changes inside the block: both ends, or the kinks
-            q_w[w] = (l_w, r_w) if up else tuple(sorted(v for v in {mu, c} if l_w < v < r_w))
+            q_w[w] = cand = (l_w, r_w) if up else tuple(sorted(v for v in {mu, c} if l_w < v < r_w))
         else:
-            q_w[w] = (l_w,) if up or l_w == r_w else (r_w,)
-        Q += q_w[w]
+            q_w[w] = cand = (l_w,) if up else (r_w,)
+        Q += cand
+        l_w = r_w + 1
     q_w = dict(reversed(q_w.items()))
-    Q_prime = sorted({max(1, min(K, T, phi)), max(1, phi + 1), min(K, T)})
-    Q_dprime = sorted(v for v in set(Q_prime) | set(Q) if 1 <= v <= min(K, T))
+    Q_prime = sorted({max(1, min(top, phi)), max(1, phi + 1), top})
+    Q_dprime = sorted([v for v in {*Q_prime, *Q} if v <= top])  # all are >= 1
     return ChainSearchTrace(
         K=K, L=L, T=T, phi=phi, mu=mu, x=x,
         W=tuple(q_w), q_w=q_w, Q=tuple(Q),
@@ -285,14 +289,13 @@ def optimal_r(K: int, L: int, T: int) -> tuple[int, int, ChainSearchTrace]:
     return best_r, trace.n_star, trace
 
 
-def _w_block_starts(T: int, i_hi: int) -> list[int]:
-    """Starts of the constancy blocks of floor((T-1)/i) on [1, i_hi]."""
+def _w_block_starts(T: int) -> list[int]:
+    """Starts of the constancy blocks of floor((T-1)/i) on [1, T-1]."""
     starts = []
     i = 1
-    while i <= i_hi:
+    while i < T:
         starts.append(i)
-        w = (T - 1) // i
-        i = (i_hi if w == 0 else min(i_hi, (T - 1) // w)) + 1
+        i = (T - 1) // ((T - 1) // i) + 1
     return starts
 
 
@@ -300,33 +303,30 @@ def reduction_statistic(k_max: int = 300, t_max: int = 300) -> Fraction:
     """Mean of (5 + #W) / min(K, T) over 1 <= L <= K <= k_max, 1 <= T <= t_max.
 
     Measures how small the reduced candidate set is relative to scanning all
-    of 1..min(K, T).  Exact rational arithmetic; the per-(K, T) inner loop
-    uses the block decomposition of floor((T-1)/i), so only the few L with a
-    nontrivial range lower end cost a bisect.
+    of 1..min(K, T).  Exact rational arithmetic; each T lists its blocks of
+    floor((T-1)/i) once, each K counts those on [1, min(K, T-1)], and only
+    the few L with a nontrivial range lower end cost a bisect.
     """
     _require_int(k_max=k_max, t_max=t_max)
     # numerator sums grouped by denominator min(K, T)
     num: dict[int, int] = {}
-    triples = 0
-    for K in range(1, k_max + 1):
-        for T in range(1, t_max + 1):
+    for T in range(1, t_max + 1):
+        starts = _w_block_starts(T)
+        for K in range(1, k_max + 1):
             d = min(K, T)
             i_hi = min(K, T - 1)
             acc = 5 * K
-            if i_hi >= 1:
-                starts = _w_block_starts(T, i_hi)
-                nblocks = len(starts)
-                # i0(L) = max(1, T + 2K - KL) drops below 1 for all
-                # L >= l_full, where every block is in range.
-                l_full = (T + 2 * K - 2 + K) // K  # ceil((T + 2K - 1) / K)
-                if l_full <= K:
-                    acc += nblocks * (K - l_full + 1)
-                for L in range(1, min(K, l_full - 1) + 1):
-                    i0 = T + 2 * K - K * L
-                    if i0 <= i_hi:
-                        idx = bisect.bisect_right(starts, max(1, i0)) - 1
-                        acc += nblocks - idx
+            nblocks = bisect.bisect_right(starts, i_hi)  # 0 at T = 1
+            # i0(L) = max(1, T + 2K - KL) drops below 1 for all
+            # L >= l_full, where every block is in range.
+            l_full = (T + 2 * K - 2 + K) // K  # ceil((T + 2K - 1) / K)
+            if l_full <= K:
+                acc += nblocks * (K - l_full + 1)
+            for L in range(1, min(K, l_full - 1) + 1):
+                i0 = T + 2 * K - K * L
+                if i0 <= i_hi:
+                    idx = bisect.bisect_right(starts, max(1, i0)) - 1
+                    acc += nblocks - idx
             num[d] = num.get(d, 0) + acc
-            triples += K
     total = sum(Fraction(v, d) for d, v in num.items())
-    return total / triples
+    return total / (t_max * k_max * (k_max + 1) // 2)

@@ -265,6 +265,19 @@ def _trace_fields(tr):
     return tr.W, tr.q_w, tr.Q, tr.Q_prime, tr.Q_dprime
 
 
+def _assert_trace_matches_oracle(K, L, T):
+    """optimal_r's whole trace, evaluated pairs and winner included, against
+    the oracle candidate set with N(r) read one r at a time."""
+    r_star, n_star, tr = optimal_r(K, L, T)
+    want = oracle.candidate_set(K, L, T)
+    evaluated = tuple((r, _n_of_r(K, L, T, (r,))[0]) for r in want.Q_dprime)
+    n_want, r_want = min((n, r) for r, n in evaluated)
+    assert _trace_fields(tr) == _trace_fields(want)
+    assert (tr.evaluated, tr.r_star, tr.n_star) == (evaluated, r_want, n_want)
+    assert (r_star, n_star) == (r_want, n_want)
+    return tr
+
+
 class TestCandidateSet:
     def test_example_trace(self):
         tr = candidate_set(9, 6, 9)
@@ -335,18 +348,50 @@ class TestOptimalR:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_trace_matches_oracle_at_scale(self, data):
-        # The whole trace, evaluated pairs and winner included, against the
-        # oracle candidate set with N(r) read one r at a time.
         K = data.draw(st.integers(1, 10**6))
         L = data.draw(st.integers(1, K))
         T = data.draw(st.integers(1, 10**6))
-        r_star, n_star, tr = optimal_r(K, L, T)
-        want = oracle.candidate_set(K, L, T)
-        evaluated = tuple((r, _n_of_r(K, L, T, (r,))[0]) for r in want.Q_dprime)
-        n_want, r_want = min((n, r) for r, n in evaluated)
-        assert _trace_fields(tr) == _trace_fields(want)
-        assert (tr.evaluated, tr.r_star, tr.n_star) == (evaluated, r_want, n_want)
-        assert (r_star, n_star) == (r_want, n_want)
+        _assert_trace_matches_oracle(K, L, T)
+
+    # The block walk starts at the block of floor((T-1)/i) that holds
+    # i_lo = max(1, phi + 1), so its largest w is (T-1)//i_lo.  At T = 28
+    # that block is [7, 9].
+    @pytest.mark.parametrize("K,L,T,i_lo", [
+        (21, 3, 28, 7),  # i_lo at the block's start
+        (20, 3, 28, 8),  # one past its start
+        (19, 3, 28, 9),  # at its end
+        (3, 3, 6, 3),    # at the start of the block [3, 5], the only one
+        (3, 3, 2, 1),    # T = 2: i_lo = i_hi = 1, the one block [1, 1]
+    ])
+    def test_walk_starts_at_the_block_holding_i_lo(self, K, L, T, i_lo):
+        tr = _assert_trace_matches_oracle(K, L, T)
+        assert max(1, tr.phi + 1) == i_lo and tr.W[-1] == (T - 1) // i_lo
+
+    @pytest.mark.parametrize("K,L,T", [
+        (3, 3, 10), (60, 5, 250),         # K < i_lo <= T - 1: 3 < 7 <= 9, 60 < 70 <= 249
+        (4, 1, 10),                       # i_lo = 14 > T - 1
+        (3, 2, 1), (1, 1, 1), (9, 9, 1),  # T = 1
+        (3, 2, 2), (1, 1, 2),             # T = 2, i_lo > i_hi = 1
+    ] + [(1, 1, T) for T in (3, 4, 10, 999)])  # K = 1
+    def test_walk_past_i_hi_gives_empty_w(self, K, L, T):
+        assert _assert_trace_matches_oracle(K, L, T).W == ()
+
+    def test_last_block_end_clipped_out_of_q_dprime(self):
+        # i_hi = K = 4 lies in the block [4, 5] of w = 2; its end r_w = 5 is
+        # a candidate in Q but not a feasible chain length.
+        tr = _assert_trace_matches_oracle(4, 4, 11)
+        assert tr.q_w[2] == (5,) and 5 in tr.Q and tr.Q_dprime == (2, 3, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_trace_matches_oracle_with_walk_past_block_1(self, data):
+        # T = i_lo + K(L-2) puts phi + 1 = i_lo with 1 < i_lo <= min(K, T-1),
+        # so the walk starts past the first block; T <= K(L-1) <= 10^6.
+        K = data.draw(st.integers(3, 10**6 // 2))
+        L = data.draw(st.integers(3, min(K, 1 + 10**6 // K)))
+        i_lo = data.draw(st.integers(2, K))
+        T = i_lo + K * (L - 2)
+        assert _assert_trace_matches_oracle(K, L, T).phi + 1 == i_lo
 
     def test_reduced_reaches_the_end_of_the_range(self):
         # T > K: the corner min(K, T) = 4 is a candidate; r = 3 gives 55.
@@ -386,7 +431,7 @@ class TestOptimalR:
 
 class TestReductionStatistic:
     def test_matches_direct_enumeration(self):
-        for k_max, t_max in ((6, 6), (9, 5), (4, 11)):
+        for k_max, t_max in ((6, 6), (9, 5), (4, 11), (40, 12), (12, 40)):
             total = Fraction(0)
             count = 0
             for K in range(1, k_max + 1):
