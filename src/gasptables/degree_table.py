@@ -149,10 +149,14 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> set[int]:
     return {x + y for x in sa for y in sb}
 
 
-def _mask(values: Iterable[int]) -> int:
-    """The bitset of a set of entry values: bit v is set for each value v."""
+def _mask(block: ExponentVector) -> int:
+    """The bitset of a block: bit v is set for each entry v.  An ascending
+    progression of three or more terms is one geometric series of bits."""
+    n, lo, hi = len(block), block[0], block[-1]
+    if n > 2 and (s := block[1] - lo) > 0 and hi == lo + s * (n - 1) and block == tuple(range(lo, hi + 1, s)):
+        return ((1 << s * n) - 1) // ((1 << s) - 1) << lo
     mask = 0
-    for v in values:
+    for v in block:
         mask |= 1 << v
     return mask
 
@@ -160,34 +164,40 @@ def _mask(values: Iterable[int]) -> int:
 def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
     """validate()'s report and the table's distinct-entry count, in one pass.
 
-    Each row, the larger side's value set shifted by a value of the other, is
-    ORed into `once` after its overlap with `once` is ORed into `twice`; the
-    prefix sumset's rows pair the two prefixes the same way.  Each prefix sum
-    occurs at least once, so D3 fails exactly at the prefix sums in `twice`;
-    the least is the witness.  Rows are bitsets, or sets when the largest sum
-    exceeds _SPARSE_RATIO times the row size (measured crossover).
+    A side's distinct entries are the popcount of its blocks' bitsets, which
+    D1 and D2 compare with its length.  Each row, the side with more distinct
+    entries shifted by an entry of the other, is ORed into `once` after its
+    overlap with `once` is ORed into `twice`; the prefix sumset's rows pair the
+    prefixes the same way.  D3 fails exactly at the prefix sums in `twice`;
+    the least is the witness.  Rows are sets when the largest sum exceeds
+    _SPARSE_RATIO times the larger distinct count (measured crossover), which
+    the side lengths decide before any bitset is built when they can.
     """
-    sa, sb = set(table.alpha), set(table.beta)
-    d1, d2 = len(sa) == len(table.alpha), len(sb) == len(table.beta)
-    shifts, values = sorted((sa, sb), key=len)
-    p_shifts, p_values = sorted((set(table.alpha_p), set(table.beta_p)), key=len)
-    sparse = max(shifts) + max(values) > _SPARSE_RATIO * len(values)
+    alpha, beta = table.alpha, table.beta
+    top = max(alpha) + max(beta)
+    sparse = top > _SPARSE_RATIO * max(len(alpha), len(beta))
+    if not sparse:
+        pa, pb = _mask(table.alpha_p), _mask(table.beta_p)
+        va, vb = pa | _mask(table.alpha_s), pb | _mask(table.beta_s)
+        sparse = top > _SPARSE_RATIO * max(va.bit_count(), vb.bit_count())
     if sparse:
-        row, base, p_base = (lambda s, a: {a + v for v in s}), values, p_values
-        once, twice, prefix = set(), set(), set()
+        pa, pb, va, vb = set(table.alpha_p), set(table.beta_p), set(alpha), set(beta)
+        size, shifted, once, twice, prefix = len, (lambda s: lambda a: {a + v for v in s}), set(), set(), set()
     else:
-        row, base, p_base = int.__lshift__, _mask(values), _mask(p_values)
-        once = twice = prefix = 0
-    for a in shifts:
-        r = row(base, a)
+        size, shifted, once, twice, prefix = int.bit_count, (lambda s: s.__lshift__), 0, 0, 0
+    na, nb = size(va), size(vb)
+    # Shifts: the side with fewer distinct entries (alpha on a tie), descending (faster), or a set if one repeats.
+    shifts, values, n = (alpha, vb, na) if na <= nb else (beta, va, nb)
+    for r in map(shifted(values), reversed(shifts) if len(shifts) == n else set(shifts)):
         twice |= once & r
         once |= r
-    for a in p_shifts:
-        prefix |= row(p_base, a)
+    p_shifts, p_values = (table.alpha_p, pb) if size(pa) <= size(pb) else (table.beta_p, pa)
+    for r in map(shifted(p_values), p_shifts):
+        prefix |= r
     bad = prefix & twice
     witness = min(bad, default=None) if sparse else ((bad & -bad).bit_length() - 1 if bad else None)
-    distinct = len(once) if sparse else once.bit_count()
-    return ValidationReport(d1_ok=d1, d2_ok=d2, d3_ok=witness is None, d3_witness=witness), distinct
+    report = ValidationReport(d1_ok=na == len(alpha), d2_ok=nb == len(beta), d3_ok=witness is None, d3_witness=witness)
+    return report, size(once)
 
 
 def validate(table: DegreeTable) -> ValidationReport:

@@ -111,19 +111,9 @@ def score_closed_form(params: GaspParams) -> ScoreBreakdown:
     the T-1-i < 0 cases rely on that.
     """
     K, L, T, r = params.K, params.L, params.T, params.r
-    left = []
-    for i in range(1, T + 1):
-        if i <= r:
-            left.append(min(L, 2 + (T - 1 - i) // K))
-        else:
-            left.append(L)
-    right = [max(0, K + T - K * L - 1)]
-    for i in range(2, T + 1):
-        if i % r == 1 % r:
-            right.append(max(0, T - K + r - 1))
-        else:
-            right.append(T - 1)
-    return ScoreBreakdown(left=tuple(left), right=tuple(right))
+    left = tuple(min(L, 2 + (T - 1 - i) // K) if i <= r else L for i in range(1, T + 1))
+    right = tuple(max(0, T - K + r - 1) if i % r == 1 % r else T - 1 for i in range(2, T + 1))
+    return ScoreBreakdown(left=left, right=(max(0, K + T - K * L - 1),) + right)
 
 
 def n_of_r(params: GaspParams) -> int:

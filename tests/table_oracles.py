@@ -264,6 +264,23 @@ def guard_tables(draw, over: int):
 
 
 @st.composite
+def progression_tables(draw, entries=st.integers(0, 30)):
+    """Tables whose every block is an arithmetic progression: step -3..5 (0
+    gives a constant block), length 1..6.  Each block starts near 0 or near
+    one anchor drawn from entries, so blocks overlap within and across sides
+    whether the anchor is small or far past the sparse guard."""
+    K, L, T = (draw(st.integers(1, 6)) for _ in range(3))
+    anchor = draw(entries)
+
+    def block(n: int) -> list[int]:
+        step = draw(st.integers(-3, 5))
+        start = draw(st.sampled_from((0, anchor))) + draw(st.integers(0, 30)) + max(0, -step * (n - 1))
+        return [start + step * i for i in range(n)]
+
+    return _table(K, L, T, block(K) + block(T), block(L) + block(T))
+
+
+@st.composite
 def repeated_tables(draw, entries=st.integers(0, 30)):
     """Tables with one entry copied to another position of the same side,
     so D1 or D2 fails."""

@@ -281,6 +281,12 @@ class TestCheckAgainstOracle:
         _assert_matches_oracle(t)
         _assert_matches_oracle(transpose(t))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(oracle.progression_tables(), oracle.progression_tables(SPARSE)))
+    def test_progression_blocks(self, t):
+        _assert_matches_oracle(t)
+        _assert_matches_oracle(transpose(t))
+
     def test_entries_near_1e15_validate_at_once(self, capsys, tmp_path):
         big = 10**15
         t = DegreeTable(K=2, L=2, T=2, alpha_p=(0, 1), alpha_s=(big, big + 3),
@@ -293,6 +299,75 @@ class TestCheckAgainstOracle:
         src.write_text(json.dumps(dataclasses.asdict(t)))
         code = cmd_dispatch(["sdmm", "run", "--dims", "2,2,2", "--table", str(src)])
         assert code == 0, capsys.readouterr().err
+
+
+def _or_loop(block):
+    mask = 0
+    for v in block:
+        mask |= 1 << v
+    return mask
+
+
+@pytest.mark.parametrize("block", [
+    (0, 1, 2), (3, 7, 11, 15), (9, 6, 3, 0), (5, 5, 5), (2, 9), (9, 2), (4,), (0, 1, 3), (0, 2, 4, 5), (0, 2, 4, 5, 8),
+    (1, 2, 3, 3), (70, 135, 200), (200, 135, 70), (65,), (64, 64),
+])
+def test_mask_matches_an_or_loop(block):
+    assert degree_table._mask(block) == _or_loop(block)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 200), st.integers(-9, 40), st.integers(1, 8))
+def test_mask_of_a_progression_matches_an_or_loop(start, step, n):
+    # Ascending, descending and constant; masks run past 2^64 from an entry of 64.
+    block = tuple(start + max(0, -step * (n - 1)) + step * i for i in range(n))
+    assert degree_table._mask(block) == _or_loop(block)
+
+
+def _mask_widths(t):
+    """_check's result, and the bit length of every bitset _mask builds for it."""
+    widths, real = [], degree_table._mask
+
+    def recording(block):
+        widths.append((m := real(block)).bit_length())
+        return m
+
+    with mock.patch.object(degree_table, "_mask", recording):
+        return degree_table._check(t), widths
+
+
+class TestSparseGuard:
+    """The guard is decided from the side lengths, then from the distinct counts,
+    and no bitset holds a bit above _SPARSE_RATIO times the longer side."""
+
+    @pytest.mark.parametrize("over", [0, 1])
+    @pytest.mark.parametrize("K,L,T,alpha,beta", [
+        # H is the far entry; alpha and beta have 3 and 2, then 4 and 4, distinct entries.
+        (3, 2, 3, (0, 1, 0, "H", 1, "H"), (0, 2, 2, 0, 2)),
+        (3, 3, 3, (0, 1, 2, 1, "H", "H"), (0, 3, 6, 3, 3, 2)),
+    ])
+    def test_decided_by_distinct_counts(self, K, L, T, alpha, beta, over):
+        # By the side lengths the largest sum is below the guard; by the distinct
+        # counts it is at the guard (bitsets) or one above it (sets).
+        ratio, rows = degree_table._SPARSE_RATIO, max(len(set(alpha)), len(set(beta)))
+        t = oracle._table(K, L, T, [ratio * rows + over - max(beta) if v == "H" else v for v in alpha], list(beta))
+        for u in (t, transpose(t)):
+            assert max(u.alpha) + max(u.beta) == ratio * rows + over < ratio * max(len(u.alpha), len(u.beta))
+            widths = _mask_widths(u)[1]
+            _assert_matches_oracle(u)
+            assert len(widths) == 4 and max(widths) - 1 <= ratio * rows + over
+
+    def test_decided_by_lengths_builds_no_bitset(self):
+        t = DegreeTable(K=1, L=1, T=2, alpha_p=(0,), alpha_s=(3, 10**15), beta_p=(0,), beta_s=(1, 3))
+        got, widths = _mask_widths(t)
+        assert widths == [] and got == oracle._check(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(oracle.tables(SPARSE), oracle.progression_tables(SPARSE),
+                     oracle.repeated_tables(SPARSE), st.sampled_from((0, 1)).flatmap(oracle.guard_tables)))
+    def test_no_bitset_past_the_guard(self, t):
+        widths = _mask_widths(t)[1]
+        assert all(w - 1 <= degree_table._SPARSE_RATIO * max(len(t.alpha), len(t.beta)) for w in widths)
 
 
 class IntSub(int):
