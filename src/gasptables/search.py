@@ -18,8 +18,9 @@ on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
 gcd, and each alpha side reads its valid partners off as one mask.  A side
 is a value set plus a split of its positions into prefix and suffix; the
-sets are listed once, the splits once per shape, and the blocks are built
-only for a table that reaches the best count.
+sets are listed once, the splits once per shape.  Reflecting each side
+through its maximum maps the census onto itself, so one alpha side of each
+mirror pair is joined, and blocks are built only for the optima.
 Greedy keeps the entries in use as one integer and every row's overlap with
 them as a counter in another, updated by one shifted add per new entry
 below the cover's top and one precomputed block for those above it; the
@@ -92,6 +93,13 @@ def _splits(p_len: int, s_len: int) -> list:
     return splits
 
 
+def _mirrors(keys: list, top: Optional[int] = None) -> list:
+    """Index in keys of each sorted tuple's reflection x -> m - x; m is top, else its maximum."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    return [order[bisect_left(ranked, tuple((top or k[-1]) - v for v in reversed(k)))] for k in keys]
+
+
 def _value_sets(size: int, bound: int) -> list:
     """(gcd, values) for each sorted set of size entries in [0, bound] holding 0, in order."""
     return [(math.gcd(*rest), (0,) + rest) for rest in combinations(range(1, bound + 1), size - 1)]
@@ -131,11 +139,20 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
         by_gcd[g] = by_gcd.get(g, 0) | ((1 << nb) - 1) << j0
         value_masks.append(_mask(vals))
     coprime: dict[int, int] = {}
+    # A side's reflection (values through their maximum, positions through n - 1) keeps a table
+    # normal, valid and of equal N, so one row per mirror pair is joined; weight 2 counts both.
+    a_mirror, b_mirror = _mirrors([v for _, v in a_sets]), _mirrors([v for _, v in b_sets])
+    sa_mirror = _mirrors([pos for pos, *_ in a_splits], K + T - 1)
+    sb_mirror = _mirrors([pos for pos, *_ in b_splits], L + T - 1)
+    rows = [(sa, pos, 2) for sa, (pos, *_) in enumerate(a_splits)]
+    self_rows = [(sa, pos, 2 - (m == sa)) for (sa, pos, _), m in zip(rows, sa_mirror) if m >= sa]
 
     best_n: Optional[int] = None
-    optima: list[DegreeTable] = []
+    best: list[tuple[int, ...]] = []  # (value set, split) of alpha and beta at each optimum
     valid = 0
-    for ga, a_vals in a_sets:
+    for ia, (ga, a_vals) in enumerate(a_sets):
+        if (mv := a_mirror[ia]) < ia:
+            continue
         if ga not in coprime:
             coprime[ga] = sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
         # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
@@ -148,7 +165,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
             for v in a_vals:
                 clash |= by_diff.get(x - v, 0)
             clashes.append(clash)
-        for pos, a_pre, a_suf in a_splits:
+        for sa, pos, w in self_rows if mv == ia else rows:
             clash = 0
             for p in pos:
                 clash |= clashes[p]
@@ -157,22 +174,25 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
                 low = ok & -ok
                 ok ^= low
                 jv, js = divmod(low.bit_length() - 1, nb)
-                valid += 1
+                valid += w
                 mask = value_masks[jv]
                 cover = 0
                 for a in a_vals:
                     cover |= mask << a
                 n = cover.bit_count()
                 if best_n is None or n <= best_n:
-                    (_, b_vals), (_, b_pre, b_suf) = b_sets[jv], b_splits[js]
-                    table = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre(a_vals), alpha_s=a_suf(a_vals),
-                                        beta_p=b_pre(b_vals), beta_s=b_suf(b_vals))
                     if best_n is None or n < best_n:
-                        best_n, optima = n, [table]
-                    else:
-                        optima.append(table)
+                        best_n, best = n, []
+                    best.append((ia, sa, jv, js))
+                    if w == 2:
+                        best.append((mv, sa_mirror[sa], b_mirror[jv], sb_mirror[js]))
     if best_n is None:
         raise DomainError(f"no valid table found within bounds ({bound_a}, {bound_b})")
+    optima = []
+    for ia, sa, jv, js in sorted(best):  # the order of a join over every alpha side
+        (_, a_vals), (_, a_pre, a_suf) = a_sets[ia], a_splits[sa]
+        (_, b_vals), (_, b_pre, b_suf) = b_sets[jv], b_splits[js]
+        optima.append(DegreeTable(K, L, T, a_pre(a_vals), a_suf(a_vals), b_pre(b_vals), b_suf(b_vals)))
     sides = (len(a_sets) * len(a_splits), len(b_sets) * nb)
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,

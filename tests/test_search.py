@@ -1,18 +1,21 @@
 """Exhaustive census, fixed-prefix search, and the greedy heuristic."""
 
 import functools
+import math
 import sys
 import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gasptables import (
     DegreeTable,
     DomainError,
+    EquivalenceTransform,
     GaspParams,
+    apply_transform,
     construct,
     count_distinct,
     exhaustive,
@@ -46,18 +49,19 @@ def _outcome(search, *args, **kw):
         return str(err)
 
 
-def _brute_census(K, L, T, bound):
-    """(valid count, best N, optima blocks) by validate() over every side pair."""
+def _brute_census(K, L, T, bounds):
+    """(valid count, best N, optima blocks) by validate() over every side pair
+    within the (alpha, beta) entry bounds."""
 
-    def sides(p_len):
+    def sides(p_len, bound):
         for values in combinations(range(bound + 1), p_len + T):
             if values[0] == 0:
                 for suffix in combinations(values, T):
                     yield tuple(v for v in values if v not in suffix), suffix
 
     valid, best, optima = 0, None, set()
-    for a_pre, a_suf in sides(K):
-        for b_pre, b_suf in sides(L):
+    for a_pre, a_suf in sides(K, bounds[0]):
+        for b_pre, b_suf in sides(L, bounds[1]):
             t = DegreeTable(K=K, L=L, T=T, alpha_p=a_pre, alpha_s=a_suf,
                             beta_p=b_pre, beta_s=b_suf)
             if not (is_normal(t) and validate(t).ok):
@@ -153,6 +157,10 @@ class TestExhaustive:
         (1, 1, 2, None), (2, 1, 3, None), (3, 1, 5, None), (2, 2, 4, 7),
         (1, 1, 1, 3), (2, 1, 1, 5), (2, 2, 2, 6), (2, 2, 1, (6, 5)), (2, 1, 2, (3, 5)),
         (2, 2, 3, (7, 6)),
+        # Unequal bounds with K = L and K != L, and self-mirror value sets and
+        # splits; (2,2,2,(5,6)) has 14 optima, in the order of the full join.
+        (2, 1, 3, 6), (1, 2, 2, (4, 6)), (2, 2, 2, (5, 6)), (2, 2, 4, (8, 7)), (1, 1, 3, (5, 6)),
+        (1, 1, 1, (2, 3)),
     ])
     def test_matches_packed_oracle(self, K, L, T, bound):
         assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
@@ -169,12 +177,19 @@ class TestExhaustive:
         assert res.side_candidates == (17820, 17820)
         assert peak < 1 << 20
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 5))
-    def test_matches_brute_validate(self, K, L, T, bound):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3), st.integers(0, 5), st.integers(0, 5))
+    # An empty alpha, beta and both side lists (a bound below K+T-1 or L+T-1),
+    # and unequal bounds with both lists nonempty.
+    @example(2, 1, 3, 3, 5)
+    @example(1, 2, 2, 5, 2)
+    @example(2, 2, 2, 1, 0)
+    @example(2, 1, 2, 3, 5)
+    def test_matches_brute_validate(self, K, L, T, bound_a, bound_b):
+        bound = (bound_a, bound_b)
         valid, best, optima = _brute_census(K, L, T, bound)
         if not valid:
-            with pytest.raises(DomainError, match="no valid table"):
+            with pytest.raises(DomainError, match=rf"^no valid table found within bounds \({bound_a}, {bound_b}\)$"):
                 exhaustive(K, L, T, entry_bound=bound)
             return
         res = exhaustive(K, L, T, entry_bound=bound)
@@ -182,6 +197,37 @@ class TestExhaustive:
         assert res.best_n == best
         assert {(t.alpha_p, t.alpha_s, t.beta_p, t.beta_s) for t in res.optima} == optima
         assert len(res.optima) == len(optima)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reflection_maps_the_census_onto_itself(self, data):
+        # The census joins one alpha side of each mirror pair: reflecting each
+        # side of a census table (values within the side's entry bound) through
+        # its own maximum must give a census table with the same maxima, gcds,
+        # verdict and N, and undo itself.
+        K, L, T = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        blocks = []
+        for p_len in (K, L):
+            n = p_len + T
+            bound = data.draw(st.integers(n - 1, n + 4))
+            vals = (0, *sorted(data.draw(st.permutations(range(1, bound + 1)))[:n - 1]))
+            suf = sorted(data.draw(st.permutations(range(n)))[:T])
+            blocks += [tuple(v for p, v in enumerate(vals) if p not in suf), tuple(vals[p] for p in suf)]
+        t = DegreeTable(K, L, T, *blocks)
+        assume(is_normal(t))
+
+        def reflect(t):
+            r = apply_transform(t, EquivalenceTransform(-1, -max(t.alpha), -max(t.beta)))
+            return DegreeTable(K, L, T, *(tuple(sorted(b)) for b in (r.alpha_p, r.alpha_s, r.beta_p, r.beta_s)))
+
+        r = reflect(t)
+        assert is_normal(r)
+        assert (max(r.alpha), max(r.beta)) == (max(t.alpha), max(t.beta))
+        assert (math.gcd(*r.alpha), math.gcd(*r.beta)) == (math.gcd(*t.alpha), math.gcd(*t.beta))
+        assert validate(r).ok == validate(t).ok
+        if validate(t).ok:
+            assert count_distinct(r) == count_distinct(t)
+        assert reflect(r) == t
 
 
 class TestFixedPrefix:
