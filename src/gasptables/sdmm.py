@@ -10,16 +10,23 @@ selection submatrices have to stay invertible.
 All arithmetic is exact over a prime field chosen large enough that every
 table entry fits below q - 1 (so distinct exponents stay distinct under the
 mod q - 1 reduction used during evaluation).
+
+A sampled security audit splits its block tests over forked workers, up to
+one per CPU the process may run on; its report does not depend on how many.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
+import signal
 import sys
+import threading
+from array import array
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import mul
 
 from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
@@ -40,6 +47,9 @@ MAX_EXHAUSTIVE_SUBSETS = 10**7
 # The sampled audit takes this many subsets through the block test's elimination
 # steps together: time is flat from 128 up, and memory grows with the chunk.
 AUDIT_CHUNK = 128
+# security_check's sampled audit forks a worker for each this many chunks, up to one per CPU
+# the process may run on; read at call time, so tests can patch it.
+MIN_WORKER_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -213,19 +223,76 @@ def _mask_side(field: PrimeField, points, exps, count: int):
     return leaks
 
 
-def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
+def _in_workers(test, n: int) -> array:
+    """test(lo, hi) over contiguous runs of range(n), one run per worker, concatenated in run order.
+    The parent tests run 0 and a forked child each other run, writing its array down a pipe behind
+    its byte count; a run whose fork fails or whose child does not deliver is tested in the parent."""
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    if (workers := min(len(os.sched_getaffinity(0)), n // MIN_WORKER_CHUNKS) if usable else 1) < 2:
+        return test(0, n)
+    cuts = [n * w // workers for w in range(workers + 1)]
+    runs, children = list(zip(cuts, cuts[1:])), {}
+    try:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                continue
+            if not pid:
+                code = 1
+                try:
+                    data = test(*run).tobytes()
+                    with open(w, "wb") as out:
+                        out.write(len(data).to_bytes(8, "little") + data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[run] = pid, open(r, "rb")
+        found = test(*runs[0])
+        for run in runs[1:]:
+            got, status = b"", 1
+            if run in children:
+                pid, pipe = children[run]
+                got, status = pipe.read(), os.waitpid(pid, 0)[1]
+                del children[run]
+                pipe.close()
+            if status or int.from_bytes(got[:8], "little") != len(got) - 8:
+                found.extend(test(*run))
+            else:
+                found.frombytes(got[8:])
+        return found
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _leaks(field: PrimeField, points, table: DegreeTable, subsets, split: bool = False):
     """Yield (subset, side), alpha first, for each singular T x T mask block of a side
     `_mask_side` cannot prove clean: over ``subsets`` in order, tested AUDIT_CHUNK at a
     time by the side's leaks(chunk), or, when None, over every T-subset in lexicographic
-    order, streamed by `_dependent_subsets` on the side's powers."""
+    order, streamed by `_dependent_subsets` on the side's powers.  With ``split`` the
+    chunks are tested at once by `_in_workers`, else lazily one after another."""
     sides = [(side, exps, leaks) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
              if (leaks := _mask_side(field, points, exps, len(subsets or ())))]
     if subsets is None:
         return heapq.merge(*(zip(_dependent_subsets(field.q, _powers(field, points, exps), table.T), repeat(side))
                              for side, exps, _ in sides))
-    chunks = (subsets[c:c + AUDIT_CHUNK] for c in range(0, len(subsets), AUDIT_CHUNK))
-    return ((chunk[b], sides[j][0]) for chunk in chunks
-            for b, j in sorted({(b, j) for j, (_, _, leaks) in enumerate(sides) for b in leaks(chunk)}))
+    chunks = [subsets[c:c + AUDIT_CHUNK] for c in range(0, len(subsets), AUDIT_CHUNK)]
+    n = len(chunks)
+
+    def test(lo, hi):
+        # 2i + j for each singular block of subset i on side j, in the chunks lo to hi - 1, ascending.
+        return array("q", sorted(2 * (c * AUDIT_CHUNK + b) + j for c in range(lo, hi)
+                                 for j, (_, _, leaks) in enumerate(sides) for b in leaks(chunks[c])))
+
+    found = _in_workers(test, n) if split and sides else chain.from_iterable(map(test, range(n), range(1, n + 1)))
+    return ((subsets[v >> 1], sides[v & 1][0]) for v in found)
 
 
 def choose_field_and_points(
@@ -331,8 +398,12 @@ def security_check(inst: SdmmInstance, mode: str = "auto", seed: int = 0) -> Sec
     every one when there are at most EXHAUSTIVE_SUBSET_LIMIT, "sampled" when there are
     at most SAMPLED_SUBSET_COUNT; otherwise SAMPLED_SUBSET_COUNT distinct random subsets
     drawn from ``seed`` and tested AUDIT_CHUNK at a time, each mask side's blocks by one
-    batched elimination (see `_mask_side`).  A failure names the subset and the side that
-    leaked; the report is exhaustive exactly when it checked every subset.
+    batched elimination (see `_mask_side`).  Those chunks are cut into contiguous runs, one
+    per CPU the process may run on but at least MIN_WORKER_CHUNKS each, and every run but
+    the first is tested in a forked child; the audit stays in this process where fork is
+    missing or another thread runs.  A failure names the subset and the side that leaked,
+    in the same order however many workers there are; the report is exhaustive exactly
+    when it checked every subset.
     """
     # The most subsets each mode enumerates; above that it samples instead.
     limits = {"all": MAX_EXHAUSTIVE_SUBSETS, "auto": EXHAUSTIVE_SUBSET_LIMIT, "sampled": SAMPLED_SUBSET_COUNT}
@@ -345,4 +416,4 @@ def security_check(inst: SdmmInstance, mode: str = "auto", seed: int = 0) -> Sec
                           f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
     subsets = _subsets(n, t, limits[mode], SAMPLED_SUBSET_COUNT, random.Random(f"security:{seed}"))
     return SecurityReport(total_subsets=total, checked=total if subsets is None else len(subsets),
-                          failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)))
+                          failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets, split=True)))

@@ -118,7 +118,8 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     # Side j of a list is split j % len(splits) of value set j // len(splits).
     a_sets = _value_sets(K + T, bound_a)
     b_sets = a_sets if (K, bound_a) == (L, bound_b) else _value_sets(L + T, bound_b)
-    a_splits, b_splits = _splits(K, T), _splits(L, T)
+    a_splits = _splits(K, T)
+    b_splits = a_splits if K == L else _splits(L, T)
     nb = len(b_splits)
 
     # Bitsets over beta indices, keyed by each nonzero difference in
@@ -141,9 +142,10 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     coprime: dict[int, int] = {}
     # A side's reflection (values through their maximum, positions through n - 1) keeps a table
     # normal, valid and of equal N, so one row per mirror pair is joined; weight 2 counts both.
-    a_mirror, b_mirror = _mirrors([v for _, v in a_sets]), _mirrors([v for _, v in b_sets])
+    a_mirror = _mirrors([v for _, v in a_sets])
+    b_mirror = a_mirror if b_sets is a_sets else _mirrors([v for _, v in b_sets])
     sa_mirror = _mirrors([pos for pos, *_ in a_splits], K + T - 1)
-    sb_mirror = _mirrors([pos for pos, *_ in b_splits], L + T - 1)
+    sb_mirror = sa_mirror if K == L else _mirrors([pos for pos, *_ in b_splits], L + T - 1)
     rows = [(sa, pos, 2) for sa, (pos, *_) in enumerate(a_splits)]
     self_rows = [(sa, pos, 2 - (m == sa)) for (sa, pos, _), m in zip(rows, sa_mirror) if m >= sa]
 

@@ -317,11 +317,20 @@ def test_mask_matches_an_or_loop(block):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.integers(0, 200), st.integers(-9, 40), st.integers(1, 8))
+@given(st.integers(0, 200), st.integers(-9, 40) | st.sampled_from([60, 61, 1000, -61]), st.integers(1, 70))
 def test_mask_of_a_progression_matches_an_or_loop(start, step, n):
     # Ascending, descending and constant; masks run past 2^64 from an entry of 64.
     block = tuple(start + max(0, -step * (n - 1)) + step * i for i in range(n))
     assert degree_table._mask(block) == _or_loop(block)
+
+
+# Steps up to 30 divide by a one-digit 2^s - 1; past it the series is doubled and cut.
+@pytest.mark.parametrize("step", [29, 30, 31, 32, 33, 60, 61, 1000])
+def test_mask_of_a_wide_progression_matches_an_or_loop(step):
+    for n in range(3, 71):
+        for start in (0, 1, 64):
+            block = tuple(start + step * i for i in range(n))
+            assert degree_table._mask(block) == _or_loop(block), (step, n, start)
 
 
 def _mask_widths(t):

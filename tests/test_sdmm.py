@@ -2,11 +2,14 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import math
+import os
 import random
 import re
 import sys
+import threading
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -934,3 +937,174 @@ class TestAuditKernels:
         assert (seen[0] is not None) is table
         if table:
             assert len(seen[0]) == 2 * fld.q and all((v * i + 1) % fld.q == 0 for i, v in enumerate(seen[0]) if i % fld.q)
+
+
+def _cpus(monkeypatch, k):
+    """Let the audit see ``k`` CPUs and fork a worker for every chunk."""
+    monkeypatch.setattr(sdmm.os, "sched_getaffinity", lambda pid: set(range(k)))
+    monkeypatch.setattr(sdmm, "MIN_WORKER_CHUNKS", 1)
+
+
+def _forks(monkeypatch):
+    """The list of os.fork calls, each passed through."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(sdmm.os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@functools.lru_cache(maxsize=None)
+def _audited(n, r, seed, base_q=2):
+    """A K = L = T = n instance whose sampled audit takes 10,000 subsets in 79 chunks."""
+    inst = build_instance(((1,) * n,) * n, ((1,) * n,) * n, construct(GaspParams(n, n, n, r)), base_q=base_q, seed=seed)
+    assert math.comb(inst.n_servers, n) > sdmm.EXHAUSTIVE_SUBSET_LIMIT
+    return inst
+
+
+class TestForkedAudit:
+    """The sampled audit's chunks split over forked workers, one contiguous run each."""
+
+    # Seed 0 gives the points `sdmm run` picks, and its pinned failure counts.
+    @pytest.mark.parametrize("n, r, seed, leaks", [(8, 3, 0, 73), (8, 3, 5, None), (12, 4, 0, 34), (12, 4, 3, None)])
+    def test_report_does_not_depend_on_workers(self, monkeypatch, n, r, seed, leaks):
+        inst = _audited(n, r, seed)
+        subsets = sdmm._subsets(inst.n_servers, n, -1, sdmm.SAMPLED_SUBSET_COUNT, random.Random(f"security:{seed}"))
+        lazy = tuple(sdmm._leaks(inst.field, inst.points, inst.table, subsets))
+        forks = _forks(monkeypatch)
+        for workers in (1, 2, 3):
+            _cpus(monkeypatch, workers)
+            rep = security_check(inst, seed=seed)
+            assert (rep.checked, rep.failures) == (10_000, lazy)
+            assert len(forks) == workers - 1
+            forks.clear()
+            _no_child_left()
+        assert leaks is None or len(lazy) == leaks
+
+    def test_wide_field(self, monkeypatch):
+        inst = _audited(8, 3, 0, base_q=4611686018427388039)
+        assert inst.field.q == 4611686018427388039
+        reports = set()
+        for workers in (1, 2, 3):
+            _cpus(monkeypatch, workers)
+            reports.add(security_check(inst, mode="sampled"))
+        assert len(reports) == 1 and reports.pop().checked == 10_000
+
+    # 79 chunks: over 3 workers the runs are chunks 0-25, 26-51 and 52-78, over 2
+    # workers 0-38 and 39-78; at 40 chunks a worker there is one worker and no fork.
+    @pytest.mark.parametrize("least, run0, forked", [(1, (0, 26), 2), (26, (0, 26), 2), (27, (0, 39), 1),
+                                                     (40, (0, 79), 0)])
+    def test_runs_are_whole_chunks(self, monkeypatch, least, run0, forked):
+        inst, runs = _audited(8, 3, 0), []
+        real = sdmm._in_workers
+        monkeypatch.setattr(sdmm, "_in_workers", lambda test, n: real(lambda *run: runs.append(run) or test(*run), n))
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(sdmm, "MIN_WORKER_CHUNKS", least)
+        forks = _forks(monkeypatch)
+        assert len(security_check(inst).failures) == 73
+        # The parent tests run 0 alone; the children test theirs.
+        assert (runs, len(forks)) == ([run0], forked)
+
+    def test_kernel_error_reaches_the_parent(self, monkeypatch):
+        inst = _audited(8, 3, 0)
+        _cpus(monkeypatch, 3)
+        forks = _forks(monkeypatch)
+
+        def broken(rows, layout, inverses):
+            raise ArithmeticError("kernel fault")
+
+        monkeypatch.setattr(sdmm, "_singular_many", broken)
+        with pytest.raises(ArithmeticError, match="kernel fault"):
+            security_check(inst)
+        assert len(forks) == 2
+        _no_child_left()
+
+    def _fallback(self, monkeypatch):
+        """The audit's report with every child's result dropped, and the plain report."""
+        inst = _audited(8, 3, 0)
+        want = security_check(inst)
+        _cpus(monkeypatch, 3)
+        return inst, want
+
+    def test_child_error_falls_back_to_the_parent(self, monkeypatch):
+        inst, want = self._fallback(monkeypatch)
+        parent, real, tested = os.getpid(), sdmm._singular_many, []
+
+        def child_fails(rows, layout, inverses):
+            if os.getpid() != parent:
+                raise ArithmeticError("child fault")
+            tested.append(1)
+            return real(rows, layout, inverses)
+
+        monkeypatch.setattr(sdmm, "_singular_many", child_fails)
+        assert security_check(inst) == want
+        assert len(tested) == 79  # the parent tested every chunk of the one leaking side
+        _no_child_left()
+
+    def test_short_payload_falls_back_to_the_parent(self, monkeypatch):
+        inst, want = self._fallback(monkeypatch)
+        real = open
+
+        class Short:
+            def __init__(self, fd, mode):
+                self.f = real(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:-1])
+
+        monkeypatch.setattr(sdmm, "open", lambda fd, mode: Short(fd, mode) if mode == "wb" else real(fd, mode),
+                            raising=False)
+        assert security_check(inst) == want
+        _no_child_left()
+
+    def test_failed_fork_falls_back_to_the_parent(self, monkeypatch):
+        inst, want = self._fallback(monkeypatch)
+        calls = []
+
+        def no_fork():
+            calls.append(1)
+            raise BlockingIOError("no processes left")
+
+        monkeypatch.setattr(sdmm.os, "fork", no_fork)
+        assert security_check(inst) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, monkeypatch, missing):
+        inst, want = self._fallback(monkeypatch)
+        forks = _forks(monkeypatch)
+        monkeypatch.delattr(sdmm.os, missing)
+        assert security_check(inst) == want
+        assert not forks
+
+    def test_serial_with_a_second_thread(self, monkeypatch):
+        inst, want = self._fallback(monkeypatch)
+        forks, done = _forks(monkeypatch), threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            assert threading.active_count() > 1
+            assert security_check(inst) == want
+        finally:
+            done.set()
+            waiter.join()
+        assert not forks
+
+    def test_point_selection_and_dfs_stay_serial(self, monkeypatch):
+        # Point selection's 1,000 subsets are 8 chunks; the 4^3 audit is the DFS.
+        _cpus(monkeypatch, 3)
+        forks = _forks(monkeypatch)
+        with mock.patch.object(sdmm, "SELECTION_SAMPLES", 1000):
+            _outcome(choose_field_and_points, construct(GaspParams(8, 8, 8, 3)))
+        inst = build_instance(rand_matrix(random.Random(2), 8, 4), rand_matrix(random.Random(3), 4, 4), T442, seed=7)
+        assert security_check(inst, mode="all").checked == 58905
+        assert not forks

@@ -27,6 +27,7 @@ from gasptables import (
     optimal_r,
     validate,
 )
+from gasptables import search
 from gasptables.gasp import suffix_window
 from search_oracles import exhaustive_packed, fixed_prefix_dfs, greedy_scan
 
@@ -164,6 +165,16 @@ class TestExhaustive:
     ])
     def test_matches_packed_oracle(self, K, L, T, bound):
         assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
+
+    # One value-set list (K = L, equal bounds) is mirrored once, and at K = L one split list.
+    @pytest.mark.parametrize("K,L,T,bound,mirrored", [
+        (2, 2, 4, 7, 2), (2, 2, 2, (5, 6), 3), (2, 1, 3, 6, 4), (1, 2, 2, (4, 6), 4),
+    ])
+    def test_mirrors_each_list_once(self, monkeypatch, K, L, T, bound, mirrored):
+        calls, real = [], search._mirrors
+        monkeypatch.setattr(search, "_mirrors", lambda keys, top=None: calls.append(1) or real(keys, top))
+        assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
+        assert len(calls) == mirrored
 
     def test_census_memory_stays_small(self):
         # Sides are value sets plus shared split getters: no tuple is built
