@@ -26,7 +26,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from operator import mul
 
 from .degree_table import DegreeTable, DomainError, _require_int, count_distinct, sumset
@@ -223,75 +223,76 @@ def _mask_side(field: PrimeField, points, exps, count: int):
     return leaks
 
 
+def _fork(test, run, w: int):
+    """A child's pid, or None where os.fork fails.  The child writes test(*run) down the pipe end
+    ``w`` behind its byte count and leaves by os._exit, with the signals `_in_workers` holds."""
+    try:
+        if pid := os.fork():
+            return pid
+    except OSError:
+        return None
+    try:
+        data = test(*run).tobytes()
+        with open(w, "wb") as out:
+            out.write(len(data).to_bytes(8, "little") + data)
+    finally:
+        os._exit(0)  # the parent reads the payload, not the status
+
+
 def _in_workers(test, n: int) -> array:
     """test(lo, hi) over contiguous runs of range(n), one run per worker, concatenated in run order.
-    The parent tests run 0 and a forked child each other run, writing its array down a pipe behind
-    its byte count; a run whose fork fails or whose child does not deliver is tested in the parent."""
+    The parent tests run 0 and a forked child each other run; a run whose fork fails or whose child
+    sends a short payload is tested in the parent.  Signals are held from before the first fork until
+    every child is listed, so the `finally` kills and reaps each one."""
     usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
     if (workers := min(len(os.sched_getaffinity(0)), n // MIN_WORKER_CHUNKS) if usable else 1) < 2:
         return test(0, n)
     cuts = [n * w // workers for w in range(workers + 1)]
-    runs, children = list(zip(cuts, cuts[1:])), {}
+    runs, live, held = list(zip(cuts, cuts[1:])), [], signal.pthread_sigmask(signal.SIG_BLOCK, ())
     try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         for run in runs[1:]:
             r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                continue
-            if not pid:
-                code = 1
-                try:
-                    data = test(*run).tobytes()
-                    with open(w, "wb") as out:
-                        out.write(len(data).to_bytes(8, "little") + data)
-                    code = 0
-                finally:
-                    os._exit(code)
+            live.append((run, open(r, "rb"), _fork(test, run, w)))
             os.close(w)
-            children[run] = pid, open(r, "rb")
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         found = test(*runs[0])
-        for run in runs[1:]:
-            got, status = b"", 1
-            if run in children:
-                pid, pipe = children[run]
-                got, status = pipe.read(), os.waitpid(pid, 0)[1]
-                del children[run]
-                pipe.close()
-            if status or int.from_bytes(got[:8], "little") != len(got) - 8:
-                found.extend(test(*run))
-            else:
+        for run, pipe, _ in live:
+            got = pipe.read()
+            if int.from_bytes(got[:8], "little") == len(got) - 8:
                 found.frombytes(got[8:])
+            else:
+                found.extend(test(*run))
         return found
     finally:
-        for pid, pipe in children.values():
+        for _, pipe, pid in live:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
-def _leaks(field: PrimeField, points, table: DegreeTable, subsets, split: bool = False):
+def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
     """Yield (subset, side), alpha first, for each singular T x T mask block of a side
     `_mask_side` cannot prove clean: over ``subsets`` in order, tested AUDIT_CHUNK at a
     time by the side's leaks(chunk), or, when None, over every T-subset in lexicographic
-    order, streamed by `_dependent_subsets` on the side's powers.  With ``split`` the
-    chunks are tested at once by `_in_workers`, else lazily one after another."""
+    order, streamed by `_dependent_subsets` on the side's powers.  The chunks are split over
+    workers by `_in_workers`; point selection's SELECTION_SAMPLES subsets are one chunk, so
+    its audit stays in one process."""
     sides = [(side, exps, leaks) for side, exps in (("alpha", table.alpha_s), ("beta", table.beta_s))
              if (leaks := _mask_side(field, points, exps, len(subsets or ())))]
     if subsets is None:
         return heapq.merge(*(zip(_dependent_subsets(field.q, _powers(field, points, exps), table.T), repeat(side))
                              for side, exps, _ in sides))
     chunks = [subsets[c:c + AUDIT_CHUNK] for c in range(0, len(subsets), AUDIT_CHUNK)]
-    n = len(chunks)
 
     def test(lo, hi):
         # 2i + j for each singular block of subset i on side j, in the chunks lo to hi - 1, ascending.
         return array("q", sorted(2 * (c * AUDIT_CHUNK + b) + j for c in range(lo, hi)
                                  for j, (_, _, leaks) in enumerate(sides) for b in leaks(chunks[c])))
 
-    found = _in_workers(test, n) if split and sides else chain.from_iterable(map(test, range(n), range(1, n + 1)))
+    found = _in_workers(test, len(chunks)) if sides else ()
     return ((subsets[v >> 1], sides[v & 1][0]) for v in found)
 
 
@@ -416,4 +417,4 @@ def security_check(inst: SdmmInstance, mode: str = "auto", seed: int = 0) -> Sec
                           f" more than {MAX_EXHAUSTIVE_SUBSETS}; use a sampled audit")
     subsets = _subsets(n, t, limits[mode], SAMPLED_SUBSET_COUNT, random.Random(f"security:{seed}"))
     return SecurityReport(total_subsets=total, checked=total if subsets is None else len(subsets),
-                          failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets, split=True)))
+                          failures=tuple(_leaks(inst.field, inst.points, inst.table, subsets)))

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -971,18 +972,16 @@ class TestForkedAudit:
     # Seed 0 gives the points `sdmm run` picks, and its pinned failure counts.
     @pytest.mark.parametrize("n, r, seed, leaks", [(8, 3, 0, 73), (8, 3, 5, None), (12, 4, 0, 34), (12, 4, 3, None)])
     def test_report_does_not_depend_on_workers(self, monkeypatch, n, r, seed, leaks):
-        inst = _audited(n, r, seed)
-        subsets = sdmm._subsets(inst.n_servers, n, -1, sdmm.SAMPLED_SUBSET_COUNT, random.Random(f"security:{seed}"))
-        lazy = tuple(sdmm._leaks(inst.field, inst.points, inst.table, subsets))
+        inst, reports = _audited(n, r, seed), []
         forks = _forks(monkeypatch)
         for workers in (1, 2, 3):
             _cpus(monkeypatch, workers)
-            rep = security_check(inst, seed=seed)
-            assert (rep.checked, rep.failures) == (10_000, lazy)
+            reports.append(security_check(inst, seed=seed))
             assert len(forks) == workers - 1
             forks.clear()
             _no_child_left()
-        assert leaks is None or len(lazy) == leaks
+        assert reports[0].checked == 10_000 and reports[1:] == reports[:1] * 2
+        assert leaks is None or len(reports[0].failures) == leaks
 
     def test_wide_field(self, monkeypatch):
         inst = _audited(8, 3, 0, base_q=4611686018427388039)
@@ -1020,6 +1019,42 @@ class TestForkedAudit:
         with pytest.raises(ArithmeticError, match="kernel fault"):
             security_check(inst)
         assert len(forks) == 2
+        _no_child_left()
+
+    def test_interrupt_at_a_fork_leaves_no_child(self, monkeypatch):
+        # SIGINT lands in the parent just after the first fork: it is held until every child is listed,
+        # so the KeyboardInterrupt that follows finds both children to kill and reap, and the mask is restored.
+        inst, real, forks, mask = _audited(8, 3, 0), os.fork, [], signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+        def fork_then_interrupt():
+            if pid := real():
+                forks.append(pid)
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(sdmm.os, "fork", fork_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            security_check(inst)
+        assert len(forks) == 2
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        _no_child_left()
+
+    def test_children_hold_signals(self, monkeypatch):
+        # A SIGINT sent to a child waits until it exits, so it still delivers: the parent tests only run 0.
+        inst, want = self._fallback(monkeypatch)
+        parent, real, tested = os.getpid(), sdmm._singular_many, []
+
+        def child_interrupted(rows, layout, inverses):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            else:
+                tested.append(1)
+            return real(rows, layout, inverses)
+
+        monkeypatch.setattr(sdmm, "_singular_many", child_interrupted)
+        assert security_check(inst) == want
+        assert len(tested) == 26  # run 0 of 3: chunks 0-25 of the one leaking side
         _no_child_left()
 
     def _fallback(self, monkeypatch):
@@ -1100,11 +1135,10 @@ class TestForkedAudit:
         assert not forks
 
     def test_point_selection_and_dfs_stay_serial(self, monkeypatch):
-        # Point selection's 1,000 subsets are 8 chunks; the 4^3 audit is the DFS.
+        # Point selection's 50 subsets are one chunk, too few for a second worker; the 4^3 audit is the DFS.
         _cpus(monkeypatch, 3)
         forks = _forks(monkeypatch)
-        with mock.patch.object(sdmm, "SELECTION_SAMPLES", 1000):
-            _outcome(choose_field_and_points, construct(GaspParams(8, 8, 8, 3)))
+        _outcome(choose_field_and_points, construct(GaspParams(8, 8, 8, 3)))
         inst = build_instance(rand_matrix(random.Random(2), 8, 4), rand_matrix(random.Random(3), 4, 4), T442, seed=7)
         assert security_check(inst, mode="all").checked == 58905
         assert not forks
