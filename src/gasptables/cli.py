@@ -10,6 +10,7 @@ seed wherever randomness is involved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -180,13 +181,12 @@ def _parse(text: str, n: int, what: str, convert=int) -> tuple:
 
 def _load_table(path: str) -> DegreeTable:
     try:
-        if path == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(path) as fh:
-                data = json.load(fh)
+        with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+            data = json.load(fh)
     except RecursionError:
         raise DomainError(f"table JSON in {path} is nested too deeply") from None
+    except json.JSONDecodeError as e:
+        raise DomainError(f"table JSON in {path} is not valid JSON: {e}") from None
     return DegreeTable.from_json_dict(data)
 
 

@@ -151,17 +151,11 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> set[int]:
 
 def _mask(block: ExponentVector) -> int:
     """The bitset of a block: bit v is set for each entry v.  An ascending
-    progression of three or more terms is one geometric series of bits: a
-    division where its ratio 2^s - 1 is one 30-bit digit, else doubling shifts
-    cut to n terms."""
+    progression of three or more terms is one geometric series of bits, built
+    by one division by its ratio 2^s - 1."""
     n, lo, hi = len(block), block[0], block[-1]
     if n > 2 and (s := block[1] - lo) > 0 and hi == lo + s * (n - 1) and block == tuple(range(lo, hi + 1, s)):
-        if s <= 30:
-            return ((1 << s * n) - 1) // ((1 << s) - 1) << lo
-        mask, k = 1, 1
-        while k < n:
-            mask, k = mask | mask << s * k, 2 * k
-        return (mask & ((1 << hi - lo + 1) - 1)) << lo
+        return ((1 << s * n) - 1) // ((1 << s) - 1) << lo
     mask = 0
     for v in block:
         mask |= 1 << v

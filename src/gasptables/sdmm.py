@@ -191,22 +191,20 @@ def _dependent_subsets(q: int, rows, t: int):
 
 def _mask_side(field: PrimeField, points, exps, count: int):
     """None when no T x T block of this side can be singular, else leaks(chunk): the set of positions
-    of the singular blocks in a non-empty list of subsets.  Exponents a, a+d, ... give blocks
-    diag(x^a) Vandermonde(x^d), singular iff two points share x^d; a zero point (field.pow takes 0^0 as
-    1) is eliminated.  Otherwise a block is diag(x^e0) times the rows x^(e - e0), e0 the least exponent,
-    packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a zero point, whose
-    row sinks every block when e0 > 0.  So leaks(chunk) takes the first step free, a row position at a
-    time: with c = q in every slot minus a subset's first row, each other row x goes to (x + c) >> slot,
-    below 2q.  `_singular_many` takes the chunk's blocks through the other steps together, in tight
-    slots (never unpacked) and with the 2q pivot inverses listed once if ``count`` subsets need more
-    `pow` calls than that."""
+    of the singular blocks in a non-empty list of subsets.  The proof is for exponents a, a+d, ...,
+    whose blocks diag(x^a) Vandermonde(x^d) are invertible when no point is zero and no two share x^d.
+    Every other side is block-tested: a block is diag(x^e0) times the rows x^(e - e0), e0 the least
+    exponent, packed with the columns sorted, so slot 0 is 1.  diag(x^e0) is invertible but on a zero
+    point, whose row sinks every block when e0 > 0.  So leaks(chunk) takes the first step free, a row
+    position at a time: with c = q in every slot minus a subset's first row, each other row x goes to
+    (x + c) >> slot, below 2q.  `_singular_many` takes the chunk's blocks through the other steps
+    together, in tight slots (never unpacked) and with the 2q pivot inverses listed once if ``count``
+    subsets need more `pow` calls than that."""
     q, t, n = field.q, len(exps), len(points)
     steps = {b - a for a, b in zip(exps, exps[1:])}
-    if len(steps) <= 1 and all(x % q for x in points):
-        y = [field.pow(x, max(steps, default=1)) for x in points]
-        if len(set(y)) == n:
-            return None
-        return lambda chunk: {b for b, s in enumerate(chunk) if len({y[i] for i in s}) < t}
+    if (len(steps) <= 1 and all(x % q for x in points)
+            and len({field.pow(x, max(steps, default=1)) for x in points}) == n):
+        return None
     e0 = min(exps)
     zeros = {i for i, x in enumerate(points) if x % q == 0} if e0 else set()
     packed, layout = _lazy_pack(q, zip(_powers(field, points, sorted(e - e0 for e in exps))), t, t)
@@ -275,8 +273,8 @@ def _in_workers(test, n: int) -> array:
 
 def _leaks(field: PrimeField, points, table: DegreeTable, subsets):
     """Yield (subset, side), alpha first, for each singular T x T mask block of a side
-    `_mask_side` cannot prove clean: over ``subsets`` in order, tested AUDIT_CHUNK at a
-    time by the side's leaks(chunk), or, when None, over every T-subset in lexicographic
+    `_mask_side` cannot prove clean: over ``subsets`` in order, by the side's block test
+    AUDIT_CHUNK at a time, or, when ``subsets`` is None, over every T-subset in lexicographic
     order, streamed by `_dependent_subsets` on the side's powers.  The chunks are split over
     workers by `_in_workers`; point selection's SELECTION_SAMPLES subsets are one chunk, so
     its audit stays in one process."""

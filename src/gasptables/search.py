@@ -18,9 +18,10 @@ on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
 gcd, and each alpha side reads its valid partners off as one mask.  A side
 is a value set plus a split of its positions into prefix and suffix; the
-sets are listed once, the splits once per shape.  Reflecting each side
-through its maximum maps the census onto itself, so one alpha side of each
-mirror pair is joined, and blocks are built only for the optima.
+sets are listed once, the splits once per shape as prefix positions.
+Reflecting each side through its maximum maps the census onto itself, so
+one alpha side of each mirror pair is joined, and blocks are built only for
+the optima.
 Greedy keeps the entries in use as one integer and every row's overlap with
 them as a counter in another, updated by one shifted add per new entry
 below the cover's top and one precomputed block for those above it; the
@@ -36,7 +37,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import itemgetter
 from typing import Optional
 
 from .bounds import EntryBound, census_bounds
@@ -74,23 +74,11 @@ def _dedupe_canonical(optima) -> tuple[DegreeTable, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _picker(idx: tuple[int, ...]):
-    """A getter for the positions idx (ascending) that always returns a tuple."""
-    if idx[-1] - idx[0] == len(idx) - 1:
-        return itemgetter(slice(idx[0], idx[-1] + 1))
-    return itemgetter(*idx)
-
-
 def _splits(p_len: int, s_len: int) -> list:
     """Every split of p_len + s_len sorted positions into a prefix and a
-    suffix, suffix positions in lexicographic order, as (prefix positions,
-    prefix getter, suffix getter)."""
+    suffix, suffix positions in lexicographic order, as its prefix positions."""
     n = p_len + s_len
-    splits = []
-    for suf in combinations(range(n), s_len):
-        pre = tuple(i for i in range(n) if i not in suf)
-        splits.append((pre, _picker(pre), _picker(suf)))
-    return splits
+    return [tuple(i for i in range(n) if i not in suf) for suf in combinations(range(n), s_len)]
 
 
 def _mirrors(keys: list, top: Optional[int] = None) -> list:
@@ -125,7 +113,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     # Bitsets over beta indices, keyed by each nonzero difference in
     # B - B_p and by the gcd of the entries.  Within one value set, the
     # difference v - y marks the splits with y's position in the prefix.
-    in_prefix = [sum(1 << s for s, (pos, *_) in enumerate(b_splits) if p in pos) for p in range(L + T)]
+    in_prefix = [sum(1 << s for s, pos in enumerate(b_splits) if p in pos) for p in range(L + T)]
     by_diff: dict[int, int] = {}
     by_gcd: dict[int, int] = {}
     value_masks = []
@@ -144,9 +132,9 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     # normal, valid and of equal N, so one row per mirror pair is joined; weight 2 counts both.
     a_mirror = _mirrors([v for _, v in a_sets])
     b_mirror = a_mirror if b_sets is a_sets else _mirrors([v for _, v in b_sets])
-    sa_mirror = _mirrors([pos for pos, *_ in a_splits], K + T - 1)
-    sb_mirror = sa_mirror if K == L else _mirrors([pos for pos, *_ in b_splits], L + T - 1)
-    rows = [(sa, pos, 2) for sa, (pos, *_) in enumerate(a_splits)]
+    sa_mirror = _mirrors(a_splits, K + T - 1)
+    sb_mirror = sa_mirror if K == L else _mirrors(b_splits, L + T - 1)
+    rows = [(sa, pos, 2) for sa, pos in enumerate(a_splits)]
     self_rows = [(sa, pos, 2 - (m == sa)) for (sa, pos, _), m in zip(rows, sa_mirror) if m >= sa]
 
     best_n: Optional[int] = None
@@ -192,9 +180,10 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
         raise DomainError(f"no valid table found within bounds ({bound_a}, {bound_b})")
     optima = []
     for ia, sa, jv, js in sorted(best):  # the order of a join over every alpha side
-        (_, a_vals), (_, a_pre, a_suf) = a_sets[ia], a_splits[sa]
-        (_, b_vals), (_, b_pre, b_suf) = b_sets[jv], b_splits[js]
-        optima.append(DegreeTable(K, L, T, a_pre(a_vals), a_suf(a_vals), b_pre(b_vals), b_suf(b_vals)))
+        blocks = []
+        for (_, vals), pre in ((a_sets[ia], a_splits[sa]), (b_sets[jv], b_splits[js])):
+            blocks += [tuple(vals[p] for p in pre), tuple(v for p, v in enumerate(vals) if p not in pre)]
+        optima.append(DegreeTable(K, L, T, *blocks))
     sides = (len(a_sets) * len(a_splits), len(b_sets) * nb)
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,

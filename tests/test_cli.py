@@ -221,6 +221,17 @@ class TestTableCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # A decoder error names its source, as the nesting error does: a file or "-" for stdin.
+    @pytest.mark.parametrize("command", ["table normal --in", "sdmm run --dims 3,2,2 --table"])
+    def test_invalid_json_names_the_file(self, capsys, tmp_path, monkeypatch, command):
+        src = tmp_path / "bad.json"
+        src.write_text('{"K": 1 "L": 1}')
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"K": 1 "L": 1}'))
+        why = "is not valid JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"
+        for path in (str(src), "-"):
+            code, out, err = dispatch(capsys, *command.split(), path)
+            assert (code, out, err) == (1, "", f"error: table JSON in {path} {why}\n")
+
 
 class TestBoundsCommand:
     def test_report_without_dims(self, capsys):

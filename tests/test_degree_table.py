@@ -324,7 +324,7 @@ def test_mask_of_a_progression_matches_an_or_loop(start, step, n):
     assert degree_table._mask(block) == _or_loop(block)
 
 
-# Steps up to 30 divide by a one-digit 2^s - 1; past it the series is doubled and cut.
+# One division by 2^s - 1 at every step: one 30-bit digit up to 30, more past it.
 @pytest.mark.parametrize("step", [29, 30, 31, 32, 33, 60, 61, 1000])
 def test_mask_of_a_wide_progression_matches_an_or_loop(step):
     for n in range(3, 71):

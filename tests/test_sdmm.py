@@ -708,6 +708,23 @@ class TestAgainstOracle:
         assert (inst.field.q, rep.total_subsets, rep.checked, len(want)) == (1009, 101_270, 101_270, 741)
         assert rep.failures == tuple(want)
 
+    # Its sampled twin, as `sdmm run --r 1 --q 1009 --security sampled` audits it: the
+    # alpha side's blocks go to the block test, which fails exactly the 71 sampled
+    # subsets that hold such a pair, in draw order, over any number of workers.
+    def test_sampled_progression_side_with_repeats_at_4_cubed(self, monkeypatch):
+        t = construct(GaspParams(4, 4, 4, 1))
+        inst = build_instance(((1,),) * 4, ((1,) * 4,), t, base_q=1009)
+        y = [pow(x, 4, 1009) for x in inst.points]
+        drawn = _drawn(41, 4, 10_000, random.Random("security:0"))
+        want = tuple((s, "alpha") for s in drawn if len({y[i] for i in s}) < 4)
+        forks = _forks(monkeypatch)
+        for workers in (1, 2, 3):
+            _cpus(monkeypatch, workers)
+            rep = security_check(inst, mode="sampled")
+            assert (rep.total_subsets, rep.checked, len(rep.failures)) == (101_270, 10_000, 71)
+            assert rep.failures == want and len(forks) == workers - 1
+            forks.clear()
+
 
 # Wide primes put the packed DFS columns in slots past 8 bytes: 16 bytes at
 # 2^61 and 30 at 2^118, both read back through int.from_bytes.

@@ -177,7 +177,7 @@ class TestExhaustive:
         assert len(calls) == mirrored
 
     def test_census_memory_stays_small(self):
-        # Sides are value sets plus shared split getters: no tuple is built
+        # Sides are value sets plus shared prefix positions: no tuple is built
         # per side, so the 17,820 sides of (2,2,7) cost little memory.
         tracemalloc.start()
         try:
