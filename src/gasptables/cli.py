@@ -4,14 +4,14 @@ Everything prints to stdout.  --format picks json (machines), tsv (plotting
 pipelines, header line first) or pretty (terse human rendering, the
 default).  Exit codes: 0 success, 1 domain failure (invalid table, exhausted
 retries, bad file), 2 usage error.  GASPTABLES_SEED supplies the default
-seed wherever randomness is involved.
+seed wherever randomness is involved.  A new command is one row in
+_commands(), its handler, and one line in the tests' EVERY_COMMAND.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import random
@@ -180,13 +180,14 @@ def _parse(text: str, n: int, what: str, convert=int) -> tuple:
 
 
 def _load_table(path: str) -> DegreeTable:
+    source = "standard input" if path == "-" else path
     try:
         with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
             data = json.load(fh)
     except RecursionError:
-        raise DomainError(f"table JSON in {path} is nested too deeply") from None
+        raise DomainError(f"table JSON in {source} is nested too deeply") from None
     except json.JSONDecodeError as e:
-        raise DomainError(f"table JSON in {path} is not valid JSON: {e}") from None
+        raise DomainError(f"table JSON in {source} is not valid JSON: {e}") from None
     return DegreeTable.from_json_dict(data)
 
 
@@ -373,129 +374,102 @@ def _handle_stats(args) -> None:
     _emit(args, payload, pretty=f"{mean} = {float(mean):.6f}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "tsv", "pretty"), default="pretty",
-        help="output rendering (default pretty)",
-    )
-    klt = argparse.ArgumentParser(add_help=False)
-    klt.add_argument("--K", type=int, required=True, help="row blocks of A")
-    klt.add_argument("--L", type=int, required=True, help="column blocks of B")
-    klt.add_argument("--T", type=int, required=True, help="colluding servers tolerated")
+def _commands() -> list[tuple]:
+    """One row per leaf command: (path, help, handler, arguments after --format).  An argument
+    is a (flag, add_argument keywords) pair, or (None, the pairs of a required either-or group)."""
+    klt = [("--K", dict(type=int, required=True, help="row blocks of A")),
+           ("--L", dict(type=int, required=True, help="column blocks of B")),
+           ("--T", dict(type=int, required=True, help="colluding servers tolerated"))]
+    r_or_big = (None, [("--r", dict(type=int, help="chain length")),
+                       ("--big", dict(action="store_true", help="use r = min(K, T)"))])
+    table_io = [("--in", dict(dest="infile", default="-", help="table JSON file, - for stdin")),
+                ("--out", dict(dest="outfile", default=None, help="write JSON here instead of stdout"))]
+    return [
+        ("gasp construct", "emit the table as JSON", _handle_gasp, [*klt, r_or_big]),
+        ("gasp score", "closed-form score breakdown", _handle_gasp, [*klt, r_or_big]),
+        ("gasp n", "server count for given chain length", _handle_gasp, [*klt, r_or_big]),
+        ("gasp optimal-r", "best chain length", _handle_gasp, klt),
+        ("table squeeze", "close removable gaps", _handle_table,
+         [*table_io, ("--trace", dict(action="store_true", help="include the step list"))]),
+        ("table normal", "sorted, zero-based, gcd-reduced form", _handle_table, table_io),
+        ("table canonical", "lex-least of normal form and its negation", _handle_table, table_io),
+        ("bounds", "lower bounds and entry bounds", _handle_bounds,
+         [*klt, ("--dims", dict(help="a,b,c,q to include the operational threshold"))]),
+        ("search exhaustive", "full census within entry bounds", _handle_search, [
+            *klt, ("--entry-bound", dict(type=int, default=None, help="override the entry bound")),
+            ("--fixed-prefix", dict(action="store_true", help="only search the alpha suffix")),
+            ("--budget", dict(type=int, default=None, help="cap on tables examined"))]),
+        ("search greedy", "greedy alpha-suffix search", _handle_search, [
+            *klt, ("--budget", dict(type=int, default=None, help="node limit")),
+            ("--beam-width", dict(type=int, default=None, help="cap branches per node"))]),
+        ("search emit-lp", "write an .lp model", _handle_search, [
+            *klt, ("--kind", dict(choices=("fixed", "census"), default="fixed")),
+            ("--entry-bound", dict(type=int, default=None, help="census entry bound override")),
+            ("--tight-link", dict(action="store_true", help="per-column linking rows")),
+            ("--out", dict(default=None, help="output file (stdout if omitted)"))]),
+        ("sdmm run", "simulate one multiplication", _handle_sdmm, [
+            *[(flag, dict(type=int, default=None)) for flag in ("--K", "--L", "--T", "--r")],
+            ("--dims", dict(required=True, help="a,b,c matrix dimensions")),
+            ("--q", dict(type=int, default=2, help="minimum field size")),
+            # argparse runs a string default through type= only when --seed is absent, so a
+            # malformed GASPTABLES_SEED is a usage error (exit 2).  Read when the parser is built.
+            ("--seed", dict(type=int, default=os.environ.get("GASPTABLES_SEED") or "0")),
+            ("--table", dict(default=None, help="table JSON file overriding --K/--L/--T/--r")),
+            ("--dump-shares", dict(default=None, metavar="DIR", help="write per-server share files")),
+            ("--security", dict(choices=("auto", "all", "sampled"), default="auto"))]),
+        ("cost compare", "asymptotic exponents", _handle_cost,
+         [("--exponents", dict(required=True, help="e_a,e_b,e_c,e_k,e_l,e_m as rationals"))]),
+        ("cost concrete", "exact costs for given sizes", _handle_cost, [
+            ("--dims", dict(required=True, help="a,b,c")), ("--blocks", dict(required=True, help="K,L,M")),
+            ("--servers", dict(required=True, help="N_outer,N_inner"))]),
+        ("figure", "plot data for the two figures", _handle_figure, [
+            ("which", dict(choices=("1a", "1b"))),
+            ("--n-max", dict(type=int, dest="n_max", help="figure 1b only: largest n (default 20)"))]),
+        ("stats", "candidate-set reduction statistic", _handle_stats, [
+            ("--k-max", dict(type=int, default=300, dest="k_max")),
+            ("--t-max", dict(type=int, default=300, dest="t_max"))]),
+    ]
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gasptables",
         description="Degree tables for secure distributed matrix multiplication.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gasp = sub.add_parser("gasp", help="construct tables, evaluate closed forms")
-    gs = p_gasp.add_subparsers(dest="action", required=True)
-    for act, txt in (
-        ("construct", "emit the table as JSON"),
-        ("score", "closed-form score breakdown"),
-        ("n", "server count for given chain length"),
-    ):
-        pa = gs.add_parser(act, parents=[common, klt], help=txt)
-        grp = pa.add_mutually_exclusive_group(required=True)
-        grp.add_argument("--r", type=int, help="chain length")
-        grp.add_argument("--big", action="store_true", help="use r = min(K, T)")
-    gs.add_parser("optimal-r", parents=[common, klt], help="best chain length")
-
-    p_table = sub.add_parser("table", help="squeeze / normalize / canonicalize tables")
-    ts = p_table.add_subparsers(dest="action", required=True)
-    for act, txt in (
-        ("squeeze", "close removable gaps"),
-        ("normal", "sorted, zero-based, gcd-reduced form"),
-        ("canonical", "lex-least of normal form and its negation"),
-    ):
-        pa = ts.add_parser(act, parents=[common], help=txt)
-        pa.add_argument("--in", dest="infile", default="-", help="table JSON file, - for stdin")
-        pa.add_argument("--out", dest="outfile", default=None, help="write JSON here instead of stdout")
-        if act == "squeeze":
-            pa.add_argument("--trace", action="store_true", help="include the step list")
-
-    p_bounds = sub.add_parser("bounds", parents=[common, klt], help="lower bounds and entry bounds")
-    p_bounds.add_argument("--dims", help="a,b,c,q to include the operational threshold")
-
-    p_search = sub.add_parser("search", help="optimal-table searches and LP export")
-    ss = p_search.add_subparsers(dest="action", required=True)
-    pe = ss.add_parser("exhaustive", parents=[common, klt], help="full census within entry bounds")
-    pe.add_argument("--entry-bound", type=int, default=None, help="override the entry bound")
-    pe.add_argument("--fixed-prefix", action="store_true", help="only search the alpha suffix")
-    pe.add_argument("--budget", type=int, default=None, help="cap on tables examined")
-    pg = ss.add_parser("greedy", parents=[common, klt], help="greedy alpha-suffix search")
-    pg.add_argument("--budget", type=int, default=None, help="node limit")
-    pg.add_argument("--beam-width", type=int, default=None, help="cap branches per node")
-    pl = ss.add_parser("emit-lp", parents=[common, klt], help="write an .lp model")
-    pl.add_argument("--kind", choices=("fixed", "census"), default="fixed")
-    pl.add_argument("--entry-bound", type=int, default=None, help="census entry bound override")
-    pl.add_argument("--tight-link", action="store_true", help="per-column linking rows")
-    pl.add_argument("--out", default=None, help="output file (stdout if omitted)")
-
-    p_sdmm = sub.add_parser("sdmm", help="run the protocol end to end")
-    ds = p_sdmm.add_subparsers(dest="action", required=True)
-    pr = ds.add_parser("run", parents=[common], help="simulate one multiplication")
-    pr.add_argument("--K", type=int, default=None)
-    pr.add_argument("--L", type=int, default=None)
-    pr.add_argument("--T", type=int, default=None)
-    pr.add_argument("--r", type=int, default=None)
-    pr.add_argument("--dims", required=True, help="a,b,c matrix dimensions")
-    pr.add_argument("--q", type=int, default=2, help="minimum field size")
-    # argparse runs a string default through type= only when --seed is
-    # absent, so a malformed GASPTABLES_SEED is a usage error (exit 2).
-    pr.add_argument("--seed", type=int, default=os.environ.get("GASPTABLES_SEED") or "0")
-    pr.add_argument("--table", default=None, help="table JSON file overriding --K/--L/--T/--r")
-    pr.add_argument("--dump-shares", default=None, metavar="DIR", help="write per-server share files")
-    pr.add_argument("--security", choices=("auto", "all", "sampled"), default="auto")
-
-    p_cost = sub.add_parser("cost", help="communication-cost comparisons")
-    cs = p_cost.add_subparsers(dest="action", required=True)
-    pc = cs.add_parser("compare", parents=[common], help="asymptotic exponents")
-    pc.add_argument("--exponents", required=True, help="e_a,e_b,e_c,e_k,e_l,e_m as rationals")
-    pn = cs.add_parser("concrete", parents=[common], help="exact costs for given sizes")
-    pn.add_argument("--dims", required=True, help="a,b,c")
-    pn.add_argument("--blocks", required=True, help="K,L,M")
-    pn.add_argument("--servers", required=True, help="N_outer,N_inner")
-
-    p_fig = sub.add_parser("figure", parents=[common], help="plot data for the two figures")
-    p_fig.add_argument("which", choices=("1a", "1b"))
-    p_fig.add_argument("--n-max", type=int, dest="n_max", help="figure 1b only: largest n (default 20)")
-
-    p_stats = sub.add_parser("stats", parents=[common], help="candidate-set reduction statistic")
-    p_stats.add_argument("--k-max", type=int, default=300, dest="k_max")
-    p_stats.add_argument("--t-max", type=int, default=300, dest="t_max")
-
+    group_help = {
+        "gasp": "construct tables, evaluate closed forms",
+        "table": "squeeze / normalize / canonicalize tables",
+        "search": "optimal-table searches and LP export",
+        "sdmm": "run the protocol end to end",
+        "cost": "communication-cost comparisons",
+    }
+    leaves = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, arguments in _commands():
+        group, _, name = path.rpartition(" ")
+        if group not in leaves:
+            p_group = leaves[""].add_parser(group, help=group_help[group])
+            leaves[group] = p_group.add_subparsers(dest="action", required=True)
+        leaf = leaves[group].add_parser(name, help=help_text)
+        leaf.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty",
+                          help="output rendering (default pretty)")
+        for flag, kw in arguments:
+            if flag is None:
+                either = leaf.add_mutually_exclusive_group(required=True)
+                for member, member_kw in kw:
+                    either.add_argument(member, **member_kw)
+            else:
+                leaf.add_argument(flag, **kw)
+        leaf.set_defaults(handler=handler)
     return parser
-
-
-_HANDLERS = {
-    "gasp": _handle_gasp,
-    "table": _handle_table,
-    "bounds": _handle_bounds,
-    "search": _handle_search,
-    "sdmm": _handle_sdmm,
-    "cost": _handle_cost,
-    "figure": _handle_figure,
-    "stats": _handle_stats,
-}
-
-
-@functools.lru_cache(maxsize=1)
-def _parser_for(seed_env: Optional[str]) -> argparse.ArgumentParser:
-    """build_parser() under this GASPTABLES_SEED, kept: building it costs
-    more than most commands."""
-    return build_parser()
 
 
 def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser_for(os.environ.get("GASPTABLES_SEED")).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _HANDLERS[args.command](args)
+        args.handler(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -44,29 +44,6 @@ def dispatch(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestParserReuse:
-    def test_two_dispatches_build_the_parser_once(self, capsys, monkeypatch):
-        built = []
-
-        def counting_build():
-            built.append(1)
-            return build_parser()
-
-        cli._parser_for.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", counting_build)
-        argv = ("gasp", "n", "--K", "4", "--L", "4", "--T", "4", "--r", "2")
-        first = dispatch(capsys, *argv)
-        bad = dispatch(capsys, "gasp", "n", "--K", "x")
-        second = dispatch(capsys, *argv)
-        assert built == [1]
-        assert first == second == (0, "36\n", "")
-        assert bad[0] == 2 and "invalid" in bad[2]
-        # the seed default is read from the environment when the parser is built
-        monkeypatch.setenv("GASPTABLES_SEED", "junk")
-        assert dispatch(capsys, *argv) == first
-        assert built == [1, 1]
-
-
 class TestGaspCommands:
     def test_n_pretty_prints_bare_count(self, capsys):
         code, out, _ = dispatch(capsys, "gasp", "n", "--K", "4", "--L", "4", "--T", "4", "--r", "2")
@@ -218,19 +195,18 @@ class TestTableCommands:
     def test_deeply_nested_stdin_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
         code, out, err = dispatch(capsys, "table", "normal")
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert (code, out, err) == (1, "", "error: table JSON in standard input is nested too deeply\n")
 
-    # A decoder error names its source, as the nesting error does: a file or "-" for stdin.
+    # A decoder error names its source, as the nesting error does: a file, or standard input for "-".
     @pytest.mark.parametrize("command", ["table normal --in", "sdmm run --dims 3,2,2 --table"])
     def test_invalid_json_names_the_file(self, capsys, tmp_path, monkeypatch, command):
         src = tmp_path / "bad.json"
         src.write_text('{"K": 1 "L": 1}')
         monkeypatch.setattr(sys, "stdin", io.StringIO('{"K": 1 "L": 1}'))
         why = "is not valid JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"
-        for path in (str(src), "-"):
+        for path, source in ((str(src), str(src)), ("-", "standard input")):
             code, out, err = dispatch(capsys, *command.split(), path)
-            assert (code, out, err) == (1, "", f"error: table JSON in {path} {why}\n")
+            assert (code, out, err) == (1, "", f"error: table JSON in {source} {why}\n")
 
 
 class TestBoundsCommand:
@@ -698,3 +674,36 @@ def test_every_command_renders_in_every_format(capsys, tmp_path, command, fmt):
         parse_lp_text(out)
     elif fmt == "json":
         json.loads(out)
+
+
+LEAVES = {path: arguments for path, _, _, arguments in cli._commands()}
+GROUPS = sorted({path.rpartition(" ")[0] for path in LEAVES})  # "" is the top level
+
+
+def _flags(arguments):
+    """The option strings of a row's arguments, either-or groups included."""
+    for flag, kw in arguments:
+        if flag is None:
+            yield from _flags(kw)
+        elif flag.startswith("-"):
+            yield flag
+
+
+def test_every_leaf_command_has_a_render_line():
+    for path in LEAVES:
+        assert any(line.split()[:len(path.split())] == path.split() for line in EVERY_COMMAND), path
+
+
+@pytest.mark.parametrize("path", GROUPS + list(LEAVES))
+def test_help_on_every_command_path(capsys, path):
+    words = path.split()
+    code, out, err = dispatch(capsys, *words, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: gasptables", *words, "[-h]"]))
+    if path in LEAVES:
+        for flag in ("--format", *_flags(LEAVES[path])):
+            assert re.search(rf"^  {re.escape(flag)}[ \n]", out, re.M), flag
+    else:
+        children = {p.split()[len(words)] for p in LEAVES if p.split()[:len(words)] == words}
+        for child in children:
+            assert re.search(rf"^    {re.escape(child)} ", out, re.M), child
