@@ -192,7 +192,7 @@ def _load_table(path: str) -> DegreeTable:
 
 
 def _params(args) -> GaspParams:
-    if getattr(args, "big", False):
+    if args.big:
         return GaspParams.big(args.K, args.L, args.T)
     return GaspParams(K=args.K, L=args.L, T=args.T, r=args.r)
 
@@ -459,13 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
                     either.add_argument(member, **member_kw)
             else:
                 leaf.add_argument(flag, **kw)
-        leaf.set_defaults(handler=handler)
+        leaf.set_defaults(handler=handler, leaf=leaf)
     return parser
 
 
 def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # subparsers pass unknown arguments up; the leaf reports them with its usage
+            args.leaf.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

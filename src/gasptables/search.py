@@ -18,10 +18,11 @@ on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
 gcd, and each alpha side reads its valid partners off as one mask.  A side
 is a value set plus a split of its positions into prefix and suffix; the
-sets are listed once, the splits once per shape as prefix positions.
-Reflecting each side through its maximum maps the census onto itself, so
-one alpha side of each mirror pair is joined, and blocks are built only for
-the optima.
+sets are listed once, the splits once per shape as prefix positions.  The
+beta index is split-major and built by ANDs over value-set bitsets, one per
+(sorted position, value), then copied to the splits.  Reflecting each side
+through its maximum maps the census onto itself, so one alpha side of each
+mirror pair is joined, and blocks are built only for the optima.
 Greedy keeps the entries in use as one integer and every row's overlap with
 them as a counter in another, updated by one shifted add per new entry
 below the cover's top and one precomputed block for those above it; the
@@ -37,6 +38,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from operator import and_
 from typing import Optional
 
 from .bounds import EntryBound, census_bounds
@@ -102,31 +104,32 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
     An explicit bound narrows or widens the census at the caller's own risk.
     """
     bound_a, bound_b = census_bounds(K, L, T, entry_bound)
-
-    # Side j of a list is split j % len(splits) of value set j // len(splits).
     a_sets = _value_sets(K + T, bound_a)
     b_sets = a_sets if (K, bound_a) == (L, bound_b) else _value_sets(L + T, bound_b)
     a_splits = _splits(K, T)
     b_splits = a_splits if K == L else _splits(L, T)
-    nb = len(b_splits)
+    nv = len(b_sets)
 
-    # Bitsets over beta indices, keyed by each nonzero difference in
-    # B - B_p and by the gcd of the entries.  Within one value set, the
-    # difference v - y marks the splits with y's position in the prefix.
-    in_prefix = [sum(1 << s for s, pos in enumerate(b_splits) if p in pos) for p in range(L + T)]
-    by_diff: dict[int, int] = {}
+    # by_diff: beta sides by each nonzero difference in B - B_p, bit s*nv + j for split s of
+    # value set j; by_gcd: value sets by gcd, copied to every split by `every`.  at[p][y] marks
+    # the value sets with y at sorted position p, at[p][y] & holding[y + d] those with the
+    # difference d from there, copied to each split with p in its prefix; sums add disjoint bits.
+    at = [[0] * (bound_b + 1) for _ in range(L + T)]
     by_gcd: dict[int, int] = {}
-    value_masks = []
-    for j0, (g, vals) in zip(range(0, nb * len(b_sets), nb), b_sets):
-        marks: dict[int, int] = {}
+    for j, (g, vals) in enumerate(b_sets):
         for p, y in enumerate(vals):
-            for v in vals:
-                if v != y:
-                    marks[v - y] = marks.get(v - y, 0) | in_prefix[p]
-        for d, m in marks.items():
-            by_diff[d] = by_diff.get(d, 0) | m << j0
-        by_gcd[g] = by_gcd.get(g, 0) | ((1 << nb) - 1) << j0
-        value_masks.append(_mask(vals))
+            at[p][y] |= 1 << j
+        by_gcd[g] = by_gcd.get(g, 0) | 1 << j
+    holding = [sum(col) for col in zip(*at)]
+    by_diff: dict[int, int] = {}
+    for p, row in enumerate(at):
+        offsets = [s * nv for s, pos in enumerate(b_splits) if p in pos]
+        for d in range(1, bound_b + 1):
+            for key, sets in ((d, map(and_, row, holding[d:])), (-d, map(and_, row[d:], holding))):
+                if e := sum(sets):
+                    by_diff[key] = by_diff.get(key, 0) | sum(e << o for o in offsets)
+    every = sum(1 << s * nv for s in range(len(b_splits)))
+    value_masks = [_mask(vals) for _, vals in b_sets]
     coprime: dict[int, int] = {}
     # A side's reflection (values through their maximum, positions through n - 1) keeps a table
     # normal, valid and of equal N, so one row per mirror pair is joined; weight 2 counts both.
@@ -144,7 +147,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
         if (mv := a_mirror[ia]) < ia:
             continue
         if ga not in coprime:
-            coprime[ga] = sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
+            coprime[ga] = every * sum(m for g, m in by_gcd.items() if math.gcd(ga, g) == 1)
         # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
         # i.e. iff (A_p - A)\{0} and (B - B_p)\{0} share a difference; the
         # clashes of A_p are those of its values x, each x - A (by_diff has
@@ -163,7 +166,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
             while ok:
                 low = ok & -ok
                 ok ^= low
-                jv, js = divmod(low.bit_length() - 1, nb)
+                js, jv = divmod(low.bit_length() - 1, nv)
                 valid += w
                 mask = value_masks[jv]
                 cover = 0
@@ -184,7 +187,7 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
         for (_, vals), pre in ((a_sets[ia], a_splits[sa]), (b_sets[jv], b_splits[js])):
             blocks += [tuple(vals[p] for p in pre), tuple(v for p, v in enumerate(vals) if p not in pre)]
         optima.append(DegreeTable(K, L, T, *blocks))
-    sides = (len(a_sets) * len(a_splits), len(b_sets) * nb)
+    sides = (len(a_sets) * len(a_splits), nv * len(b_splits))
     return SearchResult(
         K=K, L=L, T=T, best_n=best_n,
         optima=tuple(optima), canonical_optima=_dedupe_canonical(optima),

@@ -707,3 +707,15 @@ def test_help_on_every_command_path(capsys, path):
         children = {p.split()[len(words)] for p in LEAVES if p.split()[:len(words)] == words}
         for child in children:
             assert re.search(rf"^    {re.escape(child)} ", out, re.M), child
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_unknown_flag_names_the_leaf_in_its_usage(capsys, group):
+    # One valid command line per group: argparse's subparsers pass unknown
+    # arguments up to the top level, yet the leaf's own parser reports them.
+    path = next(p for p in LEAVES if p.rpartition(" ")[0] == group)
+    line = next(c for c in EVERY_COMMAND if c.split()[:len(path.split())] == path.split())
+    code, out, err = dispatch(capsys, *line.format(gappy="-", messy="-").split(), "--bogus", "7")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: gasptables {path} [-h] ")
+    assert err.endswith(f"\ngasptables {path}: error: unrecognized arguments: --bogus 7\n")

@@ -176,6 +176,23 @@ class TestExhaustive:
         assert exhaustive(K, L, T, entry_bound=bound) == exhaustive_packed(K, L, T, bound)
         assert len(calls) == mirrored
 
+    # The beta index is split-major (bit s*nv + j is split s of value set j,
+    # of nv beta value sets), so side lists of unequal lengths, and an empty
+    # beta list (nv = 0) under a nonempty alpha one, must decode as the full
+    # join does.
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(K, L, T) for K in (1, 2, 3) for L in (1, 2, 3) for T in (1, 2, 3)
+                            if K != L and K + L + T <= 7]),
+           st.integers(-1, 4), st.integers(-1, 4))
+    @example((1, 2, 2), 2, -1)
+    @example((3, 1, 2), -1, 3)
+    @example((1, 3, 3), 0, 3)
+    def test_split_major_decode_matches_packed_oracle(self, shape, over_a, over_b):
+        K, L, T = shape
+        bound = (K + T - 1 + over_a, L + T - 1 + over_b)
+        assume(bound[0] != bound[1])
+        assert _outcome(exhaustive, K, L, T, entry_bound=bound) == _outcome(exhaustive_packed, K, L, T, bound)
+
     def test_census_memory_stays_small(self):
         # Sides are value sets plus shared prefix positions: no tuple is built
         # per side, so the 17,820 sides of (2,2,7) cost little memory.
