@@ -54,10 +54,11 @@ class InvalidTableError(DomainError):
 
 
 def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
+    """``values`` as a tuple of nonnegative ints, checked entry by entry, or by its ends if a nonempty range."""
     vec = tuple(values)
     if len(vec) == 0:
         raise DomainError(f"{name} must be nonempty")
-    if set(map(type, vec)) == {int} and min(vec) >= 0:
+    if type(values) is range and min(values[0], values[-1]) >= 0 or set(map(type, vec)) == {int} and min(vec) >= 0:
         return vec
     for v in vec:
         if not isinstance(v, int) or isinstance(v, bool):
@@ -92,14 +93,9 @@ class DegreeTable:
         object.__setattr__(self, "alpha_s", _as_exponent_vector("alpha_s", self.alpha_s))
         object.__setattr__(self, "beta_p", _as_exponent_vector("beta_p", self.beta_p))
         object.__setattr__(self, "beta_s", _as_exponent_vector("beta_s", self.beta_s))
-        if len(self.alpha_p) != self.K:
-            raise DomainError(f"alpha_p has length {len(self.alpha_p)}, expected K={self.K}")
-        if len(self.alpha_s) != self.T:
-            raise DomainError(f"alpha_s has length {len(self.alpha_s)}, expected T={self.T}")
-        if len(self.beta_p) != self.L:
-            raise DomainError(f"beta_p has length {len(self.beta_p)}, expected L={self.L}")
-        if len(self.beta_s) != self.T:
-            raise DomainError(f"beta_s has length {len(self.beta_s)}, expected T={self.T}")
+        for name, dim in (("alpha_p", "K"), ("alpha_s", "T"), ("beta_p", "L"), ("beta_s", "T")):
+            if (n := len(getattr(self, name))) != getattr(self, dim):
+                raise DomainError(f"{name} has length {n}, expected {dim}={getattr(self, dim)}")
 
     @property
     def alpha(self) -> ExponentVector:
@@ -149,55 +145,78 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> set[int]:
     return {x + y for x in sa for y in sb}
 
 
-def _mask(block: ExponentVector) -> int:
-    """The bitset of a block: bit v is set for each entry v.  An ascending
-    progression of three or more terms is one geometric series of bits, built
-    by one division by its ratio 2^s - 1."""
-    n, lo, hi = len(block), block[0], block[-1]
-    if n > 2 and (s := block[1] - lo) > 0 and hi == lo + s * (n - 1) and block == tuple(range(lo, hi + 1, s)):
-        return ((1 << s * n) - 1) // ((1 << s) - 1) << lo
+def _step(block: ExponentVector) -> int:
+    """The step s > 0 of an ascending progression of 3+ terms, else 0: a block's one O(n) test."""
+    s = (block[-1] - block[0]) // (len(block) - 1) if len(block) > 2 else 0
+    return s if s > 0 and block[0] + s == block[1] and block == tuple(range(block[0], block[-1] + 1, s)) else 0
+
+
+def _mask(block: ExponentVector, s: int = 0) -> int:
+    """The bitset of a block: bit v is set for each entry v; bit by bit, or given the block's
+    step s > 0 (see _step), as one geometric series of bits, one division by 2^s - 1."""
+    if s:
+        return ((1 << s * len(block)) - 1) // ((1 << s) - 1) << block[0]
     mask = 0
     for v in block:
         mask |= 1 << v
     return mask
 
 
+def _rows(shift, block, s: int, twice, once):
+    """(twice, once) with each row shift(v), v in block, ORed into `once` and its overlap into `twice`: one
+    row per entry, last first (widest first on a sorted block: measured faster), or for step s > 0 (bitsets)
+    by doubling: c rows and their copy shifted by c*s make 2c, plus one row per set bit of n after the top."""
+    if not s:
+        for r in map(shift, reversed(block)):
+            twice |= once & r
+            once |= r
+        return twice, once
+    t, o, c = 0, shift(0), 1
+    for bit in bin(len(block))[3:]:
+        t, o, c = t | t << c * s | o & (o << c * s), o | o << c * s, 2 * c
+        if bit == "1":
+            r = shift(c * s)
+            t, o, c = t | o & r, o | r, c + 1
+    t, o = t << block[0], o << block[0]
+    return twice | t | once & o, once | o
+
+
 def _check(table: DegreeTable) -> tuple[ValidationReport, int]:
     """validate()'s report and the table's distinct-entry count, in one pass.
 
-    A side's distinct entries are the popcount of its blocks' bitsets, which
-    D1 and D2 compare with its length.  Each row, the side with more distinct
-    entries shifted by an entry of the other, is ORed into `once` after its
-    overlap with `once` is ORed into `twice`; the prefix sumset's rows pair the
-    prefixes the same way.  D3 fails exactly at the prefix sums in `twice`;
-    the least is the witness.  Rows are sets when the largest sum exceeds
-    _SPARSE_RATIO times the larger distinct count (measured crossover), which
-    the side lengths decide before any bitset is built when they can.
+    D1 and D2 compare a side's length with the popcount of its blocks' bitsets.  _rows ORs the rows
+    of the side with fewer distinct entries (alpha on a tie; its set if it repeats one), each
+    shifting the other side's bitset, into `once` and their overlaps into `twice`, and the prefix
+    sumset likewise.  D3 fails exactly at the prefix sums in `twice`; the least is the witness.
+    Sets replace bitsets when the largest sum exceeds _SPARSE_RATIO times the larger distinct count
+    (measured crossover), which the side lengths decide before any bitset is built when they can.
     """
-    alpha, beta = table.alpha, table.beta
-    top = max(alpha) + max(beta)
-    sparse = top > _SPARSE_RATIO * max(len(alpha), len(beta))
+    K, L, T = table.K, table.L, table.T
+    blocks = table.alpha_p, table.alpha_s, table.beta_p, table.beta_s
+    steps = tuple(map(_step, blocks))
+    tops = [block[-1] if s else max(block) for block, s in zip(blocks, steps)]
+    top = max(tops[:2]) + max(tops[2:])
+    sparse = top > _SPARSE_RATIO * (max(K, L) + T)
     if not sparse:
-        pa, pb = _mask(table.alpha_p), _mask(table.beta_p)
-        va, vb = pa | _mask(table.alpha_s), pb | _mask(table.beta_s)
+        pa, sa, pb, sb = map(_mask, blocks, steps)
+        va, vb = pa | sa, pb | sb
         sparse = top > _SPARSE_RATIO * max(va.bit_count(), vb.bit_count())
     if sparse:
-        pa, pb, va, vb = set(table.alpha_p), set(table.beta_p), set(alpha), set(beta)
-        size, shifted, once, twice, prefix = len, (lambda s: lambda a: {a + v for v in s}), set(), set(), set()
+        steps, (pa, sa, pb, sb) = (0,) * 4, map(set, blocks)
+        va, vb, size, shifted, empty = pa | sa, pb | sb, len, (lambda s: lambda a: {a + v for v in s}), set
     else:
-        size, shifted, once, twice, prefix = int.bit_count, (lambda s: s.__lshift__), 0, 0, 0
+        size, shifted, empty = int.bit_count, (lambda s: s.__lshift__), int
     na, nb = size(va), size(vb)
-    # Shifts: the side with fewer distinct entries (alpha on a tie), descending (faster), or a set if one repeats.
-    shifts, values, n = (alpha, vb, na) if na <= nb else (beta, va, nb)
-    for r in map(shifted(values), reversed(shifts) if len(shifts) == n else set(shifts)):
-        twice |= once & r
-        once |= r
-    p_shifts, p_values = (table.alpha_p, pb) if size(pa) <= size(pb) else (table.beta_p, pa)
-    for r in map(shifted(p_values), p_shifts):
-        prefix |= r
+    i, values, repeats = (0, vb, na < K + T) if na <= nb else (2, va, nb < L + T)
+    side = [(sorted({*blocks[i], *blocks[i + 1]}), 0)] if repeats else zip(blocks[i:i + 2], steps[i:i + 2])
+    twice, once = empty(), empty()
+    for block, s in side:
+        twice, once = _rows(shifted(values), block, s, twice, once)
+    j, p_values = (0, pb) if size(pa) <= size(pb) else (2, pa)
+    prefix = _rows(shifted(p_values), blocks[j], steps[j], empty(), empty())[1]
     bad = prefix & twice
     witness = min(bad, default=None) if sparse else ((bad & -bad).bit_length() - 1 if bad else None)
-    report = ValidationReport(d1_ok=na == len(alpha), d2_ok=nb == len(beta), d3_ok=witness is None, d3_witness=witness)
+    report = ValidationReport(d1_ok=na == K + T, d2_ok=nb == L + T, d3_ok=witness is None, d3_witness=witness)
     return report, size(once)
 
 

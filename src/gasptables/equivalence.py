@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from .degree_table import DegreeTable, DomainError
@@ -206,25 +207,23 @@ def negate(table: DegreeTable) -> DegreeTable:
     return apply_transform(table, EquivalenceTransform(-1, -m, -m))
 
 
-def _lex_key(table: DegreeTable) -> tuple[int, ...]:
-    return table.alpha_p + table.alpha_s + table.beta_p + table.beta_s
-
-
 def canonical(table: DegreeTable) -> DegreeTable:
     """The lexicographically smaller of normal(t) and normal(negate(normal(t))).
 
     This is a class invariant: any two equivalent tables (including through
     negation) canonicalize to the same table, and canonical is idempotent.
     Comparison key is alpha_p|alpha_s|beta_p|beta_s.  The negated branch maps
-    each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept);
-    its key is compared entry by entry as it is generated, and its blocks are
+    each block of n, reversed, by v -> max(side) - v (minimum 0, gcd 1 kept;
+    the maxima are the sorted blocks' last entries).  Its key is compared
+    with a lazy chain of n's blocks as both are generated, and its blocks are
     built only when it wins.
     """
     n = table if is_normal(table) else normal(table)
-    ma, mb = max(n.alpha), max(n.beta)
+    ma, mb = max(n.alpha_p[-1], n.alpha_s[-1]), max(n.beta_p[-1], n.beta_s[-1])
     blocks = ((ma, n.alpha_p), (ma, n.alpha_s), (mb, n.beta_p), (mb, n.beta_s))
     negated = (m - v for m, block in blocks for v in reversed(block))
-    first = next(((v, u) for v, u in zip(_lex_key(n), negated) if v != u), None)
+    key = chain(n.alpha_p, n.alpha_s, n.beta_p, n.beta_s)
+    first = next(((v, u) for v, u in zip(key, negated) if v != u), None)
     if first is None or first[0] < first[1]:
         return n
     return DegreeTable(n.K, n.L, n.T, *(tuple(m - v for v in reversed(block)) for m, block in blocks))

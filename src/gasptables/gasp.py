@@ -70,13 +70,9 @@ def standard_beta(K: int, L: int, T: int) -> tuple[int, ...]:
 
 
 def fixed_prefix_table(K: int, L: int, T: int, alpha_s) -> DegreeTable:
-    """Table with the standard prefixes and beta, and the given alpha suffix."""
-    beta = standard_beta(K, L, T)
-    return DegreeTable(
-        K=K, L=L, T=T,
-        alpha_p=tuple(range(K)), alpha_s=tuple(alpha_s),
-        beta_p=beta[:L], beta_s=beta[L:],
-    )
+    """Table with the standard prefixes and beta, as ranges, and the given alpha suffix."""
+    return DegreeTable(K=K, L=L, T=T, alpha_p=range(K), alpha_s=alpha_s,
+                       beta_p=range(0, K * L, K), beta_s=range(K * L, K * L + T))
 
 
 def suffix_window(K: int, L: int, T: int) -> tuple[int, int, int, int]:
@@ -95,7 +91,7 @@ def suffix_window(K: int, L: int, T: int) -> tuple[int, int, int, int]:
 def construct(params: GaspParams) -> DegreeTable:
     """Build the GASP_r degree table: chains of r consecutive values, period K."""
     K, L, T, r = params.K, params.L, params.T, params.r
-    return fixed_prefix_table(K, L, T, (K * L + K * (i // r) + i % r for i in range(T)))
+    return fixed_prefix_table(K, L, T, [K * L + K * (i // r) + i % r for i in range(T)])
 
 
 def score_closed_form(params: GaspParams) -> ScoreBreakdown:

@@ -36,7 +36,7 @@ from gasptables.degree_table import (
     ValidationReport,
     sumset,
 )
-from gasptables.equivalence import EquivalenceTransform, SqueezeStep, _check_perm, _lex_key
+from gasptables.equivalence import EquivalenceTransform, SqueezeStep, _check_perm
 
 
 def _as_exponent_vector(name: str, values: Iterable[int]) -> ExponentVector:
@@ -134,6 +134,10 @@ def negate(table: DegreeTable) -> DegreeTable:
         beta_p=tuple(m - v for v in table.beta_p),
         beta_s=tuple(m - v for v in table.beta_s),
     )
+
+
+def _lex_key(table: DegreeTable) -> tuple[int, ...]:
+    return table.alpha_p + table.alpha_s + table.beta_p + table.beta_s
 
 
 def canonical(table: DegreeTable) -> DegreeTable:
@@ -278,6 +282,29 @@ def progression_tables(draw, entries=st.integers(0, 30)):
         return [start + step * i for i in range(n)]
 
     return _table(K, L, T, block(K) + block(T), block(L) + block(T))
+
+
+@st.composite
+def long_progression_tables(draw, fault=None):
+    """Tables whose every block is an ascending progression of 4..40 terms,
+    step 1..5, so each doubling in _check's rows runs two to five steps
+    (progression_tables stops at 6 terms).  Suffixes start anywhere in
+    0..400, so they may meet either prefix.  fault "repeat" starts one side's
+    suffix on an entry of its prefix, so D1 or D2 fails; fault "collide"
+    gives both prefixes one step, so their sums repeat and D3 fails."""
+    K, L, T = (draw(st.integers(4, 40)) for _ in range(3))
+    step = draw(st.integers(1, 5)) if fault == "collide" else None
+
+    def block(n: int, start: int, s: Optional[int] = None) -> list[int]:
+        s = s or draw(st.integers(1, 5))
+        return [start + s * i for i in range(n)]
+
+    ap, bp = block(K, draw(st.integers(0, 20)), step), block(L, draw(st.integers(0, 20)), step)
+    suffixes = [block(T, draw(st.integers(0, 400))) for _ in range(2)]
+    if fault == "repeat":
+        side = draw(st.sampled_from((0, 1)))
+        suffixes[side] = block(T, draw(st.sampled_from((ap, bp)[side])))
+    return _table(K, L, T, ap + suffixes[0], bp + suffixes[1])
 
 
 @st.composite

@@ -287,6 +287,27 @@ class TestCheckAgainstOracle:
         _assert_matches_oracle(t)
         _assert_matches_oracle(transpose(t))
 
+    @settings(max_examples=200, deadline=None)
+    @given(oracle.long_progression_tables())
+    def test_long_progressions(self, t):
+        # Either side shifts: the one with fewer distinct entries, alpha on a tie.
+        _assert_matches_oracle(t)
+        _assert_matches_oracle(transpose(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle.long_progression_tables("repeat"))
+    def test_long_progressions_repeating_across_blocks(self, t):
+        assert not (validate(t).d1_ok and validate(t).d2_ok)
+        _assert_matches_oracle(t)
+        _assert_matches_oracle(transpose(t))
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle.long_progression_tables("collide"))
+    def test_long_prefix_progressions_colliding(self, t):
+        assert not validate(t).d3_ok
+        _assert_matches_oracle(t)
+        _assert_matches_oracle(transpose(t))
+
     def test_entries_near_1e15_validate_at_once(self, capsys, tmp_path):
         big = 10**15
         t = DegreeTable(K=2, L=2, T=2, alpha_p=(0, 1), alpha_s=(big, big + 3),
@@ -308,12 +329,17 @@ def _or_loop(block):
     return mask
 
 
+def _mask(block):
+    """_mask with the step _check would pass it."""
+    return degree_table._mask(block, degree_table._step(block))
+
+
 @pytest.mark.parametrize("block", [
     (0, 1, 2), (3, 7, 11, 15), (9, 6, 3, 0), (5, 5, 5), (2, 9), (9, 2), (4,), (0, 1, 3), (0, 2, 4, 5), (0, 2, 4, 5, 8),
     (1, 2, 3, 3), (70, 135, 200), (200, 135, 70), (65,), (64, 64),
 ])
 def test_mask_matches_an_or_loop(block):
-    assert degree_table._mask(block) == _or_loop(block)
+    assert _mask(block) == _or_loop(block)
 
 
 @settings(max_examples=400, deadline=None)
@@ -321,7 +347,7 @@ def test_mask_matches_an_or_loop(block):
 def test_mask_of_a_progression_matches_an_or_loop(start, step, n):
     # Ascending, descending and constant; masks run past 2^64 from an entry of 64.
     block = tuple(start + max(0, -step * (n - 1)) + step * i for i in range(n))
-    assert degree_table._mask(block) == _or_loop(block)
+    assert _mask(block) == _or_loop(block)
 
 
 # One division by 2^s - 1 at every step: one 30-bit digit up to 30, more past it.
@@ -330,15 +356,33 @@ def test_mask_of_a_wide_progression_matches_an_or_loop(step):
     for n in range(3, 71):
         for start in (0, 1, 64):
             block = tuple(start + step * i for i in range(n))
-            assert degree_table._mask(block) == _or_loop(block), (step, n, start)
+            assert _mask(block) == _or_loop(block), (step, n, start)
+
+
+def _rows_one_by_one(values, block, twice, once):
+    for v in block:
+        twice |= once & values << v
+        once |= values << v
+    return twice, once
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 2**80), st.integers(0, 200), st.integers(1, 9) | st.sampled_from([30, 31, 64]),
+       st.integers(3, 70), st.integers(0, 2**90), st.integers(0, 2**90))
+def test_rows_by_doubling_match_rows_one_by_one(values, start, step, n, twice, once):
+    # Every doubling level and every trailing bit of n, merged into nonempty accumulators.
+    block = tuple(range(start, start + step * n, step))
+    assert degree_table._step(block) == step
+    got = degree_table._rows(values.__lshift__, block, step, twice & once, once)
+    assert got == _rows_one_by_one(values, block, twice & once, once)
 
 
 def _mask_widths(t):
     """_check's result, and the bit length of every bitset _mask builds for it."""
     widths, real = [], degree_table._mask
 
-    def recording(block):
-        widths.append((m := real(block)).bit_length())
+    def recording(block, s):
+        widths.append((m := real(block, s)).bit_length())
         return m
 
     with mock.patch.object(degree_table, "_mask", recording):
@@ -403,6 +447,36 @@ def test_exponent_vector_matches_oracle(values):
     assert got == _vector_outcome(oracle._as_exponent_vector, values)
     if isinstance(got, tuple):
         assert list(map(type, got)) == list(map(type, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(range, st.integers(-6, 30), st.integers(-6, 30), st.integers(-4, 4).filter(bool)))
+def test_range_checked_by_its_ends_as_its_tuple(values):
+    got = _vector_outcome(degree_table._as_exponent_vector, values)
+    assert got == _vector_outcome(degree_table._as_exponent_vector, tuple(values))
+    assert got == _vector_outcome(oracle._as_exponent_vector, values)
+    assert type(got) is str or type(got) is tuple
+
+
+@pytest.mark.parametrize("K,L,T", [(1, 1, 1), (4, 3, 5), (1000, 2, 8)])
+def test_table_of_ranges_equals_table_of_tuples(K, L, T):
+    blocks = (range(K), range(K * L, K * L + T), range(0, K * L, K), range(K * L + 1, K * L + T + 1))
+    t, u = DegreeTable(K, L, T, *blocks), DegreeTable(K, L, T, *map(tuple, blocks))
+    assert t == u and hash(t) == hash(u)
+    assert all(type(b) is tuple for b in (t.alpha_p, t.alpha_s, t.beta_p, t.beta_s))
+
+
+@pytest.mark.parametrize("block,message", [
+    (range(0), "beta_s must be nonempty"),
+    (range(4, 4), "beta_s must be nonempty"),
+    (range(-1, 3), "beta_s entries must be nonnegative, got -1"),
+    (range(2, -3, -1), "beta_s entries must be nonnegative, got -1"),
+    (range(-7, 0, 3), "beta_s entries must be nonnegative, got -7"),
+])
+def test_empty_and_negative_ranges_fail_as_their_tuples(block, message):
+    for b in (block, tuple(block)):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DegreeTable(1, 1, max(1, len(block)), (0,), (1,) * max(1, len(block)), (0,), b)
 
 
 def test_int_subclass_accepted_and_bool_rejected():

@@ -26,7 +26,8 @@ from gasptables import (
     transpose,
 )
 from gasptables import equivalence
-from gasptables.equivalence import SqueezeStep, _lex_key, squeeze_step
+from gasptables.equivalence import SqueezeStep, squeeze_step
+from table_oracles import _lex_key
 import table_oracles as oracle
 
 
