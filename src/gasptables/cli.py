@@ -179,6 +179,14 @@ def _parse(text: str, n: int, what: str, convert=int) -> tuple:
         raise DomainError(f"{what}: {bad} in {text!r}") from None
 
 
+def _entry_bound(text: str):
+    """--entry-bound's value: N on both sides (an int stays an int), or A,B for alpha and beta."""
+    try:
+        return int(text) if "," not in text else _parse(text, 2, "--entry-bound")
+    except ValueError:  # _parse's DomainError too
+        raise argparse.ArgumentTypeError(f"expected N or A,B as integers, got {text!r}") from None
+
+
 def _load_table(path: str) -> DegreeTable:
     source = "standard input" if path == "-" else path
     try:
@@ -382,6 +390,8 @@ def _commands() -> list[tuple]:
            ("--T", dict(type=int, required=True, help="colluding servers tolerated"))]
     r_or_big = (None, [("--r", dict(type=int, help="chain length")),
                        ("--big", dict(action="store_true", help="use r = min(K, T)"))])
+    entry_bound = ("--entry-bound", dict(type=_entry_bound, default=None, help="override the census"
+                                         " entry bound: N on both sides, or A,B for alpha and beta"))
     table_io = [("--in", dict(dest="infile", default="-", help="table JSON file, - for stdin")),
                 ("--out", dict(dest="outfile", default=None, help="write JSON here instead of stdout"))]
     return [
@@ -396,7 +406,7 @@ def _commands() -> list[tuple]:
         ("bounds", "lower bounds and entry bounds", _handle_bounds,
          [*klt, ("--dims", dict(help="a,b,c,q to include the operational threshold"))]),
         ("search exhaustive", "full census within entry bounds", _handle_search, [
-            *klt, ("--entry-bound", dict(type=int, default=None, help="override the entry bound")),
+            *klt, entry_bound,
             ("--fixed-prefix", dict(action="store_true", help="only search the alpha suffix")),
             ("--budget", dict(type=int, default=None, help="cap on tables examined"))]),
         ("search greedy", "greedy alpha-suffix search", _handle_search, [
@@ -404,7 +414,7 @@ def _commands() -> list[tuple]:
             ("--beam-width", dict(type=int, default=None, help="cap branches per node"))]),
         ("search emit-lp", "write an .lp model", _handle_search, [
             *klt, ("--kind", dict(choices=("fixed", "census"), default="fixed")),
-            ("--entry-bound", dict(type=int, default=None, help="census entry bound override")),
+            entry_bound,
             ("--tight-link", dict(action="store_true", help="per-column linking rows")),
             ("--out", dict(default=None, help="output file (stdout if omitted)"))]),
         ("sdmm run", "simulate one multiplication", _handle_sdmm, [

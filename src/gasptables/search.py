@@ -16,18 +16,19 @@ Three strategies at three price points:
 Both heavy kernels work on integers used as bitsets.  The census is a join
 on differences: D3 fails exactly when the nonzero differences A_p - A and
 B - B_p share a value, so the beta sides are indexed by difference and by
-gcd, and each alpha side reads its valid partners off as one mask.  A side
-is a value set plus a split of its positions into prefix and suffix; the
-sets are listed once, the splits once per shape as prefix positions.  The
-beta index is split-major and built by ANDs over value-set bitsets, one per
+gcd; an alpha side's valid partners are the AND of one free mask per prefix
+position, the coprime beta sides with no clash at that value.  A side is a
+value set plus a split of its positions into prefix and suffix; the sets
+are listed once, the splits once per shape as prefix positions.  The beta
+index is split-major and built by ANDs over value-set bitsets, one per
 (sorted position, value), then copied to the splits.  Reflecting each side
 through its maximum maps the census onto itself, so one alpha side of each
-mirror pair is joined, and blocks are built only for the optima.
-Greedy keeps the entries in use as one integer and every row's overlap with
-them as a counter in another, updated by one shifted add per new entry
-below the cover's top and one precomputed block for those above it; the
-argmax is a search of the counters' bytes, or a max over two-byte counters.
-A subtree met again under the same incumbent is replayed, its nodes counted.
+mirror pair is joined, and blocks are built only for the optima.  Greedy
+keeps the entries in use as one integer and every row's overlap with them
+as a counter in another; a child's new overlaps are summed at beta's width
+and shifted to its row once.  The argmax is a search of the counters'
+bytes, or a max over two-byte counters.  A subtree met again under the
+same incumbent is replayed, its nodes counted.
 """
 
 from __future__ import annotations
@@ -151,18 +152,17 @@ def exhaustive(K: int, L: int, T: int, entry_bound: Optional[EntryBound] = None)
         # D3 fails iff some x + y (x in A_p, y in B_p) equals another x' + y',
         # i.e. iff (A_p - A)\{0} and (B - B_p)\{0} share a difference; the
         # clashes of A_p are those of its values x, each x - A (by_diff has
-        # no key 0).
-        clashes = []
+        # no key 0).  free[p]: the coprime beta sides with no clash at a_vals[p].
+        free = []
         for x in a_vals:
             clash = 0
             for v in a_vals:
                 clash |= by_diff.get(x - v, 0)
-            clashes.append(clash)
+            free.append(coprime[ga] & ~clash)
         for sa, pos, w in self_rows if mv == ia else rows:
-            clash = 0
-            for p in pos:
-                clash |= clashes[p]
-            ok = coprime[ga] & ~clash
+            ok = free[pos[0]]
+            for p in pos[1:]:
+                ok &= free[p]
             while ok:
                 low = ok & -ok
                 ok ^= low
@@ -280,14 +280,14 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
 
     Row i overlaps the table in the columns b of beta with i + b an entry in
     use.  Every row's overlap is a counter in one packed integer (a byte per
-    row while L+T <= 255, two bytes past it); a child that adds row r adds
-    one to rows e - b, b in beta, for each new entry e.  Rows with maximal
-    overlap add the fewest new entries, and all of them are branched on in
-    increasing order, depth first.  A branch is cut when even one new entry
-    per remaining row cannot beat the incumbent.  beam_width, if set, caps
-    how many argmax candidates are expanded per node; budget caps total node
-    expansions and flags the result when hit.  A subtree with the rows and
-    incumbent of one searched before is replayed; nodes counts the whole tree.
+    row while L+T <= 255, two bytes past it); a child that adds row r adds one
+    to rows e - b, b in beta, for each new entry e: summed at beta's width,
+    then shifted to row r once.  Rows with maximal overlap add the fewest new
+    entries; all are branched on in increasing order, depth first.  A branch is
+    cut when even one new entry per remaining row cannot beat the incumbent.
+    beam_width, if set, caps the argmax candidates expanded per node; budget
+    caps node expansions and flags the result when hit.  A subtree with the
+    rows and incumbent of one searched before is replayed, its nodes counted.
     """
     v_lo, _, _, top = suffix_window(K, L, T)
     _check_limits(budget, beam_width)
@@ -365,15 +365,15 @@ def greedy(K: int, L: int, T: int, budget: Optional[int] = None,
                 nodes += seen[0]
                 _, best_n, best_suffix = seen
                 continue
-            child = over + (suffix_add[bisect_left(beta, end - r)] << slot * i)
-            low = (beta_mask << r) & holes
+            add = suffix_add[bisect_left(beta, end - r)]
+            low = beta_mask & holes >> r  # the b in beta with r + b a hole below the top
             while low:
-                e = low & -low
-                low ^= e
-                child += rev_beta << slot * (e.bit_length() - 1 - v_lo)
+                b = low & -low
+                low ^= b
+                add += rev_beta << slot * (b.bit_length() - 1)
             start = nodes
             chosen.append(r)
-            rec(cover | beta_mask << r, child, key[0], child_size)
+            rec(cover | beta_mask << r, over + (add << slot * i), key[0], child_size)
             chosen.pop()
             if exhausted:
                 return

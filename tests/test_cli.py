@@ -19,6 +19,7 @@ from gasptables import (
     build_ilp_fixed,
     construct,
     count_distinct,
+    exhaustive,
     n_of_r,
 )
 from gasptables import cli
@@ -362,6 +363,28 @@ class TestSearchCommands:
         )
         assert code == 0
         assert parse_lp_text(out) == build_blp(1, 1, 1, (2, 2))
+
+    # A pair gives the alpha and beta bounds apart, in both commands that take one.
+    def test_entry_bound_pair(self, capsys):
+        code, out, _ = dispatch(capsys, "search", "exhaustive", "--K", "2", "--L", "1", "--T", "2",
+                                "--entry-bound", "5,3", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        want = exhaustive(2, 1, 2, entry_bound=(5, 3))
+        assert (doc["entry_bound"], doc["valid_tables"], doc["best_n"]) == ([5, 3], want.valid_tables, want.best_n)
+        code, out, _ = dispatch(capsys, "search", "emit-lp", "--kind", "census", "--entry-bound", "3,2",
+                                "--K", "1", "--L", "1", "--T", "1")
+        assert code == 0
+        assert parse_lp_text(out) == build_blp(1, 1, 1, (3, 2))
+
+    @pytest.mark.parametrize("action", [("exhaustive",), ("emit-lp", "--kind", "census")])
+    @pytest.mark.parametrize("bad", ["x", "5,", "1,2,3", "4,y", "2.5"])
+    def test_malformed_entry_bound_is_a_usage_error(self, capsys, action, bad):
+        code, out, err = dispatch(capsys, "search", *action, "--K", "2", "--L", "2", "--T", "5",
+                                  "--entry-bound", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: gasptables search {action[0]} [-h] ")
+        assert err.endswith(f"error: argument --entry-bound: expected N or A,B as integers, got {bad!r}\n")
 
 
 class TestSdmmCommand:

@@ -193,6 +193,22 @@ class TestExhaustive:
         assume(bound[0] != bound[1])
         assert _outcome(exhaustive, K, L, T, entry_bound=bound) == _outcome(exhaustive_packed, K, L, T, bound)
 
+    # A row is the AND of its prefix positions' free masks: K = L shapes, where
+    # one value-set list holds self-mirror sets, and K = 3 and 4 with L = 1, so
+    # rows have one to four prefix positions.  Bounds run from n - 2 (an empty
+    # side list) to n + 3 for a side of n entries.
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 2, 1), (2, 2, 2), (3, 3, 1),
+                            (3, 1, 1), (3, 1, 2), (4, 1, 1), (4, 1, 2)]),
+           st.integers(-2, 3), st.integers(-2, 3))
+    @example((2, 2, 2), 1, 1)
+    @example((3, 3, 1), 2, 2)
+    @example((4, 1, 1), 3, 0)
+    def test_row_masks_match_packed_oracle(self, shape, over_a, over_b):
+        K, L, T = shape
+        bound = (K + T + over_a, L + T + over_b)
+        assert _outcome(exhaustive, K, L, T, entry_bound=bound) == _outcome(exhaustive_packed, K, L, T, bound)
+
     def test_census_memory_stays_small(self):
         # Sides are value sets plus shared prefix positions: no tuple is built
         # per side, so the 17,820 sides of (2,2,7) cost little memory.
@@ -469,6 +485,20 @@ class TestGreedy:
     def test_matches_scan_oracle_within_the_node_count(self, n, data):
         budget = data.draw(st.integers(0, greedy_scan(n, n, n).nodes))
         assert _outcome(greedy, n, n, n, budget=budget) == _outcome(greedy_scan, n, n, n, budget=budget)
+
+    # A child's new overlaps are summed at beta's width, from entries both below
+    # and above the cover's top, and shifted once; (256,1,255) has two-byte counters.
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+                  st.one_of(st.none(), st.integers(0, 2000))),
+        st.tuples(st.just(256), st.just(1), st.just(255), st.integers(0, 256))))
+    @example((12, 12, 12, None))
+    @example((256, 1, 255, 200))
+    def test_child_sums_match_scan_oracle(self, case):
+        K, L, T, budget = case
+        L = min(K, L)
+        assert _outcome(greedy, K, L, T, budget=budget) == _outcome(greedy_scan, K, L, T, budget=budget)
 
     @pytest.mark.parametrize("n,N,nodes", [
         (16, 410, 17_388), (17, 467, 53_945), (18, 514, 69_376), (19, 563, 86_117),
